@@ -43,7 +43,6 @@ from .selection import (
     SelectionScore,
     cvrp_score,
     eb_penalty,
-    j_z,
     log_dirichlet_marginal,
     score_partition,
     select_partition,

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: simulate, estimate, select, evaluate, experiment, ingest.
-Exit codes: 0 success, 1 usage, 2 data error, 3 numerical failure. The
-EBSBM_OUTPUT_ROOT environment variable supplies a default parent for
---out when the flag is omitted.
+Exit codes: 0 success, 1 usage, 2 data error (or an experiment whose
+every replicate was skipped), 3 numerical failure. The EBSBM_OUTPUT_ROOT
+environment variable supplies a default parent for --out when the flag is
+omitted.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .estimator import ConnectivityEstimate, eb_estimate, fit_hyperparams, mle_e
 from .experiment import (
     ExperimentConfig,
     _simulate_replicate,
+    _write_sidecars,
     analyze_graph,
     run_experiment,
     run_testlik_protocol,
@@ -96,18 +98,7 @@ def cmd_simulate(args):
                            k_range=(1,), replicates=args.replicates,
                            base_seed=args.seed)
     for r in range(cfg.replicates):
-        _, _, side = _simulate_replicate(cfg, r)
-        sub = os.path.join(out, "replicates", f"r{r:03d}")
-        os.makedirs(sub, exist_ok=True)
-        write_edge_list(side["graph"], os.path.join(sub, "graph.txt"))
-        if "labels" in side:
-            with open(os.path.join(sub, "labels.txt"), "w") as fh:
-                for i, lab in enumerate(side["labels"]):
-                    fh.write(f"{i} {lab}\n")
-        if "latents" in side:
-            with open(os.path.join(sub, "latents.txt"), "w") as fh:
-                for i, u in enumerate(side["latents"]):
-                    fh.write(f"{i} {u!r}\n")
+        _write_sidecars(_simulate_replicate(cfg, r)[2], out, r)
     _write_manifest(out, "simulate", {
         "config": cfg.to_json_dict(),
         "seeds": [cfg.base_seed + r for r in range(cfg.replicates)],
@@ -241,7 +232,7 @@ def cmd_experiment(args):
         print(f"{row['criterion']}: k_hats={row['frequencies']}{extra}")
     if res.skipped:
         print(f"skipped {len(res.skipped)} replicate(s)", file=sys.stderr)
-    return 0
+    return 2 if len(res.skipped) == cfg.replicates else 0
 
 
 def cmd_ingest(args):

@@ -15,6 +15,12 @@ and plugging the maximizer into the conditional posterior mean
 gives the empirical Bayes estimate. The same posterior-mean formula with
 user-pinned hyperparameters is the fixed-prior baseline, and the raw block
 frequency X / n is the MLE baseline.
+
+The marginal and its gradient are written once, in ``_marginal_and_grad``,
+which the optimizer objective, :func:`marginal_loglik` and
+:func:`loglik_gradient` all call. Inputs are checked at the API boundary
+(``BlockStats``, the public functions' hyperparameters and ``which``, and
+the log-space box); the kernel itself calls SciPy unchecked.
 """
 
 from __future__ import annotations
@@ -22,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betaln, psi
 
 from .graph import BlockStats
-from .numerics import Bounds, digamma, log_beta, maximize_box
+from .numerics import Bounds, maximize_box
 
 # Hyperparameter search box; spans essentially-no-shrinkage (1e-4) through
 # full-pooling (1e6) regimes. Optimization runs on log(alpha), log(beta).
@@ -138,17 +145,35 @@ class ConnectivityEstimate:
                    shrinkage=shrink, flags=tuple(d.get("flags", ())))
 
 
-def _selected_counts(stats: BlockStats, which: str):
+def _family_blocks(stats: BlockStats, which: str):
+    """(x, m) as float64 over the family's blocks with at least one pair."""
     if which == "diagonal":
-        return stats.diagonal_counts()
-    if which == "offdiagonal":
-        return stats.offdiagonal_counts()
-    raise ValueError(f"which must be one of {_WHICH}, got {which!r}")
+        x, m = stats.diagonal_counts()
+    elif which == "offdiagonal":
+        x, m = stats.offdiagonal_counts()
+    else:
+        raise ValueError(f"which must be one of {_WHICH}, got {which!r}")
+    keep = m > 0
+    return x[keep].astype(np.float64), m[keep].astype(np.float64)
 
 
 def _check_pair(alpha, beta):
     if not (np.isfinite(alpha) and alpha > 0 and np.isfinite(beta) and beta > 0):
         raise ValueError("hyperparameters must be positive finite reals")
+
+
+def _marginal_and_grad(a, b, x, m):
+    """The blockwise marginal and its (d/da, d/db) over blocks (x, m).
+
+    The single kernel behind fitting and scoring. Unchecked: callers
+    guarantee a, b > 0 and 0 <= x <= m with m > 0.
+    """
+    count = x.size
+    psi_sum = psi(a + b + m)
+    f = np.sum(betaln(a + x, b + m - x)) - count * betaln(a, b)
+    da = np.sum(psi(a + x) - psi_sum) - count * (psi(a) - psi(a + b))
+    db = np.sum(psi(b + m - x) - psi_sum) - count * (psi(b) - psi(a + b))
+    return float(f), float(da), float(db)
 
 
 def marginal_loglik(stats: BlockStats, alpha: float, beta: float, which: str) -> float:
@@ -158,26 +183,19 @@ def marginal_loglik(stats: BlockStats, alpha: float, beta: float, which: str) ->
     singleton clusters degrade gracefully rather than erroring.
     """
     _check_pair(alpha, beta)
-    x, m = _selected_counts(stats, which)
-    keep = m > 0
-    x, m = x[keep].astype(np.float64), m[keep].astype(np.float64)
+    x, m = _family_blocks(stats, which)
     if x.size == 0:
         return 0.0
-    return float(np.sum(log_beta(alpha + x, beta + m - x)) - x.size * log_beta(alpha, beta))
+    return _marginal_and_grad(float(alpha), float(beta), x, m)[0]
 
 
 def loglik_gradient(stats: BlockStats, alpha: float, beta: float, which: str):
     """(d/dalpha, d/dbeta) of :func:`marginal_loglik`, via digamma."""
     _check_pair(alpha, beta)
-    x, m = _selected_counts(stats, which)
-    keep = m > 0
-    x, m = x[keep].astype(np.float64), m[keep].astype(np.float64)
+    x, m = _family_blocks(stats, which)
     if x.size == 0:
         return (0.0, 0.0)
-    psi_sum = digamma(alpha + beta + m)
-    da = np.sum(digamma(alpha + x) - psi_sum) - x.size * (digamma(alpha) - digamma(alpha + beta))
-    db = np.sum(digamma(beta + m - x) - psi_sum) - x.size * (digamma(beta) - digamma(alpha + beta))
-    return (float(da), float(db))
+    return _marginal_and_grad(float(alpha), float(beta), x, m)[1:]
 
 
 def mle_estimate(stats: BlockStats) -> ConnectivityEstimate:
@@ -215,17 +233,11 @@ def _moment_init(x, m):
 
 def _fit_pair(x, m):
     """Maximize the blockwise marginal over (alpha, beta) in log space."""
-    x = x.astype(np.float64)
-    m = m.astype(np.float64)
-    count = x.size
 
     def objective(u):
         a, b = np.exp(u)
-        psi_sum = digamma(a + b + m)
-        f = np.sum(log_beta(a + x, b + m - x)) - count * log_beta(a, b)
-        da = np.sum(digamma(a + x) - psi_sum) - count * (digamma(a) - digamma(a + b))
-        db = np.sum(digamma(b + m - x) - psi_sum) - count * (digamma(b) - digamma(a + b))
-        return float(f), np.array([da * a, db * b])
+        f, da, db = _marginal_and_grad(a, b, x, m)
+        return f, np.array([da * a, db * b])
 
     log_lo = np.log(HYPER_BOX_LOWER)
     log_hi = np.log(HYPER_BOX_UPPER)
@@ -244,16 +256,14 @@ def fit_hyperparams(stats: BlockStats) -> HyperParams:
     case for K >= 2 without empty clusters) and defaults to (1, 1),
     flagged unfitted, otherwise.
     """
-    xd, md = stats.diagonal_counts()
-    keep = md > 0
-    if not np.any(keep):
+    xd, md = _family_blocks(stats, "diagonal")
+    if xd.size == 0:
         raise ValueError("no diagonal block has any node pair; cannot fit hyperparameters")
-    a0, b0, conv0 = _fit_pair(xd[keep], md[keep])
+    a0, b0, conv0 = _fit_pair(xd, md)
 
-    xo, mo = stats.offdiagonal_counts()
-    keep_o = mo > 0
-    if stats.K >= 2 and np.any(keep_o):
-        a1, b1, conv1 = _fit_pair(xo[keep_o], mo[keep_o])
+    xo, mo = _family_blocks(stats, "offdiagonal")
+    if xo.size:
+        a1, b1, conv1 = _fit_pair(xo, mo)
         fitted = True
     else:
         a1, b1, conv1, fitted = 1.0, 1.0, True, False

@@ -51,7 +51,7 @@ from .metrics import (
     write_records_jsonl,
     write_summary_csv,
 )
-from .samplers import affiliation_theta, powerlaw_graphon, sample_graphon
+from .samplers import _draw_sbm, affiliation_theta, powerlaw_graphon, sample_graphon
 from .selection import pick_best, score_partition
 
 _MODELS = ("sbm-affiliation", "graphon-powerlaw", "file")
@@ -118,7 +118,8 @@ def _simulate_replicate(cfg: ExperimentConfig, r: int):
     seed = cfg.base_seed + r
     if cfg.model == "sbm-affiliation":
         spec = affiliation_theta(cfg.k_star, cfg.lam, cfg.epsilon, cfg.rho)
-        graph, raw1 = _sample_sbm_raw(spec, cfg.n, seed)
+        graph, z0 = _draw_sbm(spec, cfg.n, seed)
+        raw1 = z0 + 1
         order = canonical_order(graph)
         g = relabel_nodes(graph, order)
         theta_t, part_t = _restrict_truth(spec.theta, raw1, order)
@@ -134,18 +135,6 @@ def _simulate_replicate(cfg: ExperimentConfig, r: int):
     else:
         raise ValueError(cfg.model)
     return g, truth, sidecars
-
-
-def _sample_sbm_raw(spec, n, seed):
-    """sample_sbm plus the uncompacted 1-based truth labels."""
-    from .samplers import _pair_edges
-
-    rng = np.random.default_rng(seed)
-    z0 = rng.choice(spec.K, size=n, p=spec.pi)
-    iu = np.triu_indices(n, k=1)
-    probs = spec.theta[z0[iu[0]], z0[iu[1]]]
-    edges = _pair_edges(rng, probs, iu)
-    return Graph(n=n, edges=edges), z0 + 1
 
 
 def _mse_against_truth(est: ConnectivityEstimate, partition, truth) -> float:
@@ -300,18 +289,7 @@ def _write_outputs(cfg, out_dir, results, records, summary_rows, selection_rows,
     _write_selection_csv(selection_rows, os.path.join(out_dir, "selection.csv"))
     if cfg.write_replicates and cfg.model != "file":
         for res in results:
-            sub = os.path.join(out_dir, "replicates", f"r{res['replicate']:03d}")
-            os.makedirs(sub, exist_ok=True)
-            side = res["sidecars"]
-            write_edge_list(side["graph"], os.path.join(sub, "graph.txt"))
-            if "labels" in side:
-                with open(os.path.join(sub, "labels.txt"), "w") as fh:
-                    for i, lab in enumerate(side["labels"]):
-                        fh.write(f"{i} {lab}\n")
-            if "latents" in side:
-                with open(os.path.join(sub, "latents.txt"), "w") as fh:
-                    for i, u in enumerate(side["latents"]):
-                        fh.write(f"{i} {u!r}\n")
+            _write_sidecars(res["sidecars"], out_dir, res["replicate"])
     manifest = {
         "version": __version__,
         "command": "experiment",
@@ -323,6 +301,22 @@ def _write_outputs(cfg, out_dir, results, records, summary_rows, selection_rows,
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_sidecars(side, out_dir, r):
+    """A simulated replicate's edge list and truth files under
+    out_dir/replicates/rNNN/."""
+    sub = os.path.join(out_dir, "replicates", f"r{r:03d}")
+    os.makedirs(sub, exist_ok=True)
+    write_edge_list(side["graph"], os.path.join(sub, "graph.txt"))
+    if "labels" in side:
+        with open(os.path.join(sub, "labels.txt"), "w") as fh:
+            for i, lab in enumerate(side["labels"]):
+                fh.write(f"{i} {lab}\n")
+    if "latents" in side:
+        with open(os.path.join(sub, "latents.txt"), "w") as fh:
+            for i, u in enumerate(side["latents"]):
+                fh.write(f"{i} {u!r}\n")
 
 
 def _write_selection_csv(rows, path):

@@ -168,24 +168,6 @@ def write_records_jsonl(records, path):
             fh.write("\n")
 
 
-def read_records_jsonl(path):
-    with open(path) as fh:
-        return [ExperimentRecord.from_json_dict(json.loads(line))
-                for line in fh if line.strip()]
-
-
-def write_records_csv(records, path):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["replicate", "K_input", "K_returned",
-                    "mse_mle", "mse_eb", "mse_vbem", "seed"])
-        for r in records:
-            w.writerow([r.replicate, r.K_input, r.K_returned,
-                        repr(r.mse_mle), repr(r.mse_eb), repr(r.mse_vbem), r.seed])
-
-
 def summarize_records(records):
     """Per-input-K medians of the error columns and of the per-replicate
     ratios of the pooled estimate against each baseline."""

@@ -1,8 +1,10 @@
 """Special functions and a box-constrained smooth maximizer.
 
-Thin, contract-checked wrappers around SciPy: gammaln/betaln/psi for the
-log-marginal arithmetic and L-BFGS-B for hyperparameter fitting. Every
-routine here is pure and re-entrant.
+Thin, contract-checked wrappers around SciPy: gammaln/betaln/psi for
+callers outside the fitting loop, and L-BFGS-B for hyperparameter fitting.
+The Beta-Binomial marginal kernel lives in ``estimator`` and calls SciPy
+directly, because its inputs are checked once at the API boundary rather
+than on every optimizer step. Every routine here is pure and re-entrant.
 """
 
 from __future__ import annotations

@@ -129,12 +129,8 @@ def _pair_edges(rng, probs_upper, iu):
     )
 
 
-def sample_sbm(spec: SbmSpec, n: int, seed: int) -> tuple[Graph, Partition]:
-    """Draw labels from pi, then connect each pair independently.
-
-    The returned partition is compacted: clusters that received no node
-    are dropped and K reduced accordingly.
-    """
+def _draw_sbm(spec: SbmSpec, n: int, seed: int) -> tuple[Graph, np.ndarray]:
+    """The graph and its uncompacted 0-based labels z0."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -142,7 +138,17 @@ def sample_sbm(spec: SbmSpec, n: int, seed: int) -> tuple[Graph, Partition]:
     iu = np.triu_indices(n, k=1)
     probs = spec.theta[z0[iu[0]], z0[iu[1]]]
     edges = _pair_edges(rng, probs, iu)
-    return Graph(n=n, edges=edges), compact_partition(z0 + 1)
+    return Graph(n=n, edges=edges), z0
+
+
+def sample_sbm(spec: SbmSpec, n: int, seed: int) -> tuple[Graph, Partition]:
+    """Draw labels from pi, then connect each pair independently.
+
+    The returned partition is compacted: clusters that received no node
+    are dropped and K reduced accordingly.
+    """
+    graph, z0 = _draw_sbm(spec, n, seed)
+    return graph, compact_partition(z0 + 1)
 
 
 def sample_graphon(spec: GraphonSpec, n: int, seed: int) -> tuple[Graph, np.ndarray]:

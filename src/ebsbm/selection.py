@@ -65,19 +65,6 @@ def log_dirichlet_marginal(sizes, tau: float = 0.5) -> float:
     )
 
 
-def j_z(graph: Graph, partition: Partition):
-    """Goodness-of-fit score: fitted blockwise marginal plus the Dirichlet
-    label marginal. Returns (score, fitted hyperparameters)."""
-    stats = block_stats(graph, partition)
-    hyper = fit_hyperparams(stats)
-    score = (
-        marginal_loglik(stats, hyper.alpha0, hyper.beta0, "diagonal")
-        + marginal_loglik(stats, hyper.alpha1, hyper.beta1, "offdiagonal")
-        + log_dirichlet_marginal(partition.sizes)
-    )
-    return float(score), hyper
-
-
 def eb_penalty(K: int, n: int) -> float:
     """Complexity charge (1/2)[(K-1) log n + (K(K+1)/2) log(n(n-1)/2)]."""
     if K < 1:

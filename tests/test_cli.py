@@ -119,6 +119,25 @@ class TestSimulateAndExperiment:
         assert (out / "summary.csv").exists()
         assert "k_hats" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("failing, rc_expected", [({0, 1}, 2), ({1}, 0)])
+    def test_experiment_exit_code_with_failed_replicates(self, tmp_path, capsys, monkeypatch,
+                                                         failing, rc_expected):
+        # every replicate failing is an error; a partial failure is counted only
+        import ebsbm.experiment as mod
+
+        real = mod._run_one
+
+        def flaky(cfg, r, loaded=None):
+            if r in failing:
+                raise RuntimeError("synthetic failure")
+            return real(cfg, r, loaded=loaded)
+
+        monkeypatch.setattr(mod, "_run_one", flaky)
+        rc = main(["experiment", "--n", "30", "--k-star", "2", "--k-range", "1..2",
+                   "--replicates", "2", "--workers", "1", "--out", str(tmp_path / "exp")])
+        assert rc == rc_expected
+        assert f"skipped {len(failing)} replicate(s)" in capsys.readouterr().err
+
     def test_experiment_composes_from_simulate_estimate_select(self, tmp_path, capsys):
         # one replicate, same seeds: the pipeline equals its parts
         common = ["--model", "sbm-affiliation", "--n", "50", "--k-star", "2",

@@ -202,6 +202,62 @@ class TestFitHyperparams:
                 assert HYPER_BOX_LOWER * 0.999 <= v <= HYPER_BOX_UPPER * 1.001
 
 
+class TestPinnedValues:
+    """Exact floats of the fit and of the marginal kernel at fixed inputs.
+
+    Any reordering of the kernel's arithmetic or change to the optimizer's
+    path moves the last bits, so these compare with ==, not approx.
+    """
+
+    INTERIOR = ([[12, 3, 10], [3, 30, 1], [10, 1, 5]],
+                [[45, 90, 99], [90, 66, 60], [99, 60, 28]])
+
+    def test_fit_interior_optimum(self):
+        hp = fit_hyperparams(stats_from(*self.INTERIOR))
+        assert (hp.alpha0, hp.beta0) == (7.755235804148489, 16.95056086983011)
+        assert (hp.alpha1, hp.beta1) == (3.5021597959031485, 62.46854804816297)
+        assert hp.offdiag_fitted and hp.diag_converged and hp.offdiag_converged
+
+    def test_fit_ends_at_box_edge(self):
+        s = stats_from(np.where(np.eye(3, dtype=bool), 10, 4), np.full((3, 3), 100))
+        hp = fit_hyperparams(s)
+        assert (hp.alpha0, hp.beta0) == (111111.61110872898, 999999.9999999995)
+        assert (hp.alpha1, hp.beta1) == (41666.625760965115, 999999.9999999995)
+        assert hp.diag_converged and not hp.offdiag_converged
+
+    def test_fit_k1_offdiagonal_unfitted(self):
+        hp = fit_hyperparams(stats_from([[7]], [[21]]))
+        assert (hp.alpha0, hp.beta0) == (247119.87985541605, 494239.26818437636)
+        assert (hp.alpha1, hp.beta1) == (1.0, 1.0)
+        assert not hp.offdiag_fitted and hp.diag_converged
+
+    @pytest.mark.parametrize("alpha, beta, which, value, grad", [
+        (0.7, 2.5, "diagonal", -89.65866556166714,
+         (2.697365677344693, -0.22002828554868814)),
+        (0.7, 2.5, "offdiagonal", -55.81278520295707,
+         (-2.934700412416941, 0.7076612825514472)),
+        (13.25, 101.0, "diagonal", -101.44447385949219,
+         (1.1924924893241622, -0.21475976327382895)),
+        (13.25, 101.0, "offdiagonal", -56.98676497395958,
+         (-0.7670625535466211, 0.08711674283706472)),
+    ])
+    def test_marginal_and_gradient(self, alpha, beta, which, value, grad):
+        s = stats_from(*self.INTERIOR)
+        assert marginal_loglik(s, alpha, beta, which) == value
+        assert loglik_gradient(s, alpha, beta, which) == grad
+
+    def test_fit_skips_checked_wrappers(self, monkeypatch):
+        # inputs are validated at the API boundary; the optimizer loop
+        # must not go through the contract-checked special functions
+        import ebsbm.numerics as numerics
+
+        def forbidden(x, name):
+            raise AssertionError(f"{name} checked inside the fit")
+
+        monkeypatch.setattr(numerics, "_check_positive", forbidden)
+        fit_hyperparams(stats_from(*self.INTERIOR))
+
+
 class TestEbEstimate:
     def test_posterior_mean_formula(self):
         s = stats_from([[3]], [[10]])

@@ -8,7 +8,6 @@ from ebsbm.selection import (
     SelectionScore,
     cvrp_score,
     eb_penalty,
-    j_z,
     log_dirichlet_marginal,
     score_partition,
     select_partition,
@@ -107,27 +106,27 @@ class TestJz:
     def test_k1_structure(self):
         g = graph_of(6, [(0, 1), (2, 3), (1, 4)])
         part = Partition.from_labels([1] * 6)
-        score, hyper = j_z(g, part)
-        assert not hyper.offdiag_fitted
+        row = score_partition(g, part)
+        assert not row.hyper.offdiag_fitted
         # Dirichlet term vanishes for K = 1, off-diagonal sum is empty
         from ebsbm.estimator import marginal_loglik
         stats = block_stats(g, part)
-        assert score == pytest.approx(
-            marginal_loglik(stats, hyper.alpha0, hyper.beta0, "diagonal"), abs=1e-10)
+        assert row.j_z == pytest.approx(
+            marginal_loglik(stats, row.hyper.alpha0, row.hyper.beta0, "diagonal"), abs=1e-10)
 
     def test_two_cliques_prefers_k2(self):
         n, edges, labels = two_cliques_graph(size=5)
         g = graph_of(n, edges)
-        s2, _ = j_z(g, Partition.from_labels(labels))
-        s1, _ = j_z(g, Partition.from_labels([1] * n))
+        s2 = score_partition(g, Partition.from_labels(labels)).j_z
+        s1 = score_partition(g, Partition.from_labels([1] * n)).j_z
         assert s2 > s1
 
     def test_label_permutation_invariant(self):
         n, edges, labels = two_cliques_graph(size=4)
         g = graph_of(n, edges)
         swapped = [3 - l for l in labels]
-        a, _ = j_z(g, Partition.from_labels(labels))
-        b, _ = j_z(g, Partition.from_labels(swapped))
+        a = score_partition(g, Partition.from_labels(labels)).j_z
+        b = score_partition(g, Partition.from_labels(swapped)).j_z
         assert a == pytest.approx(b, abs=1e-9)
 
 
