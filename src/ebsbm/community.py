@@ -7,6 +7,13 @@ partition to a mean-field variational EM for the Bernoulli block model
 memberships). The EM's hard assignment is what downstream estimation
 consumes; its per-block posterior means double as a variational baseline
 estimate of the connectivity matrix.
+
+The EM updates the nodes' assignments in blocks of consecutive nodes, each
+block jointly (the fixed-point update of Daudin, Picard & Robin 2008); a
+sweep that ends below the previous sweep's objective is redone one node at
+a time, which is coordinate ascent (Latouche, Birmele & Ambroise 2012), so
+the objective never decreases. The spectral map's eigenvectors are
+computed once per graph at the largest K of a sweep and sliced for each K.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .graph import Graph, Partition, compact_partition
 
 _TAU = 0.5       # Dirichlet prior weight on memberships
 _A0 = _B0 = 0.5  # Beta prior on block probabilities
+_BLOCK = 64      # nodes per jointly updated block in a VEM sweep
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,23 +83,50 @@ def _kmeans_once(X, K, rng, max_iter=300):
     for it in range(1, max_iter + 1):
         dist = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(dist, axis=1)
-        own = dist[np.arange(n), new_labels].copy()
-        for k in range(K):
-            if not np.any(new_labels == k):
-                far = int(np.argmax(own))
-                new_labels[far] = k
-                own[far] = -1.0
+        own = dist[np.arange(n), new_labels]
+        counts = np.bincount(new_labels, minlength=K)
+        for k in np.flatnonzero(counts == 0):
+            # the point farthest from its centre, taken from a cluster it
+            # does not leave empty
+            far = int(np.argmax(np.where(counts[new_labels] > 1, own, -1.0)))
+            counts[new_labels[far]] -= 1
+            counts[k] = 1
+            new_labels[far] = k
         if np.array_equal(new_labels, labels):
             converged = True
             break
         labels = new_labels
-        for k in range(K):
-            centers[k] = X[labels == k].mean(axis=0)
+        # rows add in index order, as in X[labels == k].mean(axis=0)
+        centers = np.zeros_like(centers)
+        np.add.at(centers, labels, X)
+        centers /= counts[:, None]
     inertia = float(np.sum((X - centers[labels]) ** 2))
     return labels, inertia, it, converged
 
 
-def spectral_partition(graph: Graph, K: int, seed: int) -> DetectionResult:
+def _top_eigvecs(graph: Graph, width: int) -> np.ndarray:
+    """The top-`width` eigenvectors of the regularized normalized adjacency,
+    in ascending eigenvalue order, memoised on the graph per width.
+
+    Mean-degree/n is added to every adjacency entry before normalization
+    so isolated nodes stay well-defined. Only the n x width basis is kept.
+    """
+    key = ("top_eigvecs", width)
+    if key not in graph._memo:
+        n = graph.n
+        a = graph.adjacency().copy()
+        tau = max(2.0 * graph.edge_count / n, 1e-8)
+        a += tau / n
+        dinv = 1.0 / np.sqrt(a.sum(axis=1))
+        norm = a * dinv[:, None] * dinv[None, :]
+        _, vecs = _la.eigh(norm, subset_by_index=[n - width, n - 1])
+        vecs.flags.writeable = False
+        graph._memo[key] = vecs
+    return graph._memo[key]
+
+
+def spectral_partition(graph: Graph, K: int, seed: int,
+                       _width: int | None = None) -> DetectionResult:
     """Cluster nodes via the top-K eigenvectors of the regularized
     normalized adjacency, row-normalized then k-means'd.
 
@@ -99,6 +134,10 @@ def spectral_partition(graph: Graph, K: int, seed: int) -> DetectionResult:
     so isolated nodes stay well-defined. k-means runs 10 seeded restarts
     (streams spawned from the given seed); the lowest within-cluster sum
     of squares wins, ties going to the earliest restart.
+
+    The top eigenvectors are nested, so a sweep over K passes its largest
+    K as `_width`: the graph is eigensolved once at that width and each K
+    takes the top K columns. It defaults to K.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -108,13 +147,8 @@ def spectral_partition(graph: Graph, K: int, seed: int) -> DetectionResult:
         part = Partition(labels=np.ones(graph.n, dtype=np.int64), K=1)
         return DetectionResult(partition=part, responsibilities=None,
                                converged=True, iterations=0)
-    n = graph.n
-    a = graph.adjacency().copy()
-    tau = max(2.0 * graph.edge_count / n, 1e-8)
-    a += tau / n
-    dinv = 1.0 / np.sqrt(a.sum(axis=1))
-    norm = a * dinv[:, None] * dinv[None, :]
-    _, vecs = _la.eigh(norm, subset_by_index=[n - K, n - 1])
+    width = K if _width is None else min(_width, graph.n)
+    vecs = _top_eigvecs(graph, width)[:, width - K:]
     row_norm = np.linalg.norm(vecs, axis=1)
     emb = vecs / np.maximum(row_norm, 1e-12)[:, None]
 
@@ -153,7 +187,9 @@ def _beta_kl(zeta, xi, a0, b0):
 
 
 def _elbo(R, X, gamma, zeta, xi, K):
-    edges, pairs, colsum = _expected_block_counts(R, X)
+    """The objective, and the block counts of R it was computed from."""
+    counts = _expected_block_counts(R, X)
+    edges, pairs, colsum = counts
     elog_t = _psi(zeta) - _psi(zeta + xi)
     elog_1mt = _psi(xi) - _psi(zeta + xi)
     iu = np.triu_indices(K)
@@ -167,17 +203,37 @@ def _elbo(R, X, gamma, zeta, xi, K):
         + np.sum((gamma - _TAU) * (_psi(gamma) - _psi(gamma.sum())))
     )
     kl_theta = float(np.sum(_beta_kl(zeta[iu], xi[iu], _A0, _B0)))
-    return e_loglik + e_logpz + entropy - kl_pi - kl_theta
+    return e_loglik + e_logpz + entropy - kl_pi - kl_theta, counts
+
+
+def _e_step(R, X, colsum, elog_pi, elog_t, elog_1mt, block):
+    """Update the soft assignments in place, `block` consecutive nodes at
+    a time: each block's rows are set jointly from the rows of all other
+    nodes as they stand, and `colsum` follows. block=1 is exact
+    sequential coordinate ascent."""
+    for start in range(0, R.shape[0], block):
+        b = slice(start, start + block)
+        S = X[b] @ R
+        T = np.maximum(colsum - R[b] - S, 0.0)
+        L = elog_pi + S @ elog_t + T @ elog_1mt
+        L -= L.max(axis=1, keepdims=True)
+        P = np.exp(L)
+        P /= P.sum(axis=1, keepdims=True)
+        colsum += (P - R[b]).sum(axis=0)
+        R[b] = P
 
 
 def variational_em(graph: Graph, K: int, init: DetectionResult,
                    max_iter: int = 100, tol: float = 1e-3, trace=None):
     """Mean-field EM for the Bernoulli block model.
 
-    Each sweep updates the membership posterior, the block-probability
-    posteriors, and every node's soft assignment in sequence, so the
-    objective never decreases. Stops when the improvement falls below
-    `tol` or after `max_iter` sweeps.
+    Each sweep updates the membership posterior and the block-probability
+    posteriors, then the nodes' soft assignments in blocks of consecutive
+    nodes, each block jointly from the current rows of all others (the
+    fixed-point update). If that sweep ends below the previous sweep's
+    objective, it is redone from its start one node at a time, which is
+    coordinate ascent, so the objective never decreases. Stops when the
+    improvement falls below `tol` or after `max_iter` sweeps.
 
     Returns (DetectionResult, pi_hat, theta_vb), where theta_vb holds the
     per-block posterior-mean connectivity for the compacted clusters. Pass
@@ -196,31 +252,25 @@ def variational_em(graph: Graph, K: int, init: DetectionResult,
         R = np.zeros((n, K))
         R[np.arange(n), init.partition.labels - 1] = 1.0
 
-    gamma = zeta = xi = None
     prev = -np.inf
     converged = False
     sweeps = 0
+    counts = _expected_block_counts(R, X)
     for sweeps in range(1, max_iter + 1):
-        colsum = R.sum(axis=0)
+        edges, pairs, colsum = counts
         gamma = _TAU + colsum
-        edges, pairs, _ = _expected_block_counts(R, X)
         zeta = _A0 + edges
         xi = _B0 + np.maximum(pairs - edges, 0.0)
-        elog_pi = _psi(gamma) - _psi(gamma.sum())
-        elog_t = _psi(zeta) - _psi(zeta + xi)
-        elog_1mt = _psi(xi) - _psi(zeta + xi)
+        elog = (_psi(gamma) - _psi(gamma.sum()),
+                _psi(zeta) - _psi(zeta + xi), _psi(xi) - _psi(zeta + xi))
 
-        for i in range(n):
-            s = X[i] @ R
-            t = np.maximum(colsum - R[i] - s, 0.0)
-            logr = elog_pi + elog_t @ s + elog_1mt @ t
-            logr -= logr.max()
-            r = np.exp(logr)
-            r /= r.sum()
-            colsum += r - R[i]
-            R[i] = r
-
-        value = _elbo(R, X, gamma, zeta, xi, K)
+        start = R.copy(), colsum.copy()
+        _e_step(R, X, colsum, *elog, _BLOCK)
+        value, counts = _elbo(R, X, gamma, zeta, xi, K)
+        if value < prev:
+            R, colsum = start
+            _e_step(R, X, colsum, *elog, 1)
+            value, counts = _elbo(R, X, gamma, zeta, xi, K)
         if not np.isfinite(value):
             raise NumericalError(f"objective became non-finite at sweep {sweeps}")
         if __debug__ and np.isfinite(prev):
@@ -247,8 +297,9 @@ def variational_em(graph: Graph, K: int, init: DetectionResult,
 
 
 def detect_pipeline(graph: Graph, K: int, seed: int, max_iter: int = 100,
-                    tol: float = 1e-3):
+                    tol: float = 1e-3, _width: int | None = None):
     """Spectral initialization refined by variational EM; the default
-    partition provider for estimation and selection runs."""
-    init = spectral_partition(graph, K, seed)
+    partition provider for estimation and selection runs. `_width` is
+    passed on to `spectral_partition`."""
+    init = spectral_partition(graph, K, seed, _width=_width)
     return variational_em(graph, K, init, max_iter=max_iter, tol=tol)

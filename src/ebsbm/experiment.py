@@ -159,7 +159,8 @@ def analyze_graph(graph: Graph, k_range, seed: int, truth=None,
     estimates = []
     for K in k_range:
         det, _, theta_vb = detect_pipeline(graph, K, seed,
-                                           max_iter=cfg.vem_max_iter, tol=cfg.vem_tol)
+                                           max_iter=cfg.vem_max_iter, tol=cfg.vem_tol,
+                                           _width=max(k_range))
         stats = block_stats(graph, det.partition)
         hyper = fit_hyperparams(stats)
         est_mle = mle_estimate(stats)

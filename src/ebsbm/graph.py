@@ -64,6 +64,11 @@ class Graph:
             a[idx[:, 1], idx[:, 0]] = 1.0
         return _freeze(a)
 
+    @cached_property
+    def _memo(self) -> dict:
+        """Arrays other modules derive from this graph, keyed by name."""
+        return {}
+
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix (read-only, cached)."""
         return self._adjacency

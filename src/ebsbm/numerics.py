@@ -119,9 +119,18 @@ def maximize_box(objective, bounds: Bounds, init, max_iter: int = 500,
     f0, g0 = objective(x0)
     if not np.isfinite(f0) or not np.all(np.isfinite(g0)):
         raise ValueError("objective is not finite at init")
+    # the last evaluated point and (f, g) there: serves L-BFGS-B's first
+    # call at x0 and the value at the returned point, evaluated last
+    last_x, last_fg = x0, (f0, g0)
+
+    def evaluate(x):
+        nonlocal last_x, last_fg
+        if not np.array_equal(x, last_x):
+            last_x, last_fg = np.array(x, dtype=np.float64), objective(x)
+        return last_fg
 
     def negated(x):
-        f, g = objective(x)
+        f, g = evaluate(x)
         return -float(f), -np.asarray(g, dtype=np.float64)
 
     res = _opt.minimize(
@@ -133,7 +142,7 @@ def maximize_box(objective, bounds: Bounds, init, max_iter: int = 500,
         options={"maxiter": max_iter, "gtol": grad_tol, "ftol": 1e-15},
     )
     x = bounds.clip(res.x)
-    value = float(objective(x)[0])
+    value = float(evaluate(x)[0])
     converged = bool(res.success) or "CONVER" in str(res.message).upper()
     if value < float(f0):
         # line-search pathologies only; fall back to the starting point

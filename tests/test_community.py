@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ebsbm.community import DetectionResult, detect_pipeline, spectral_partition, variational_em
+from ebsbm import community
+from ebsbm.community import (DetectionResult, _kmeans_once, detect_pipeline, spectral_partition,
+                             variational_em)
 from ebsbm.graph import Graph, Partition, block_stats
 from ebsbm.samplers import affiliation_theta, sample_sbm
 from helpers import hungarian_agreement, two_cliques_graph
@@ -68,6 +70,39 @@ class TestSpectral:
         assert hungarian_agreement(r1.partition.labels, back) == 1.0
 
 
+    def test_shared_eigenbasis_matches_standalone(self):
+        # a K sweep slices one eigensolve at its largest K; every K must
+        # cluster exactly as its own top-K eigensolve does
+        spec = affiliation_theta(K=5, lam=0.8, epsilon=0.1, rho=0.5)
+        g, _ = sample_sbm(spec, n=120, seed=4)
+        for K in range(2, 9):
+            alone = spectral_partition(Graph(n=g.n, edges=g.edges), K=K, seed=K)
+            shared = spectral_partition(g, K=K, seed=K, _width=8)
+            assert shared.partition == alone.partition
+            assert shared.iterations == alone.iterations
+        assert list(g._memo) == [("top_eigvecs", 8)]
+
+
+class TestKmeans:
+    @pytest.mark.parametrize("distinct, copies", [(3, 5), (30, 1)])
+    def test_centres_are_exact_cluster_means(self, distinct, copies):
+        # with five copies of three points, K=5 makes k-means++ repeat a
+        # centre, so clusters start empty and must be refilled; the offset
+        # makes the inertia show a last-digit change in any centre
+        points = 10.0 + 1e-3 * np.random.default_rng(0).standard_normal((distinct, 4))
+        X = np.repeat(points, copies, axis=0)
+        labels, inertia, _, _ = _kmeans_once(X, 5, np.random.default_rng(1))
+        assert np.all(np.bincount(labels, minlength=5) > 0)
+        means = np.array([X[labels == k].mean(axis=0) for k in range(5)])
+        assert inertia == float(np.sum((X - means[labels]) ** 2))
+
+
+def _random_init(n, K, seed):
+    r = np.random.default_rng(seed).dirichlet(np.ones(K), size=n)
+    part = Partition(labels=np.argmax(r, axis=1) + 1, K=K)
+    return DetectionResult(partition=part, responsibilities=r, converged=False, iterations=0)
+
+
 class TestVariationalEm:
     def test_two_cliques_theta(self):
         g, labels = cliques_graph(10)
@@ -98,6 +133,67 @@ class TestVariationalEm:
         assert len(trace) >= 1
         diffs = np.diff(trace)
         assert np.all(diffs >= -1e-7 * (1 + np.abs(np.asarray(trace[:-1]))))
+
+    def test_batched_sweep_below_previous_is_redone(self, monkeypatch):
+        # pinned: on this graph and random init the last batched sweep ends
+        # (by rounding) below the sweep before it, so it is redone node by node
+        spec = affiliation_theta(K=3, lam=0.8, epsilon=0.1, rho=1.0)
+        g, _ = sample_sbm(spec, n=40, seed=9)
+        blocks, values = [], []
+        e_step, elbo = community._e_step, community._elbo
+
+        def step(*args):
+            blocks.append(args[-1])
+            e_step(*args)
+
+        def objective(*args):
+            out = elbo(*args)
+            values.append(out[0])
+            return out
+
+        monkeypatch.setattr(community, "_e_step", step)
+        monkeypatch.setattr(community, "_elbo", objective)
+        trace = []
+        res, _, _ = variational_em(g, K=3, init=_random_init(g.n, 3, 9), trace=trace)
+        # sweep j's batched E-step is call j; its redo is call j + 1
+        j = blocks.index(1) - 1
+        assert blocks.count(1) == 1 and j >= 1
+        assert values[j] < trace[j - 1]
+        assert res.converged
+        assert np.all(np.diff(trace) >= -1e-7 * (1 + np.abs(np.asarray(trace[:-1]))))
+
+    def test_redo_restores_the_sweep_start(self, monkeypatch):
+        # spoil every batched sweep after the first: each is undone and
+        # redone node by node, which must give exactly the trace of a run
+        # whose later sweeps are node by node in the first place
+        spec = affiliation_theta(K=3, lam=0.7, epsilon=0.1, rho=1.0)
+        g, _ = sample_sbm(spec, n=90, seed=2)
+        init = _random_init(g.n, 3, 2)
+        e_step = community._e_step
+
+        def run(spoil):
+            batched = []
+
+            def step(R, X, colsum, *args):
+                block = args[-1]
+                if block > 1:
+                    batched.append(block)
+                    if len(batched) > 1 and not spoil:
+                        block = 1
+                e_step(R, X, colsum, *args[:-1], block)
+                if block > 1 and len(batched) > 1:
+                    R[:] = np.eye(3)[np.argmin(R, axis=1)]
+
+            monkeypatch.setattr(community, "_e_step", step)
+            trace = []
+            res, _, _ = variational_em(g, K=3, init=init, trace=trace)
+            return res, trace
+
+        spoiled, trace = run(spoil=True)
+        _, want = run(spoil=False)
+        assert spoiled.converged and spoiled.iterations >= 3
+        assert trace == want
+        assert np.all(np.diff(trace) >= 0)
 
     def test_responsibilities_consistent(self):
         spec = affiliation_theta(K=3, lam=0.8, epsilon=0.05, rho=1.0)

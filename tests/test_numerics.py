@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from ebsbm.numerics import Bounds, digamma, log_beta, log_gamma, maximize_box
 
@@ -149,6 +150,26 @@ class TestMaximizeBox:
         b = Bounds(lower=np.array([0.0]), upper=np.array([1.0]))
         with pytest.raises(ValueError):
             maximize_box(f, b, np.array([0.5]))
+
+    @pytest.mark.parametrize("center", [3.0, 12.0])
+    def test_objective_calls_equal_lbfgsb_evaluations(self, center):
+        # the init check serves L-BFGS-B's first evaluation and the last
+        # evaluation serves the returned value: no call outside the solver
+        f = quad_obj(np.array([center]))
+        calls = []
+
+        def counted(x):
+            calls.append(np.array(x))
+            return f(x)
+
+        b = Bounds(lower=np.array([0.0]), upper=np.array([10.0]))
+        res = maximize_box(counted, b, np.array([1.0]))
+        direct = minimize(lambda x: tuple(-v for v in f(x)), np.array([1.0]), jac=True,
+                          method="L-BFGS-B", bounds=[(0.0, 10.0)],
+                          options={"maxiter": 500, "gtol": 1e-6, "ftol": 1e-15})
+        assert len(calls) == direct.nfev
+        assert np.array_equal(res.argmax, direct.x)
+        assert res.value == f(res.argmax)[0]
 
     def test_init_must_be_strictly_inside(self):
         b = Bounds(lower=np.array([0.0]), upper=np.array([1.0]))
