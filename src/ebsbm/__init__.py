@@ -16,7 +16,6 @@ from .graph import (
     Partition,
     block_stats,
     compact_partition,
-    expand_theta,
     induced_subgraph,
 )
 from .numerics import Bounds, MaximizeResult, digamma, log_beta, log_gamma, maximize_box

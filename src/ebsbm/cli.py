@@ -45,10 +45,12 @@ def _parse_k_range(text):
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    if "," in text:
-        return tuple(int(t) for t in text.split(","))
-    return (int(text),)
+        k_range = tuple(range(int(lo), int(hi) + 1))
+    else:
+        k_range = tuple(int(t) for t in text.split(","))
+    if not k_range:
+        raise ValueError("k_range must be nonempty")
+    return k_range
 
 
 def _out_dir(args, command):

@@ -1,8 +1,11 @@
 """Core graph, partition and block-statistics types.
 
-Nodes are 0-indexed integers. Cluster labels run from 1 to K so that label
-files and reported tables read naturally; all internal matrix indexing
-subtracts one.
+Nodes are 0-indexed integers. A graph is stored once, as a sorted (m, 2)
+edge array; everything downstream works on that array or on per-block
+edge and pair counts (:func:`edge_tally`, :func:`pair_tally`), and node
+renaming and induced subgraphs share :func:`relabel_nodes`. Cluster
+labels run from 1 to K so that label files and reported tables read
+naturally; all internal matrix indexing subtracts one.
 """
 
 from __future__ import annotations
@@ -20,32 +23,51 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph: node count plus an upper-triangular edge set.
+    """Undirected simple graph on nodes 0..n-1.
 
-    Edges are unordered pairs (i, j) with 0 <= i < j < n. Self-loops are
-    rejected at construction.
+    ``edges`` is the graph's one stored form: a read-only (m, 2) int64
+    array of pairs i < j, sorted by (i, j) and free of duplicates. The
+    constructor accepts that array or any iterable of pairs; a self-loop,
+    a reversed pair or an out-of-range pair raises ValueError. Equality
+    and hashing are on (n, edges). The dense adjacency is a cached view
+    used by detection only.
     """
 
     n: int
-    edges: frozenset
+    edges: np.ndarray
 
     def __post_init__(self):
-        if int(self.n) < 1:
+        n = int(self.n)
+        if n < 1:
             raise ValueError("graph needs at least one node")
-        object.__setattr__(self, "n", int(self.n))
-        clean = frozenset((int(i), int(j)) for i, j in self.edges)
-        for i, j in clean:
+        e = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
+        e = np.array(e, dtype=np.int64)
+        e = e.reshape(0, 2) if e.size == 0 else e
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError("edges must be (i, j) pairs")
+        bad = (e[:, 0] < 0) | (e[:, 0] >= e[:, 1]) | (e[:, 1] >= n)
+        if bad.any():
+            i, j = (int(v) for v in e[bad][0])
             if i == j:
                 raise ValueError(f"self-loop ({i}, {i}) is not allowed")
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"edge ({i}, {j}) must satisfy 0 <= i < j < n={self.n}")
-        object.__setattr__(self, "edges", clean)
+            raise ValueError(f"edge ({i}, {j}) must satisfy 0 <= i < j < n={n}")
+        key = np.unique(e[:, 0] * n + e[:, 1])
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", _freeze(np.column_stack((key // n, key % n))))
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edges, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges.tobytes()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.edges.shape[0]
 
     @property
     def pair_count(self) -> int:
@@ -58,10 +80,9 @@ class Graph:
     @cached_property
     def _adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.float64)
-        if self.edges:
-            idx = np.array(list(self.edges), dtype=np.int64)
-            a[idx[:, 0], idx[:, 1]] = 1.0
-            a[idx[:, 1], idx[:, 0]] = 1.0
+        i, j = self.edges.T
+        a[i, j] = 1.0
+        a[j, i] = 1.0
         return _freeze(a)
 
     @cached_property
@@ -72,12 +93,6 @@ class Graph:
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix (read-only, cached)."""
         return self._adjacency
-
-    def edge_array(self) -> np.ndarray:
-        """Edges as a sorted (m, 2) integer array, deterministic order."""
-        if not self.edges:
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.array(sorted(self.edges), dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,6 +196,22 @@ class BlockStats:
         return self.edge_counts[iu].copy(), self.pair_counts[iu].copy()
 
 
+def edge_tally(edges: np.ndarray, labels0: np.ndarray, K: int) -> np.ndarray:
+    """Symmetric K x K counts of the given (i, j) rows between the blocks
+    of 0-based labels; a within-block edge counts once on the diagonal."""
+    a, b = np.sort(labels0[edges], axis=1).T
+    upper = np.bincount(a * K + b, minlength=K * K).reshape(K, K)
+    return upper + np.triu(upper, 1).T
+
+
+def pair_tally(sizes: np.ndarray) -> np.ndarray:
+    """Node pairs per block for the given cluster sizes: size_a * size_b
+    between blocks, size * (size - 1) / 2 within one."""
+    pairs = np.outer(sizes, sizes)
+    np.fill_diagonal(pairs, sizes * (sizes - 1) // 2)
+    return pairs
+
+
 def block_counts(graph: Graph, labels0: np.ndarray, K: int):
     """Raw block counting for 0-based labels; empty clusters are permitted.
 
@@ -192,17 +223,8 @@ def block_counts(graph: Graph, labels0: np.ndarray, K: int):
         raise ValueError(f"labels cover {labels0.size} nodes, graph has {graph.n}")
     if labels0.size and (labels0.min() < 0 or labels0.max() >= K):
         raise ValueError(f"0-based labels must lie in 0..{K - 1}")
-    upper = np.zeros((K, K), dtype=np.int64)
-    e = graph.edge_array()
-    if e.size:
-        a = labels0[e[:, 0]]
-        b = labels0[e[:, 1]]
-        np.add.at(upper, (np.minimum(a, b), np.maximum(a, b)), 1)
-    edge_counts = upper + np.triu(upper, 1).T
-    sizes = np.bincount(labels0, minlength=K)
-    pair_counts = np.outer(sizes, sizes)
-    np.fill_diagonal(pair_counts, sizes * (sizes - 1) // 2)
-    return edge_counts, pair_counts.astype(np.int64)
+    return (edge_tally(graph.edges, labels0, K),
+            pair_tally(np.bincount(labels0, minlength=K)))
 
 
 def block_stats(graph: Graph, partition: Partition) -> BlockStats:
@@ -217,23 +239,15 @@ def block_stats(graph: Graph, partition: Partition) -> BlockStats:
     return BlockStats(K=partition.K, edge_counts=edge_counts, pair_counts=pair_counts)
 
 
-def expand_theta(theta, partition: Partition) -> np.ndarray:
-    """Lift a K x K block matrix to the n x n node-pair matrix.
-
-    Entry (i, j) is theta[label_i, label_j]; the diagonal carries the
-    within-block value but is ignored by every downstream metric.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
-        raise ValueError("theta must be square")
-    if theta.shape[0] != partition.K:
-        raise ValueError(f"theta is {theta.shape[0]}x{theta.shape[0]}, partition has K={partition.K}")
-    if not np.allclose(theta, theta.T, atol=1e-12):
-        raise ValueError("theta must be symmetric")
-    if theta.min() < -1e-12 or theta.max() > 1 + 1e-12:
-        raise ValueError("theta entries must lie in [0, 1]")
-    z0 = partition.labels - 1
-    return theta[np.ix_(z0, z0)]
+def relabel_nodes(graph: Graph, order) -> Graph:
+    """Graph with node order[p] renamed to p; edges outside `order` drop."""
+    order = np.asarray(order, dtype=np.int64)
+    pos = np.full(graph.n, -1, dtype=np.int64)
+    pos[order] = np.arange(order.size)
+    mapped = pos[graph.edges]
+    mapped = mapped[(mapped >= 0).all(axis=1)]
+    mapped.sort(axis=1)
+    return Graph(n=order.size, edges=mapped)
 
 
 def induced_subgraph(graph: Graph, nodes) -> tuple[Graph, np.ndarray]:
@@ -247,7 +261,4 @@ def induced_subgraph(graph: Graph, nodes) -> tuple[Graph, np.ndarray]:
         raise ValueError("need at least one node")
     if ids.min() < 0 or ids.max() >= graph.n:
         raise ValueError("node ids out of range")
-    pos = -np.ones(graph.n, dtype=np.int64)
-    pos[ids] = np.arange(ids.size)
-    keep = [(int(pos[i]), int(pos[j])) for i, j in graph.edges if pos[i] >= 0 and pos[j] >= 0]
-    return Graph(n=ids.size, edges=frozenset(keep)), ids
+    return relabel_nodes(graph, ids), ids

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .graph import Graph, Partition
+from .graph import Graph, Partition, relabel_nodes
 
 __all__ = [
     "read_edge_list", "write_edge_list", "read_label_file", "write_label_file",
@@ -44,42 +44,27 @@ def _data_lines(path):
 def read_edge_list(path):
     """Parse an edge list. Returns (graph, node_ids, report) where report
     counts dropped self-loops and duplicates."""
-    index = {}
-    ids = []
-    edges = set()
-    self_loops = 0
-    duplicates = 0
+    index = {}  # token -> node, in first-seen order
+    pairs = []
     for lineno, line in _data_lines(path):
         tokens = line.split()
         if len(tokens) != 2:
             raise DataError(f"{path}: line {lineno}: expected two node tokens, got {len(tokens)}")
-        pair = []
-        for tok in tokens:
-            if tok not in index:
-                index[tok] = len(ids)
-                ids.append(tok)
-            pair.append(index[tok])
-        i, j = pair
-        if i == j:
-            self_loops += 1
-            continue
-        edge = (min(i, j), max(i, j))
-        if edge in edges:
-            duplicates += 1
-        else:
-            edges.add(edge)
-    if not ids:
+        pairs.append([index.setdefault(tok, len(index)) for tok in tokens])
+    if not index:
         raise DataError(f"{path}: no edges found")
-    graph = Graph(n=len(ids), edges=frozenset(edges))
-    report = {"n": graph.n, "edges": graph.edge_count,
-              "self_loops_dropped": self_loops, "duplicates_dropped": duplicates}
-    return graph, ids, report
+    pairs = np.sort(np.array(pairs, dtype=np.int64), axis=1)
+    loop = pairs[:, 0] == pairs[:, 1]
+    graph = Graph(n=len(index), edges=pairs[~loop])
+    report = {"n": graph.n, "edges": graph.edge_count, "self_loops_dropped": int(loop.sum()),
+              "duplicates_dropped": int((~loop).sum()) - graph.edge_count}
+    return graph, list(index), report
 
 
 def write_edge_list(graph: Graph, path, node_ids=None):
     """Write edges sorted by index pair, one per line; byte-deterministic."""
     with open(path, "w", encoding="utf-8") as fh:
-        for i, j in sorted(graph.edges):
+        for i, j in graph.edges.tolist():
             a = node_ids[i] if node_ids is not None else i
             b = node_ids[j] if node_ids is not None else j
             fh.write(f"{a} {b}\n")
@@ -93,8 +78,7 @@ def read_label_file(path, node_ids):
     """
     index = {tok: pos for pos, tok in enumerate(node_ids)}
     raw = {}
-    label_index = {}
-    label_names = []
+    label_index = {}  # token -> cluster 1..K, in first-seen order
     for lineno, line in _data_lines(path):
         tokens = line.split()
         if len(tokens) != 2:
@@ -102,15 +86,12 @@ def read_label_file(path, node_ids):
         node_tok, label_tok = tokens
         if node_tok not in index:
             raise DataError(f"{path}: line {lineno}: unknown node {node_tok!r}")
-        if label_tok not in label_index:
-            label_index[label_tok] = len(label_names) + 1
-            label_names.append(label_tok)
-        raw[index[node_tok]] = label_index[label_tok]
+        raw[index[node_tok]] = label_index.setdefault(label_tok, len(label_index) + 1)
     missing = len(node_ids) - len(raw)
     if missing:
         raise DataError(f"{path}: {missing} node(s) have no label")
     labels = np.array([raw[i] for i in range(len(node_ids))], dtype=np.int64)
-    return Partition(labels=labels, K=len(label_names)), label_names
+    return Partition(labels=labels, K=len(label_index)), list(label_index)
 
 
 def write_label_file(partition: Partition, path, node_ids=None):
@@ -130,16 +111,10 @@ def ingest_network(edges_path, labels_path=None):
     graph, ids, report = read_edge_list(edges_path)
     part = None
     if labels_path is not None:
-        index = {tok: pos for pos, tok in enumerate(ids)}
-        extra = []
-        for lineno, line in _data_lines(labels_path):
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise DataError(
-                    f"{labels_path}: line {lineno}: expected 'node label', got {len(tokens)} tokens")
-            if tokens[0] not in index:
-                index[tokens[0]] = len(ids) + len(extra)
-                extra.append(tokens[0])
+        # malformed lines are reported by read_label_file below
+        known = set(ids)
+        firsts = dict.fromkeys(line.split()[0] for _, line in _data_lines(labels_path))
+        extra = [tok for tok in firsts if tok not in known]
         if extra:
             ids = ids + extra
             graph = Graph(n=len(ids), edges=graph.edges)
@@ -154,22 +129,5 @@ def canonical_order(graph: Graph) -> np.ndarray:
     """Node order produced by writing the edge list and reading it back:
     first appearance over index-sorted edges. Isolated nodes do not appear
     in an edge list, so they are absent here too."""
-    order = []
-    seen = set()
-    for i, j in graph.edge_array():
-        for v in (int(i), int(j)):
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-    return np.array(order, dtype=np.int64)
-
-
-def relabel_nodes(graph: Graph, order: np.ndarray) -> Graph:
-    """Graph with node order[p] renamed to p; edges outside `order` drop."""
-    pos = -np.ones(graph.n, dtype=np.int64)
-    pos[order] = np.arange(order.size)
-    edges = frozenset(
-        (int(min(pos[i], pos[j])), int(max(pos[i], pos[j])))
-        for i, j in graph.edges if pos[i] >= 0 and pos[j] >= 0
-    )
-    return Graph(n=order.size, edges=edges)
+    nodes, first = np.unique(graph.edges.ravel(), return_index=True)
+    return nodes[np.argsort(first)]

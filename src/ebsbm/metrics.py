@@ -1,10 +1,11 @@
 """Comparison metrics and evaluation records.
 
-Includes pairwise squared error between expanded connectivity matrices,
-the reference cluster count that minimizes the MLE's error curve, mean
+Includes the pairwise squared error between two block models, the
+reference cluster count that minimizes the MLE's error curve, mean
 absolute deviations of selected cluster counts, the annotation-based
 ground-truth connectivity, and the held-out likelihood protocol pieces
-(node splitting and the test log-likelihood).
+(node splitting and the test log-likelihood). Both the squared error and
+the test log-likelihood work on block counts, never on n x n matrices.
 """
 
 from __future__ import annotations
@@ -15,24 +16,50 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import mle_estimate
-from .graph import Graph, Partition, block_stats, expand_theta
+from .graph import Graph, Partition, block_stats, edge_tally, pair_tally
 from .selection import SelectionScore
 
 _CLAMP = 1e-9  # probability clipping for log terms
 
 
+def _check_theta(theta, K: int, name: str) -> np.ndarray:
+    """A K x K symmetric matrix of probabilities, as float64."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (K, K):
+        raise ValueError(f"{name} must be {K}x{K} for a partition with K={K}")
+    if not np.allclose(theta, theta.T, atol=1e-12):
+        raise ValueError(f"{name} must be symmetric")
+    if theta.min() < -1e-12 or theta.max() > 1 + 1e-12:
+        raise ValueError(f"{name} entries must lie in [0, 1]")
+    return theta
+
+
 def mse_sbm(est_theta, est_partition: Partition, true_theta,
             true_partition: Partition) -> float:
-    """Mean squared difference of the two expanded n x n connectivity
-    matrices over ordered pairs i != j."""
+    """Mean squared difference of the estimated and true connection
+    probabilities over ordered node pairs i != j, in O(n + cells^2).
+
+    Nodes in one (estimated, true) label cell share every difference, so
+    cells c, d weigh w_c * w_d ordered pairs, or w_c * (w_c - 1) if c = d.
+    """
     if est_partition.n != true_partition.n:
         raise ValueError("partitions cover different node counts")
-    est = expand_theta(est_theta, est_partition)
-    true = expand_theta(true_theta, true_partition)
+    est_theta = _check_theta(est_theta, est_partition.K, "est_theta")
+    true_theta = _check_theta(true_theta, true_partition.K, "true_theta")
     n = est_partition.n
-    iu = np.triu_indices(n, k=1)
-    # ordered-pair average equals the upper-triangle average by symmetry
-    return float(np.mean((est[iu] - true[iu]) ** 2)) if iu[0].size else 0.0
+    if n < 2:
+        return 0.0
+    cells, first, w = np.unique((est_partition.labels - 1) * true_partition.K
+                                + (true_partition.labels - 1),
+                                return_index=True, return_counts=True)
+    # cells in order of first node, so a relabelled partition sums to the
+    # same bits and k_tilde's exact ties survive, as with the pairwise mean
+    order = np.argsort(first)
+    a, c = np.divmod(cells[order], true_partition.K)
+    w = w[order]
+    d = (est_theta[np.ix_(a, a)] - true_theta[np.ix_(c, c)]) ** 2
+    pairs = np.outer(w, w) - np.diag(w)
+    return float(np.sum(pairs * d)) / (n * (n - 1))
 
 
 def k_tilde(curve) -> int:
@@ -85,12 +112,11 @@ def test_loglik(graph: Graph, labels: Partition, theta_hat, train, test) -> floa
     """Log-likelihood of the held-out edge variables.
 
     Sums x log(theta) + (1 - x) log(1 - theta) over train x test pairs and
-    test-internal pairs; train-internal pairs never contribute. Estimated
-    probabilities are clipped to [1e-9, 1 - 1e-9] before the logs.
+    test-internal pairs, i.e. the block counts inside train + test less
+    those inside train. Estimated probabilities are clipped to
+    [1e-9, 1 - 1e-9] before the logs.
     """
-    theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    if theta_hat.min() < 0 or theta_hat.max() > 1:
-        raise ValueError("theta_hat entries must lie in [0, 1]")
+    theta_hat = _check_theta(theta_hat, labels.K, "theta_hat")
     if labels.n != graph.n:
         raise ValueError("labels must cover every node")
     train = np.asarray(train, dtype=np.int64)
@@ -98,16 +124,21 @@ def test_loglik(graph: Graph, labels: Partition, theta_hat, train, test) -> floa
     both = np.concatenate([train, test])
     if both.size and (both.min() < 0 or both.max() >= graph.n):
         raise ValueError("node indices out of range")
-    if np.intersect1d(train, test).size:
-        raise ValueError("train and test must be disjoint")
-    adj = graph.adjacency()
-    probs = np.clip(expand_theta(theta_hat, labels), _CLAMP, 1 - _CLAMP)
-    ll = adj * np.log(probs) + (1 - adj) * np.log1p(-probs)
-    total = float(ll[np.ix_(train, test)].sum())
-    if test.size > 1:
-        block = ll[np.ix_(test, test)]
-        total += float(block[np.triu_indices(test.size, k=1)].sum())
-    return total
+    if np.unique(both).size != both.size:
+        raise ValueError("train and test must be disjoint and must not repeat a node")
+    z0, K = labels.labels - 1, labels.K
+
+    def counts(nodes):
+        mask = np.zeros(graph.n, dtype=bool)
+        mask[nodes] = True
+        inside = graph.edges[mask[graph.edges].all(axis=1)]
+        return edge_tally(inside, z0, K), pair_tally(np.bincount(z0[mask], minlength=K))
+
+    (x, m), (x_train, m_train) = counts(both), counts(train)
+    x, m = x - x_train, m - m_train
+    iu = np.triu_indices(K)
+    probs = np.clip(theta_hat[iu], _CLAMP, 1 - _CLAMP)
+    return float(np.sum(x[iu] * np.log(probs) + (m - x)[iu] * np.log1p(-probs)))
 
 
 @dataclass(frozen=True)

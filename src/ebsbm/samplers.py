@@ -124,9 +124,7 @@ def affiliation_theta(K: int, lam: float, epsilon: float, rho: float) -> SbmSpec
 def _pair_edges(rng, probs_upper, iu):
     draws = rng.random(probs_upper.size)
     keep = draws < probs_upper
-    return frozenset(
-        (int(i), int(j)) for i, j in zip(iu[0][keep], iu[1][keep])
-    )
+    return np.column_stack((iu[0][keep], iu[1][keep]))
 
 
 def _draw_sbm(spec: SbmSpec, n: int, seed: int) -> tuple[Graph, np.ndarray]:

@@ -33,6 +33,19 @@ class TestExitCodes:
         rc = main(["select", "--graph", str(path), "--k-range", "0..2"])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["estimate", "select", "evaluate", "experiment"])
+    def test_empty_k_range_is_2(self, tmp_path, capsys, command):
+        path = cliques_file(tmp_path)
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join(f"{i} {1 + i // 10}\n" for i in range(20)))
+        out = tmp_path / "out"
+        argv = [command, "--graph", str(path), "--k-range", "5..3", "--out", str(out)]
+        if command == "evaluate":
+            argv += ["--labels", str(labels), "--splits", "1"]
+        assert main(argv) == 2
+        assert "k_range must be nonempty" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_numerical_failure_is_3(self, tmp_path, capsys, monkeypatch):
         import ebsbm.cli as cli_mod
         from ebsbm.errors import NumericalError

@@ -52,7 +52,7 @@ class TestSimulate:
         cfg = small_cfg()
         g1, t1, _ = _simulate_replicate(cfg, 1)
         g2, t2, _ = _simulate_replicate(cfg, 1)
-        assert g1.edges == g2.edges
+        assert np.array_equal(g1.edges, g2.edges)
         assert t1["partition"] == t2["partition"]
 
 

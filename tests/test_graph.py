@@ -11,8 +11,8 @@ from ebsbm.graph import (
     block_counts,
     block_stats,
     compact_partition,
-    expand_theta,
     induced_subgraph,
+    relabel_nodes,
 )
 from helpers import brute_force_block_counts
 
@@ -45,6 +45,57 @@ class TestGraph:
         assert a[0, 1] == 1 and a[3, 1] == 1 and a[0, 3] == 0
         with pytest.raises(ValueError):
             a[0, 0] = 5  # read-only
+
+
+class TestEdgeArray:
+    PAIRS = [(2, 3), (0, 1), (1, 3), (0, 2)]
+
+    def test_input_forms_give_identical_read_only_edges(self):
+        forms = [frozenset(self.PAIRS), list(self.PAIRS), np.array(self.PAIRS)]
+        graphs = [Graph(n=4, edges=f) for f in forms]
+        for g in graphs:
+            assert g.edges.dtype == np.int64 and g.edges.shape == (4, 2)
+            assert np.array_equal(g.edges, sorted(self.PAIRS))
+            with pytest.raises(ValueError):
+                g.edges[0, 0] = 3  # read-only
+        assert graphs[0] == graphs[1] == graphs[2]
+        assert len({hash(g) for g in graphs}) == 1
+
+    def test_duplicate_pairs_collapse(self):
+        for edges in ([(0, 1), (2, 3), (0, 1), (0, 1)], np.array([[2, 3], [0, 1], [2, 3]])):
+            g = Graph(n=4, edges=edges)
+            assert np.array_equal(g.edges, [[0, 1], [2, 3]])
+            assert g.edge_count == 2
+
+    def test_empty_edges(self):
+        for edges in ([], frozenset(), np.zeros((0, 2), dtype=np.int64)):
+            g = Graph(n=3, edges=edges)
+            assert g.edges.shape == (0, 2) and g.edge_count == 0
+            assert not g.adjacency().any()
+
+    def test_input_array_is_copied(self):
+        raw = np.array([[0, 1], [1, 2]])
+        g = Graph(n=3, edges=raw)
+        raw[0] = [0, 2]
+        assert np.array_equal(g.edges, [[0, 1], [1, 2]])
+
+    def test_array_input_validated(self):
+        with pytest.raises(ValueError, match=r"self-loop \(1, 1\)"):
+            Graph(n=3, edges=np.array([[0, 1], [1, 1]]))
+        with pytest.raises(ValueError, match=r"edge \(2, 1\) must satisfy"):
+            Graph(n=3, edges=np.array([[2, 1]]))
+        with pytest.raises(ValueError, match=r"edge \(0, 3\) must satisfy"):
+            Graph(n=3, edges=np.array([[0, 3]]))
+        with pytest.raises(ValueError, match=r"edge \(-1, 2\) must satisfy"):
+            Graph(n=3, edges=np.array([[-1, 2]]))
+        with pytest.raises(ValueError):
+            Graph(n=3, edges=np.array([0, 1, 2]))
+
+    def test_value_equality(self):
+        g = Graph(n=4, edges=[(0, 1)])
+        assert g == Graph(n=4, edges=np.array([[0, 1]]))
+        assert g != Graph(n=5, edges=[(0, 1)])
+        assert g != Graph(n=4, edges=[(0, 2)])
 
 
 class TestPartition:
@@ -151,48 +202,32 @@ class TestBlockStats:
         assert x[0, 0] == 1 and x.sum() == 1
 
 
-class TestExpandTheta:
-    def test_single_block(self):
-        p = Partition.from_labels([1, 1, 1])
-        out = expand_theta([[0.4]], p)
-        off = out[~np.eye(3, dtype=bool)]
-        assert np.all(off == 0.4)
-
-    def test_two_nodes(self):
-        p = Partition.from_labels([1, 2])
-        out = expand_theta([[0.7, 0.2], [0.2, 0.9]], p)
-        assert out[0, 1] == 0.2
-
-    def test_hand_lookup(self):
-        # oracle: element-by-element lookup
-        p = Partition.from_labels([1, 1, 2])
-        theta = np.array([[0.9, 0.1], [0.1, 0.5]])
-        out = expand_theta(theta, p)
-        expected = np.array([[theta[a - 1, b - 1] for b in (1, 1, 2)] for a in (1, 1, 2)])
-        assert np.array_equal(out, expected)
-        assert out[0, 1] == 0.9 and out[0, 2] == 0.1
-
-    def test_block_constant_property(self):
-        rng = np.random.default_rng(0)
-        labels = rng.integers(1, 4, size=30)
-        p = compact_partition(labels)
-        theta = np.array([[0.5, 0.1, 0.2], [0.1, 0.6, 0.3], [0.2, 0.3, 0.7]])[: p.K, : p.K]
-        out = expand_theta(theta, p)
-        for a in range(1, p.K + 1):
-            for b in range(1, p.K + 1):
-                ia = np.where(p.labels == a)[0]
-                ib = np.where(p.labels == b)[0]
-                vals = out[np.ix_(ia, ib)]
-                assert np.all(vals == theta[a - 1, b - 1])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            expand_theta([[0.5]], Partition.from_labels([1, 2]))
-
-
 def test_induced_subgraph():
     g = make(5, [(0, 1), (1, 2), (3, 4), (0, 4)])
     sub, ids = induced_subgraph(g, [0, 1, 4])
     assert list(ids) == [0, 1, 4]
     assert sub.n == 3
-    assert sub.edges == frozenset({(0, 1), (0, 2)})
+    assert np.array_equal(sub.edges, [[0, 1], [0, 2]])
+
+
+def test_induced_subgraph_rejects_bad_nodes():
+    g = make(4, [(0, 1)])
+    with pytest.raises(ValueError):
+        induced_subgraph(g, [])
+    with pytest.raises(ValueError):
+        induced_subgraph(g, [0, 4])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 25), st.integers(0, 2**32 - 1))
+def test_relabel_nodes_matches_pairwise_mapping(n, seed):
+    # oracle: map every edge through a dict, keep the fully kept ones
+    rng = np.random.default_rng(seed)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    order = rng.permutation(n)[: rng.integers(1, n + 1)]
+    pos = {int(v): p for p, v in enumerate(order)}
+    want = sorted({(min(pos[i], pos[j]), max(pos[i], pos[j]))
+                   for i, j in edges if i in pos and j in pos})
+    got = relabel_nodes(make(n, edges), order)
+    assert got.n == order.size
+    assert np.array_equal(got.edges.reshape(-1, 2), np.array(want, dtype=np.int64).reshape(-1, 2))

@@ -1,11 +1,19 @@
+import tempfile
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebsbm.errors import DataError
 from ebsbm.graph import Graph, Partition
 from ebsbm.io import (
+    canonical_order,
     ingest_network,
     read_edge_list,
     read_label_file,
+    relabel_nodes,
     write_edge_list,
     write_label_file,
 )
@@ -23,7 +31,7 @@ class TestReadEdgeList:
         graph, ids, report = read_edge_list(p)
         assert ids == ["a", "b", "c"]
         assert graph.n == 3
-        assert graph.edges == frozenset({(0, 1), (1, 2)})
+        assert np.array_equal(graph.edges, [[0, 1], [1, 2]])
         assert report["self_loops_dropped"] == 0
         assert report["duplicates_dropped"] == 0
 
@@ -105,9 +113,9 @@ def test_edge_list_roundtrip(tmp_path):
     write_edge_list(g, path)
     back, ids, _ = read_edge_list(path)
     # map read indices through the token list to recover original ids
-    edges = frozenset((min(int(ids[a]), int(ids[b])), max(int(ids[a]), int(ids[b])))
-                      for a, b in back.edges)
-    assert edges == g.edges
+    edges = sorted((min(int(ids[a]), int(ids[b])), max(int(ids[a]), int(ids[b])))
+                   for a, b in back.edges)
+    assert np.array_equal(edges, g.edges)
     assert back.edge_count == g.edge_count
 
 
@@ -118,3 +126,23 @@ def test_write_edge_list_deterministic(tmp_path):
     write_edge_list(g, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text().splitlines()[0] == "0 1"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 2**32 - 1))
+def test_canonical_relabel_matches_file_roundtrip(n, seed):
+    # isolated nodes: only a random subset of nodes may carry edges
+    rng = np.random.default_rng(seed)
+    active = rng.random(n) < 0.7
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if active[i] and active[j] and rng.random() < 0.3]
+    edges.append(tuple(sorted(rng.choice(n, size=2, replace=False).tolist())))
+    g = Graph(n=n, edges=edges)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "g.txt"
+        write_edge_list(g, path)
+        back, ids, _ = read_edge_list(path)
+    order = canonical_order(g)
+    assert order.dtype == np.int64
+    assert order.tolist() == [int(t) for t in ids]
+    assert relabel_nodes(g, order) == back

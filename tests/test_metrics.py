@@ -1,10 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ebsbm.graph import Graph, Partition, block_stats
+from ebsbm.graph import Graph, Partition, block_stats, compact_partition
 from ebsbm.graphon import build_step_graphon, mse_graphon, step_graphon_spec
 from ebsbm.estimator import ConnectivityEstimate
 from ebsbm.metrics import (
@@ -16,7 +19,52 @@ from ebsbm.metrics import (
     theta_star,
 )
 from ebsbm.metrics import test_loglik as held_out_loglik
+from ebsbm.samplers import affiliation_theta, sample_sbm
 from helpers import two_cliques_graph
+
+
+def random_theta(rng, K):
+    t = rng.random((K, K))
+    t = (t + t.T) / 2
+    t[rng.random((K, K)) < 0.1] = 0.0  # exercise the log clipping
+    return np.minimum(t, t.T)
+
+
+def random_partition(rng, n, K, singletons):
+    if singletons:
+        return compact_partition(rng.permutation(n))
+    return compact_partition(rng.integers(0, K, size=n))
+
+
+def mse_reference(est_theta, est_p, true_theta, true_p):
+    # n x n expansion, mean over ordered pairs i != j
+    a, c = est_p.labels - 1, true_p.labels - 1
+    diff = (np.asarray(est_theta)[np.ix_(a, a)] - np.asarray(true_theta)[np.ix_(c, c)]) ** 2
+    off = ~np.eye(a.size, dtype=bool)
+    return float(diff[off].mean()) if a.size > 1 else 0.0
+
+
+def loglik_reference(edges, labels, theta, train, test):
+    # enumerate the held-out pairs one by one
+    eset = set(edges)
+    pairs = [(i, j) for i in train for j in test]
+    pairs += [(i, j) for a, i in enumerate(test) for j in test[a + 1:]]
+    total = 0.0
+    for i, j in pairs:
+        p = min(max(theta[labels.labels[i] - 1, labels.labels[j] - 1], 1e-9), 1 - 1e-9)
+        x = (min(i, j), max(i, j)) in eset
+        total += math.log(p) if x else math.log1p(-p)
+    return total
+
+
+# (theta, K) pairs every metric must reject
+BAD_THETAS = [
+    ("wrong K", np.full((1, 1), 0.5)),
+    ("not square", np.full((2, 3), 0.5)),
+    ("asymmetric", np.array([[0.5, 0.1], [0.2, 0.5]])),
+    ("above one", np.array([[1.2, 0.1], [0.1, 0.5]])),
+    ("below zero", np.array([[0.5, -0.1], [-0.1, 0.5]])),
+]
 
 
 class TestMseSbm:
@@ -68,6 +116,45 @@ class TestMseSbm:
         g_true = build_step_graphon(p, ConnectivityEstimate(theta=t_true, method="MLE"))
         m_gra = mse_graphon(g_est, step_graphon_spec(g_true))
         assert abs(m_sbm - m_gra) <= 2 / n
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 12), st.integers(1, 12),
+           st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_pairwise_expansion(self, n, k_est, k_true, est_single,
+                                        true_single, seed):
+        rng = np.random.default_rng(seed)
+        est_p = random_partition(rng, n, k_est, est_single)
+        true_p = random_partition(rng, n, k_true, true_single)
+        est_t, true_t = random_theta(rng, est_p.K), random_theta(rng, true_p.K)
+        want = mse_reference(est_t, est_p, true_t, true_p)
+        got = mse_sbm(est_t, est_p, true_t, true_p)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_relabelled_estimate_is_bit_identical(self):
+        # k_tilde breaks exact ties by K, so a partition found again under
+        # other label names must score the same float, as the pairwise mean does
+        rng = np.random.default_rng(4)
+        n, K = 400, 15
+        true_p = compact_partition(rng.integers(0, 10, size=n))
+        true_t = random_theta(rng, true_p.K)
+        est_p = compact_partition(rng.integers(0, K, size=n))
+        est_t = random_theta(rng, est_p.K)
+        for _ in range(5):
+            perm = rng.permutation(est_p.K)
+            moved = Partition(labels=perm[est_p.labels - 1] + 1, K=est_p.K)
+            moved_t = np.empty_like(est_t)
+            moved_t[np.ix_(perm, perm)] = est_t
+            assert mse_sbm(moved_t, moved, true_t, true_p) == mse_sbm(est_t, est_p, true_t, true_p)
+
+    @pytest.mark.parametrize("case, bad", BAD_THETAS)
+    def test_theta_checked(self, case, bad):
+        p = Partition.from_labels([1, 2, 1])
+        good = np.array([[0.5, 0.1], [0.1, 0.5]])
+        with pytest.raises(ValueError):
+            mse_sbm(bad, p, good, p)
+        with pytest.raises(ValueError):
+            mse_sbm(good, p, bad, p)
 
 
 class TestKTilde:
@@ -230,11 +317,80 @@ class TestTestLoglik:
             worse = np.clip(freq + delta, 0, 1)
             assert held_out_loglik(g, part, worse, train, test) < base
 
+    def test_repeated_nodes_rejected(self):
+        g = Graph(n=3, edges=frozenset({(0, 1)}))
+        labels = Partition.from_labels([1, 1, 1])
+        theta = np.array([[0.3]])
+        for train, test in (([0, 0], [1]), ([0], [1, 1])):
+            with pytest.raises(ValueError, match="repeat a node"):
+                held_out_loglik(g, labels, theta, np.array(train), np.array(test))
+
+    @pytest.mark.parametrize("case, bad", BAD_THETAS)
+    def test_theta_checked(self, case, bad):
+        g = Graph(n=3, edges=[(0, 1)])
+        labels = Partition.from_labels([1, 2, 1])
+        with pytest.raises(ValueError):
+            held_out_loglik(g, labels, bad, np.array([0]), np.array([1, 2]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 6), st.floats(0.0, 0.6), st.data())
+    def test_matches_pair_enumeration(self, n, K, density, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+        g = Graph(n=n, edges=edges)
+        labels = compact_partition(rng.integers(0, K, size=n))
+        theta = random_theta(rng, labels.K)
+        perm = rng.permutation(n)
+        n_train = data.draw(st.integers(0, n))
+        n_test = data.draw(st.integers(0, n - n_train))  # may leave nodes out
+        train, test = perm[:n_train], perm[n_train:n_train + n_test]
+        want = loglik_reference(edges, labels, theta, train.tolist(), test.tolist())
+        got = held_out_loglik(g, labels, theta, train, test)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_empty_and_single_node_test_sets(self):
+        rng = np.random.default_rng(3)
+        n = 12
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        g = Graph(n=n, edges=edges)
+        labels = Partition.from_labels([1, 2, 3] * 4)
+        theta = random_theta(rng, 3)
+        assert held_out_loglik(g, labels, theta, np.arange(n), np.array([], dtype=int)) == 0.0
+        for train, test in ((np.arange(1, n), [0]), (np.arange(5), [7]), ([], [4])):
+            want = loglik_reference(edges, labels, theta, list(train), list(test))
+            got = held_out_loglik(g, labels, theta, np.asarray(train), np.asarray(test))
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_theta_domain_checked(self):
         g = Graph(n=2, edges=frozenset())
         labels = Partition.from_labels([1, 1])
         with pytest.raises(ValueError):
             held_out_loglik(g, labels, np.array([[1.2]]), np.array([0]), np.array([1]))
+
+
+def test_metrics_allocate_no_node_by_node_matrix():
+    # one n x n float64 at n=3000 is 72 MB; both metrics work on block counts
+    n = 3000
+    spec = affiliation_theta(K=10, lam=0.9, epsilon=0.1, rho=0.02)
+    g, true_p = sample_sbm(spec, n=n, seed=0)
+    rng = np.random.default_rng(1)
+    est_p = compact_partition(rng.integers(0, 10, size=n))
+    est_t = random_theta(rng, est_p.K)
+    train, test = split_nodes(n, fraction=0.7, seed=0)
+    calls = [
+        lambda: mse_sbm(est_t, est_p, spec.theta, true_p),
+        lambda: held_out_loglik(g, true_p, spec.theta, train, test),
+    ]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            tracemalloc.reset_peak()
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+            assert peak < 1_000_000, f"peak allocation {peak / 1e6:.1f} MB"
+    finally:
+        tracemalloc.stop()
 
 
 def test_experiment_record_roundtrip():
