@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: simulate, estimate, select, evaluate, experiment, ingest.
-Exit codes: 0 success, 1 usage, 2 data error (or an experiment whose
-every replicate was skipped), 3 numerical failure. The EBSBM_OUTPUT_ROOT
-environment variable supplies a default parent for --out when the flag is
-omitted.
+Subcommands: simulate, estimate, select, evaluate, experiment, ingest;
+estimate, select and evaluate run experiment.analyze_graph. Exit codes:
+0 success, 1 usage, 2 data error (or an experiment whose every replicate
+was skipped), 3 numerical failure. The EBSBM_OUTPUT_ROOT environment
+variable supplies a default parent for --out when the flag is omitted.
 """
 
 from __future__ import annotations
@@ -17,21 +17,20 @@ import sys
 import numpy as np
 
 from . import __version__
-from .community import detect_pipeline
 from .errors import DataError, NumericalError
-from .estimator import ConnectivityEstimate, eb_estimate, fit_hyperparams, mle_estimate
 from .experiment import (
     ExperimentConfig,
     _simulate_replicate,
     _write_sidecars,
     analyze_graph,
+    annotation_truth,
     run_experiment,
     run_testlik_protocol,
+    write_json,
+    write_manifest,
 )
-from .graph import block_stats
 from .graphon import build_step_graphon, reorder_identifiable
 from .io import ingest_network, read_edge_list, write_edge_list, write_label_file
-from .metrics import theta_star
 from .selection import scores_to_csv
 
 
@@ -70,12 +69,13 @@ def _require_out(args, command):
     return out
 
 
-def _write_manifest(out, command, payload):
-    doc = {"version": __version__, "command": command}
-    doc.update(payload)
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _analyze(args, graph, k_range, truth=None):
+    """analyze_graph over k_range with the command's detection flags (and
+    its --cvrp-mode, where it has one)."""
+    cfg = ExperimentConfig(k_range=k_range, vem_max_iter=args.vem_max_iter,
+                           vem_tol=args.vem_tol,
+                           cvrp_mode=getattr(args, "cvrp_mode", ExperimentConfig.cvrp_mode))
+    return analyze_graph(graph, k_range, args.seed, truth=truth, cfg=cfg)
 
 
 def _add_model_flags(p):
@@ -101,7 +101,7 @@ def cmd_simulate(args):
                            base_seed=args.seed)
     for r in range(cfg.replicates):
         _write_sidecars(_simulate_replicate(cfg, r)[2], out, r)
-    _write_manifest(out, "simulate", {
+    write_manifest(out, "simulate", {
         "config": cfg.to_json_dict(),
         "seeds": [cfg.base_seed + r for r in range(cfg.replicates)],
     })
@@ -113,29 +113,18 @@ def cmd_estimate(args):
     out = _require_out(args, "estimate")
     graph, _, report = read_edge_list(args.graph)
     k_range = _parse_k_range(args.k_range)
-    for K in k_range:
-        det, _, theta_vb = detect_pipeline(graph, K, args.seed,
-                                           max_iter=args.vem_max_iter, tol=args.vem_tol)
-        stats = block_stats(graph, det.partition)
-        hyper = fit_hyperparams(stats)
-        eb = eb_estimate(stats, hyper)
-        step, _ = reorder_identifiable(build_step_graphon(det.partition, eb))
-        doc = {
-            "K_input": int(K),
-            "K_returned": det.partition.K,
-            "estimates": {
-                "mle": mle_estimate(stats).to_json_dict(),
-                "eb": eb.to_json_dict(),
-                "vbem": ConnectivityEstimate(theta=theta_vb,
-                                             method="VBEM-baseline").to_json_dict(),
-            },
+    _, _, estimates = _analyze(args, graph, k_range)
+    for est in estimates:
+        K, part = est["K"], est["partition"]
+        step, _ = reorder_identifiable(build_step_graphon(part, est["eb"]))
+        write_json({
+            "K_input": K,
+            "K_returned": part.K,
+            "estimates": {m: est[m].to_json_dict() for m in ("mle", "eb", "vbem")},
             "step_graphon": step.to_json_dict(),
-        }
-        with open(os.path.join(out, f"estimate_K{K:02d}.json"), "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        write_label_file(det.partition, os.path.join(out, f"partition_K{K:02d}.txt"))
-    _write_manifest(out, "estimate", {
+        }, os.path.join(out, f"estimate_K{K:02d}.json"))
+        write_label_file(part, os.path.join(out, f"partition_K{K:02d}.txt"))
+    write_manifest(out, "estimate", {
         "graph": os.path.abspath(args.graph), "ingest": report,
         "k_range": list(k_range), "seed": args.seed,
     })
@@ -146,18 +135,14 @@ def cmd_estimate(args):
 def cmd_select(args):
     graph, _, report = read_edge_list(args.graph)
     k_range = _parse_k_range(args.k_range)
-    cfg = ExperimentConfig(model="file", graph_file=args.graph, k_range=k_range,
-                           replicates=1, base_seed=args.seed, criterion=args.criterion,
-                           cvrp_mode=args.cvrp_mode, vem_max_iter=args.vem_max_iter,
-                           vem_tol=args.vem_tol, write_replicates=False)
-    records, selection, _ = analyze_graph(graph, k_range, args.seed, truth=None, cfg=cfg)
+    records, selection, _ = _analyze(args, graph, k_range)
     scores = [rec.scores[0] for rec in records]
     k_hat = selection[args.criterion]
     out = _out_dir(args, "select")
     if out:
         os.makedirs(out, exist_ok=True)
         scores_to_csv(scores, os.path.join(out, "scores.csv"))
-        _write_manifest(out, "select", {
+        write_manifest(out, "select", {
             "graph": os.path.abspath(args.graph), "ingest": report,
             "k_range": list(k_range), "seed": args.seed,
             "criterion": args.criterion, "k_hat": k_hat,
@@ -174,18 +159,13 @@ def cmd_evaluate(args):
     if part is None:
         raise DataError("evaluate needs --labels with annotated memberships")
     print(f"ingested n={report['n']} edges={report['edges']} labels={report['k_labels']}")
-    out = _out_dir(args, "evaluate")
-    if out:
-        os.makedirs(out, exist_ok=True)
+    k_range = _parse_k_range(args.k_range) if args.k_range else None
+    # the protocol first, so a bad --splits or --fraction fails before the K sweep
+    loglik = run_testlik_protocol(graph, part, n_splits=args.splits,
+                                  fraction=args.fraction, base_seed=args.seed)
     results = {}
-    if args.k_range:
-        k_range = _parse_k_range(args.k_range)
-        truth = {"kind": "sbm", "theta": theta_star(graph, part), "partition": part}
-        cfg = ExperimentConfig(model="file", graph_file=args.graph, k_range=k_range,
-                               replicates=1, base_seed=args.seed,
-                               vem_max_iter=args.vem_max_iter, vem_tol=args.vem_tol,
-                               write_replicates=False)
-        records, _, _ = analyze_graph(graph, k_range, args.seed, truth=truth, cfg=cfg)
+    if k_range:
+        records, _, _ = _analyze(args, graph, k_range, truth=annotation_truth(graph, part))
         results["mse_vs_annotation"] = [
             {"K": r.K_input, "mse_mle": r.mse_mle, "mse_eb": r.mse_eb,
              "mse_vbem": r.mse_vbem} for r in records
@@ -193,16 +173,14 @@ def cmd_evaluate(args):
         for r in records:
             ratio = r.mse_eb / r.mse_mle if r.mse_mle > 0 else float("nan")
             print(f"K={r.K_input} mse_eb/mse_mle={ratio:.4f}")
-    loglik = run_testlik_protocol(graph, part, n_splits=args.splits,
-                                  fraction=args.fraction, base_seed=args.seed)
     results["test_loglik"] = loglik
     for name in ("MLE", "EB", "fixed-prior"):
         print(f"median test loglik {name}: {np.median(loglik[name]):.4f}")
+    out = _out_dir(args, "evaluate")
     if out:
-        with open(os.path.join(out, "evaluation.json"), "w") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_manifest(out, "evaluate", {
+        os.makedirs(out, exist_ok=True)
+        write_json(results, os.path.join(out, "evaluation.json"))
+        write_manifest(out, "evaluate", {
             "graph": os.path.abspath(args.graph),
             "labels": os.path.abspath(args.labels),
             "ingest": report, "splits": args.splits,
@@ -217,7 +195,7 @@ def cmd_experiment(args):
     cfg = ExperimentConfig(
         model=model, n=args.n, k_star=args.k_star, lam=args.lam,
         epsilon=args.epsilon, rho=args.rho, k_range=_parse_k_range(args.k_range),
-        replicates=args.replicates, base_seed=args.seed, criterion=args.criterion,
+        replicates=args.replicates, base_seed=args.seed,
         cvrp_mode=args.cvrp_mode, workers=args.workers,
         vem_max_iter=args.vem_max_iter, vem_tol=args.vem_tol,
         graph_file=args.graph, label_file=args.labels,
@@ -245,10 +223,8 @@ def cmd_ingest(args):
         json.dump({"ids": ids}, fh)
         fh.write("\n")
     if part is not None:
-        with open(os.path.join(out, "labels.txt"), "w") as fh:
-            for i, lab in enumerate(part.labels):
-                fh.write(f"{i} {lab}\n")
-    _write_manifest(out, "ingest", {"source": os.path.abspath(args.graph),
+        write_label_file(part, os.path.join(out, "labels.txt"))
+    write_manifest(out, "ingest", {"source": os.path.abspath(args.graph),
                                     "report": report})
     print(json.dumps(report, sort_keys=True))
     return 0
@@ -302,7 +278,6 @@ def build_parser():
     p.add_argument("--k-range", required=True)
     p.add_argument("--replicates", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--criterion", default="EB", choices=["EB", "CVRP"])
     p.add_argument("--cvrp-mode", default="squared", choices=["squared", "literal"])
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     _add_detect_flags(p)

@@ -114,12 +114,12 @@ def _top_eigvecs(graph: Graph, width: int) -> np.ndarray:
     key = ("top_eigvecs", width)
     if key not in graph._memo:
         n = graph.n
-        a = graph.adjacency().copy()
         tau = max(2.0 * graph.edge_count / n, 1e-8)
-        a += tau / n
+        a = graph.adjacency() + tau / n
         dinv = 1.0 / np.sqrt(a.sum(axis=1))
-        norm = a * dinv[:, None] * dinv[None, :]
-        _, vecs = _la.eigh(norm, subset_by_index=[n - width, n - 1])
+        a *= dinv[:, None]
+        a *= dinv[None, :]
+        _, vecs = _la.eigh(a, subset_by_index=[n - width, n - 1], overwrite_a=True)
         vecs.flags.writeable = False
         graph._memo[key] = vecs
     return graph._memo[key]

@@ -17,6 +17,10 @@ others, so replicates parallelize across a process pool. Graphs are
 canonicalized to the node order an edge-list round-trip produces, which
 makes one-replicate runs equal the composed simulate/estimate/select
 commands output-for-output.
+
+Every replicate, and the estimate, select and evaluate commands, run the
+per-K analysis of analyze_graph; every command's manifest and JSON
+results go through write_manifest and write_json.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .estimator import (
 )
 from .graph import BlockStats, Graph, Partition, block_counts, block_stats, induced_subgraph
 from .graphon import build_step_graphon, mse_graphon, reorder_identifiable
-from .io import canonical_order, ingest_network, relabel_nodes, write_edge_list
+from .io import canonical_order, ingest_network, relabel_nodes, write_edge_list, write_label_file
 from .metrics import (
     ExperimentRecord,
     deviation_metrics,
@@ -48,6 +52,7 @@ from .metrics import (
     split_nodes,
     summarize_records,
     test_loglik,
+    theta_star,
     write_records_jsonl,
     write_summary_csv,
 )
@@ -68,7 +73,6 @@ class ExperimentConfig:
     k_range: tuple = tuple(range(1, 21))
     replicates: int = 20
     base_seed: int = 0
-    criterion: str = "EB"
     cvrp_mode: str = "squared"
     workers: int = 1
     vem_max_iter: int = 100
@@ -89,16 +93,14 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.model == "file" and not self.graph_file:
             raise ValueError("model 'file' needs graph_file")
-        if self.criterion not in ("EB", "CVRP"):
-            raise ValueError("criterion must be 'EB' or 'CVRP'")
+        if self.model != "file" and (self.graph_file or self.label_file):
+            raise ValueError(f"graph_file and label_file need model 'file', not {self.model!r}")
 
     def to_json_dict(self):
         return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d):
-        d = dict(d)
-        d["k_range"] = tuple(d["k_range"])
         return cls(**d)
 
 
@@ -151,8 +153,9 @@ def analyze_graph(graph: Graph, k_range, seed: int, truth=None,
                   replicate: int = 0, cfg: ExperimentConfig | None = None):
     """Run detection, estimation, scoring and selection over the K range.
 
-    Returns (records, selection) where selection maps criterion name to
-    the chosen (compacted) K and carries the error-minimizing reference K.
+    Returns (records, selection, estimates) where selection maps criterion
+    name to the chosen (compacted) K and carries the error-minimizing
+    reference K, and estimates holds each K's partition and estimates.
     """
     cfg = cfg or ExperimentConfig(k_range=tuple(k_range))
     records = []
@@ -208,13 +211,13 @@ def _worker(args):
 
 def _load_file_model(cfg: ExperimentConfig):
     graph, part, _, _ = ingest_network(cfg.graph_file, cfg.label_file)
-    if part is not None:
-        from .metrics import theta_star
+    return graph, (annotation_truth(graph, part) if part is not None else None)
 
-        truth = {"kind": "sbm", "theta": theta_star(graph, part), "partition": part}
-    else:
-        truth = None
-    return graph, truth
+
+def annotation_truth(graph: Graph, partition: Partition):
+    """The truth an annotated network supplies: its labels and the block
+    densities they induce."""
+    return {"kind": "sbm", "theta": theta_star(graph, partition), "partition": partition}
 
 
 @dataclass
@@ -291,17 +294,26 @@ def _write_outputs(cfg, out_dir, results, records, summary_rows, selection_rows,
     if cfg.write_replicates and cfg.model != "file":
         for res in results:
             _write_sidecars(res["sidecars"], out_dir, res["replicate"])
-    manifest = {
-        "version": __version__,
-        "command": "experiment",
+    write_manifest(out_dir, "experiment", {
         "config": cfg.to_json_dict(),
         "seeds": [cfg.base_seed + r for r in range(cfg.replicates)],
         "completed": [res["replicate"] for res in results],
         "skipped": skipped,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    })
+
+
+def write_json(doc, path):
+    """Indented, key-sorted JSON and a newline: the format of every
+    manifest and of the per-command result files."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_manifest(out_dir, command, payload):
+    """out_dir/manifest.json: the package version, the command and its payload."""
+    write_json({"version": __version__, "command": command, **payload},
+               os.path.join(out_dir, "manifest.json"))
 
 
 def _write_sidecars(side, out_dir, r):
@@ -311,9 +323,7 @@ def _write_sidecars(side, out_dir, r):
     os.makedirs(sub, exist_ok=True)
     write_edge_list(side["graph"], os.path.join(sub, "graph.txt"))
     if "labels" in side:
-        with open(os.path.join(sub, "labels.txt"), "w") as fh:
-            for i, lab in enumerate(side["labels"]):
-                fh.write(f"{i} {lab}\n")
+        write_label_file(side["labels"], os.path.join(sub, "labels.txt"))
     if "latents" in side:
         with open(os.path.join(sub, "latents.txt"), "w") as fh:
             for i, u in enumerate(side["latents"]):
@@ -341,6 +351,8 @@ def run_testlik_protocol(graph: Graph, partition: Partition, n_splits: int = 100
     by the split contribute prior means or density fills), then score the
     held-out pairs. Returns method -> list of log-likelihoods.
     """
+    if n_splits < 1:
+        raise ValueError(f"n_splits must be >= 1, got {n_splits}")
     out = {"MLE": [], "EB": [], "fixed-prior": []}
     K = partition.K
     for s in range(n_splits):

@@ -71,7 +71,7 @@ def write_edge_list(graph: Graph, path, node_ids=None):
 
 
 def read_label_file(path, node_ids):
-    """Parse "node label" pairs covering every node in node_ids.
+    """Parse "node label" pairs covering every node in node_ids once.
 
     Label tokens map to 1..K in first-seen order; returns (partition,
     label_names) with label_names[k-1] the original token of cluster k.
@@ -86,6 +86,8 @@ def read_label_file(path, node_ids):
         node_tok, label_tok = tokens
         if node_tok not in index:
             raise DataError(f"{path}: line {lineno}: unknown node {node_tok!r}")
+        if index[node_tok] in raw:
+            raise DataError(f"{path}: line {lineno}: node {node_tok!r} is labelled twice")
         raw[index[node_tok]] = label_index.setdefault(label_tok, len(label_index) + 1)
     missing = len(node_ids) - len(raw)
     if missing:
@@ -94,9 +96,13 @@ def read_label_file(path, node_ids):
     return Partition(labels=labels, K=len(label_index)), list(label_index)
 
 
-def write_label_file(partition: Partition, path, node_ids=None):
+def write_label_file(labels, path, node_ids=None):
+    """Write one "node label" line per node, in index order. labels is a
+    Partition or a 1-based label array, which may leave labels unused."""
+    if isinstance(labels, Partition):
+        labels = labels.labels
     with open(path, "w", encoding="utf-8") as fh:
-        for i, lab in enumerate(partition.labels):
+        for i, lab in enumerate(labels):
             tok = node_ids[i] if node_ids is not None else i
             fh.write(f"{tok} {lab}\n")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from ebsbm.cli import main
+from ebsbm.experiment import ExperimentConfig, _simulate_replicate, analyze_graph
 from ebsbm.graph import Graph
 from ebsbm.io import bundled_data_path, write_edge_list
 from helpers import two_cliques_graph
@@ -45,6 +47,35 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "k_range must be nonempty" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    def test_zero_splits_is_2(self, tmp_path, capsys):
+        # zero splits once printed nan medians and exited 0; the K sweep
+        # must not run first
+        rc = main(["evaluate", "--graph", str(bundled_data_path("synthetic_edges.txt")),
+                   "--labels", str(bundled_data_path("synthetic_labels.txt")),
+                   "--k-range", "2..3", "--splits", "0", "--out", str(tmp_path / "ev")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "n_splits must be >= 1" in captured.err
+        assert "mse_eb/mse_mle" not in captured.out
+        assert not (tmp_path / "ev" / "evaluation.json").exists()
+
+    def test_experiment_labels_without_graph_is_2(self, tmp_path, capsys):
+        # the labels of a simulated experiment were once ignored
+        rc = main(["experiment", "--n", "30", "--k-star", "2", "--k-range", "1..2",
+                   "--replicates", "1", "--workers", "1",
+                   "--labels", str(bundled_data_path("synthetic_labels.txt")),
+                   "--out", str(tmp_path / "exp")])
+        assert rc == 2
+        assert "need model 'file'" in capsys.readouterr().err
+        assert not (tmp_path / "exp" / "manifest.json").exists()
+
+    def test_experiment_criterion_is_usage_error(self, tmp_path, capsys):
+        # experiment always reports both criteria; the option selected nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--k-range", "1..2", "--criterion", "EB",
+                  "--out", str(tmp_path / "exp")])
+        assert exc.value.code == 1
 
     def test_numerical_failure_is_3(self, tmp_path, capsys, monkeypatch):
         import ebsbm.cli as cli_mod
@@ -93,6 +124,37 @@ class TestEstimate:
         assert eb[0, 0] > 0.9 and eb[1, 1] > 0.9
         assert doc["step_graphon"]["boundaries"][0] == 0.0
         assert (out / "partition_K02.txt").exists()
+
+    def test_bundled_output_bytes_pinned(self, tmp_path, capsys):
+        # sha256 of every file, computed before estimate ran through
+        # analyze_graph; the manifest's absolute graph path is masked
+        graph = bundled_data_path("synthetic_edges.txt")
+        out = tmp_path / "est"
+        rc = main(["estimate", "--graph", graph, "--k-range", "2..6", "--seed", "3",
+                   "--out", str(out)])
+        assert rc == 0
+        pinned = {
+            "estimate_K02.json": "5b7fc1458deedc99e1cab7f798a087439e49081d707c03827d0f448dfba0b91f",
+            "estimate_K03.json": "08681d35a31c7684a9057ece5e407f57d1743eadf19dd03bae7baa9bbfdc425c",
+            "estimate_K04.json": "8e47e5a83cc27b173a63639ae00ccb6bd52a057d58713acb142defdc6f6a9998",
+            "estimate_K05.json": "ec32467278534c7e2c9867854990e6e0f2940b838b9e04808506eedeedb738a1",
+            "estimate_K06.json": "89ae3a3b2cdc3f7f7f83e767335b6eb5e04b901e5a818db13cbf8921671fedd2",
+            "manifest.json": "54f781cd2abbef9f996b5cb69ef28a282a07ba3d6d959bc9e0da22453be6b5f5",
+            "partition_K02.txt": "7e0fca3bb69293666c74f30b44384cb86643125b1e6b09fa76b18538ee2750f6",
+            "partition_K03.txt": "8d0b9483c45a23de998c40ea68131b09a5d242567a3820e1b57da81702d168d9",
+            "partition_K04.txt": "42280d8e14b0337bcfce4f38b0955a34fb9a37bbb92aa9db98646cd4f43ef2a4",
+            "partition_K05.txt": "b2805792f09682f666538742c992f7978ccd9ac8356e344d82bae62a636a72b3",
+            "partition_K06.txt": "72c97544b1b50145c3a1dc09dedb8d198f341e0c3ca1ca81d02043684254d4bd",
+        }
+        masked = json.dumps(os.path.abspath(graph)).encode()
+        digests = {}
+        for name in sorted(os.listdir(out)):
+            data = (out / name).read_bytes()
+            if name == "manifest.json":
+                assert masked in data
+                data = data.replace(masked, b'"GRAPH"')
+            digests[name] = hashlib.sha256(data).hexdigest()
+        assert digests == pinned
 
     def test_missing_graph_is_2(self, tmp_path):
         rc = main(["estimate", "--graph", str(tmp_path / "x.txt"),
@@ -168,18 +230,28 @@ class TestSimulateAndExperiment:
         assert g_exp == g_sim
         graph_file = str(sim_out / "replicates" / "r000" / "graph.txt")
         est_out = tmp_path / "est"
-        rc = main(["estimate", "--graph", graph_file, "--k-range", "2",
+        rc = main(["estimate", "--graph", graph_file, "--k-range", "1..3",
                    "--seed", "11", "--out", str(est_out)])
         assert rc == 0
-        doc = json.loads((est_out / "estimate_K02.json").read_text())
-        recs = [json.loads(line) for line in
-                (exp_out / "records.jsonl").read_text().splitlines()]
-        rec2 = [r for r in recs if r["K_input"] == 2][0]
-        # hyperparameters fitted along both routes must agree exactly
-        assert doc["estimates"]["eb"]["hyper"]["alpha0"] == \
-            rec2["scores"][0]["hyper"]["alpha0"]
-        assert doc["estimates"]["eb"]["hyper"]["beta1"] == \
-            rec2["scores"][0]["hyper"]["beta1"]
+        recs = {r["K_input"]: r for r in map(json.loads, (exp_out / "records.jsonl")
+                                              .read_text().splitlines())}
+        # the experiment's own analysis of its replicate, for the estimates
+        # records.jsonl does not carry
+        cfg = ExperimentConfig.from_json_dict(
+            json.loads((exp_out / "manifest.json").read_text())["config"])
+        graph, truth, _ = _simulate_replicate(cfg, 0)
+        _, _, exp_estimates = analyze_graph(graph, cfg.k_range, 11, truth=truth, cfg=cfg)
+        assert [e["K"] for e in exp_estimates] == [1, 2, 3] == sorted(recs)
+        for est in exp_estimates:
+            K = est["K"]
+            doc = json.loads((est_out / f"estimate_K{K:02d}.json").read_text())
+            # both routes must agree exactly, K by K
+            assert doc["K_returned"] == recs[K]["K_returned"] == est["partition"].K
+            assert doc["estimates"]["eb"]["hyper"] == recs[K]["scores"][0]["hyper"]
+            for m in ("mle", "eb", "vbem"):
+                assert doc["estimates"][m]["theta"] == est[m].theta.ravel().tolist()
+            labels = (est_out / f"partition_K{K:02d}.txt").read_text().split()[1::2]
+            assert labels == [str(v) for v in est["partition"].labels]
         capsys.readouterr()
         rc = main(["select", "--graph", graph_file, "--k-range", "1..3",
                    "--seed", "11"])

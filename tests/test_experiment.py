@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from ebsbm.experiment import (
     run_experiment,
     run_testlik_protocol,
     _simulate_replicate,
+    _write_sidecars,
 )
 from ebsbm.graph import Graph, Partition
+from ebsbm.io import write_label_file
 from ebsbm.samplers import affiliation_theta, sample_sbm
 from helpers import two_cliques_graph
 
@@ -33,6 +36,17 @@ class TestConfig:
             small_cfg(model="nope")
         with pytest.raises(ValueError):
             ExperimentConfig(model="file")
+        # a simulated model has no use for input files
+        with pytest.raises(ValueError, match="need model 'file'"):
+            small_cfg(label_file="labels.txt")
+        with pytest.raises(ValueError, match="need model 'file'"):
+            small_cfg(graph_file="graph.txt")
+
+    def test_no_criterion_field(self):
+        # every run reports both criteria, so no field selects one
+        assert "criterion" not in {f.name for f in fields(ExperimentConfig)}
+        with pytest.raises(TypeError):
+            ExperimentConfig.from_json_dict({**small_cfg().to_json_dict(), "criterion": "EB"})
 
     def test_json_roundtrip(self):
         cfg = small_cfg()
@@ -47,6 +61,19 @@ class TestSimulate:
         assert truth["kind"] == "sbm"
         assert truth["partition"].n == g.n
         assert truth["theta"].shape == (truth["partition"].K, truth["partition"].K)
+
+    def test_label_sidecar_keeps_raw_labels(self, tmp_path):
+        # twelve nodes over ten clusters leave some label unused; the sidecar
+        # keeps the raw labels, one "node label" line each
+        cfg = small_cfg(n=12, k_star=10)
+        _, _, side = _simulate_replicate(cfg, 0)
+        raw = side["labels"]
+        assert np.setdiff1d(np.arange(1, raw.max() + 1), raw).size > 0
+        _write_sidecars(side, tmp_path, 0)
+        got = (tmp_path / "replicates" / "r000" / "labels.txt").read_bytes()
+        assert got == "".join(f"{i} {lab}\n" for i, lab in enumerate(raw.tolist())).encode()
+        write_label_file(raw, tmp_path / "direct.txt")
+        assert (tmp_path / "direct.txt").read_bytes() == got
 
     def test_deterministic(self):
         cfg = small_cfg()
@@ -156,3 +183,5 @@ def test_testlik_protocol_orders_methods():
     assert all(len(v) == 20 for v in out.values())
     med = {k: float(np.median(v)) for k, v in out.items()}
     assert med["EB"] >= med["MLE"]
+    with pytest.raises(ValueError, match="n_splits"):
+        run_testlik_protocol(g, part, n_splits=0)

@@ -81,6 +81,22 @@ class TestLabels:
         with pytest.raises(DataError):
             read_label_file(l, ids)
 
+    @pytest.mark.parametrize("text, lineno, node", [
+        ("a X\nb X\nc Y\nb Y\n", 4, "b"),  # once silently kept the last label
+        ("a X\na Y\nb Y\nc Y\n", 2, "a"),  # once reported an empty cluster
+    ])
+    def test_node_labelled_twice_rejected(self, tmp_path, text, lineno, node):
+        e = write(tmp_path, "e.txt", "a b\nb c\n")
+        l = write(tmp_path, "l.txt", text)
+        with pytest.raises(DataError, match=f"l.txt: line {lineno}: node '{node}' is labelled twice"):
+            ingest_network(e, l)
+
+    def test_write_raw_label_array(self, tmp_path):
+        # a raw label array may leave a label unused, unlike a Partition
+        path = tmp_path / "labels.txt"
+        write_label_file(np.array([1, 3, 3, 1]), path)
+        assert path.read_bytes() == b"0 1\n1 3\n2 3\n3 1\n"
+
     def test_roundtrip(self, tmp_path):
         part = Partition.from_labels([1, 2, 1, 3])
         path = tmp_path / "labels.txt"
