@@ -12,8 +12,11 @@ The EM updates the nodes' assignments in blocks of consecutive nodes, each
 block jointly (the fixed-point update of Daudin, Picard & Robin 2008); a
 sweep that ends below the previous sweep's objective is redone one node at
 a time, which is coordinate ascent (Latouche, Birmele & Ambroise 2012), so
-the objective never decreases. The spectral map's eigenvectors are
-computed once per graph at the largest K of a sweep and sliced for each K.
+the objective never decreases.
+
+This is the only module that puts the graph in matrix form: a sparse CSR
+adjacency built from the edge array, which the EM multiplies with and the
+spectral map wraps in a matrix-free operator for a Lanczos eigensolve.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as _la
+from scipy import sparse as _sparse
+from scipy.sparse import linalg as _sla
 from scipy.special import gammaln as _gammaln
 from scipy.special import psi as _psi
 from scipy.special import xlogy as _xlogy
@@ -104,29 +109,41 @@ def _kmeans_once(X, K, rng, max_iter=300):
     return labels, inertia, it, converged
 
 
-def _top_eigvecs(graph: Graph, width: int) -> np.ndarray:
-    """The top-`width` eigenvectors of the regularized normalized adjacency,
-    in ascending eigenvalue order, memoised on the graph per width.
+def _csr_adjacency(graph: Graph):
+    """Symmetric 0/1 adjacency of the graph as a scipy CSR array."""
+    i, j = graph.edges.T
+    rows, cols = np.concatenate((i, j)), np.concatenate((j, i))
+    return _sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(graph.n, graph.n))
 
-    Mean-degree/n is added to every adjacency entry before normalization
-    so isolated nodes stay well-defined. Only the n x width basis is kept.
+
+def _top_eigvecs(graph: Graph, K: int) -> np.ndarray:
+    """The top-K eigenvectors of the regularized normalized adjacency
+    D^-1/2 (A + tau/n 11') D^-1/2, in ascending eigenvalue order.
+
+    tau is the mean degree (Qin & Rohe 2013), which keeps isolated nodes
+    well-defined. The rank-one shift is applied implicitly, so no n x n
+    array is formed: ARPACK's Lanczos iteration (eigsh) runs on the
+    operator, started from a fixed vector so reruns are identical. ARPACK
+    needs K < n; for K = n the operator is applied to the identity and
+    solved densely.
     """
-    key = ("top_eigvecs", width)
-    if key not in graph._memo:
-        n = graph.n
-        tau = max(2.0 * graph.edge_count / n, 1e-8)
-        a = graph.adjacency() + tau / n
-        dinv = 1.0 / np.sqrt(a.sum(axis=1))
-        a *= dinv[:, None]
-        a *= dinv[None, :]
-        _, vecs = _la.eigh(a, subset_by_index=[n - width, n - 1], overwrite_a=True)
-        vecs.flags.writeable = False
-        graph._memo[key] = vecs
-    return graph._memo[key]
+    n = graph.n
+    a = _csr_adjacency(graph)
+    tau = max(2.0 * graph.edge_count / n, 1e-8)
+    dinv = 1.0 / np.sqrt(a.sum(axis=1) + tau)
+
+    def apply(x):
+        y = dinv[:, None] * x.reshape(n, -1)
+        return dinv[:, None] * (a @ y + (tau / n) * y.sum(axis=0))
+
+    if K >= n:
+        return _la.eigh(apply(np.eye(n)))[1]
+    op = _sla.LinearOperator((n, n), matvec=apply, dtype=np.float64)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    return _sla.eigsh(op, k=K, which="LA", tol=1e-10, v0=v0)[1]
 
 
-def spectral_partition(graph: Graph, K: int, seed: int,
-                       _width: int | None = None) -> DetectionResult:
+def spectral_partition(graph: Graph, K: int, seed: int) -> DetectionResult:
     """Cluster nodes via the top-K eigenvectors of the regularized
     normalized adjacency, row-normalized then k-means'd.
 
@@ -134,10 +151,6 @@ def spectral_partition(graph: Graph, K: int, seed: int,
     so isolated nodes stay well-defined. k-means runs 10 seeded restarts
     (streams spawned from the given seed); the lowest within-cluster sum
     of squares wins, ties going to the earliest restart.
-
-    The top eigenvectors are nested, so a sweep over K passes its largest
-    K as `_width`: the graph is eigensolved once at that width and each K
-    takes the top K columns. It defaults to K.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -147,8 +160,7 @@ def spectral_partition(graph: Graph, K: int, seed: int,
         part = Partition(labels=np.ones(graph.n, dtype=np.int64), K=1)
         return DetectionResult(partition=part, responsibilities=None,
                                converged=True, iterations=0)
-    width = K if _width is None else min(_width, graph.n)
-    vecs = _top_eigvecs(graph, width)[:, width - K:]
+    vecs = _top_eigvecs(graph, K)
     row_norm = np.linalg.norm(vecs, axis=1)
     emb = vecs / np.maximum(row_norm, 1e-12)[:, None]
 
@@ -168,7 +180,7 @@ def _expected_block_counts(R, X):
     """Expected edge and pair counts per unordered block under soft
     assignments R. Diagonal entries count i < j pairs once."""
     colsum = R.sum(axis=0)
-    C = R.T @ X @ R
+    C = R.T @ (X @ R)
     Q = R.T @ R
     pairs = np.outer(colsum, colsum) - Q
     edges = C.copy()
@@ -244,7 +256,7 @@ def variational_em(graph: Graph, K: int, init: DetectionResult,
     if init.partition.K > K:
         raise ValueError(f"init has {init.partition.K} clusters but K={K}")
     n = graph.n
-    X = graph.adjacency()
+    X = _csr_adjacency(graph)
 
     if init.responsibilities is not None and init.responsibilities.shape[1] == K:
         R = init.responsibilities.copy()
@@ -297,9 +309,8 @@ def variational_em(graph: Graph, K: int, init: DetectionResult,
 
 
 def detect_pipeline(graph: Graph, K: int, seed: int, max_iter: int = 100,
-                    tol: float = 1e-3, _width: int | None = None):
+                    tol: float = 1e-3):
     """Spectral initialization refined by variational EM; the default
-    partition provider for estimation and selection runs. `_width` is
-    passed on to `spectral_partition`."""
-    init = spectral_partition(graph, K, seed, _width=_width)
+    partition provider for estimation and selection runs."""
+    init = spectral_partition(graph, K, seed)
     return variational_em(graph, K, init, max_iter=max_iter, tol=tol)

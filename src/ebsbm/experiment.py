@@ -91,6 +91,12 @@ class ExperimentConfig:
             raise ValueError("k_range entries must be >= 1")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.vem_max_iter < 1:
+            raise ValueError("vem_max_iter must be >= 1")
+        if not self.vem_tol >= 0:
+            raise ValueError("vem_tol must be >= 0")
         if self.model == "file" and not self.graph_file:
             raise ValueError("model 'file' needs graph_file")
         if self.model != "file" and (self.graph_file or self.label_file):
@@ -162,8 +168,7 @@ def analyze_graph(graph: Graph, k_range, seed: int, truth=None,
     estimates = []
     for K in k_range:
         det, _, theta_vb = detect_pipeline(graph, K, seed,
-                                           max_iter=cfg.vem_max_iter, tol=cfg.vem_tol,
-                                           _width=max(k_range))
+                                           max_iter=cfg.vem_max_iter, tol=cfg.vem_tol)
         stats = block_stats(graph, det.partition)
         hyper = fit_hyperparams(stats)
         est_mle = mle_estimate(stats)

@@ -1,8 +1,9 @@
 """Core graph, partition and block-statistics types.
 
-Nodes are 0-indexed integers. A graph is stored once, as a sorted (m, 2)
-edge array; everything downstream works on that array or on per-block
-edge and pair counts (:func:`edge_tally`, :func:`pair_tally`), and node
+Nodes are 0-indexed integers. A graph is its node count and a sorted
+(m, 2) edge array, nothing more; everything downstream works on that array
+or on per-block edge and pair counts (:func:`edge_tally`, :func:`pair_tally`),
+and only community detection builds a (sparse) matrix from it. Node
 renaming and induced subgraphs share :func:`relabel_nodes`. Cluster
 labels run from 1 to K so that label files and reported tables read
 naturally; all internal matrix indexing subtracts one.
@@ -11,7 +12,6 @@ naturally; all internal matrix indexing subtracts one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,8 +31,7 @@ class Graph:
     array of pairs i < j, sorted by (i, j) and free of duplicates. The
     constructor accepts that array or any iterable of pairs; a self-loop,
     a reversed pair or an out-of-range pair raises ValueError. Equality
-    and hashing are on (n, edges). The dense adjacency is a cached view
-    used by detection only.
+    and hashing are on (n, edges), and the graph holds nothing else.
     """
 
     n: int
@@ -76,23 +75,6 @@ class Graph:
     def density(self) -> float:
         """Fraction of node pairs that are connected (0 for a single node)."""
         return self.edge_count / self.pair_count if self.n > 1 else 0.0
-
-    @cached_property
-    def _adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        i, j = self.edges.T
-        a[i, j] = 1.0
-        a[j, i] = 1.0
-        return _freeze(a)
-
-    @cached_property
-    def _memo(self) -> dict:
-        """Arrays other modules derive from this graph, keyed by name."""
-        return {}
-
-    def adjacency(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency matrix (read-only, cached)."""
-        return self._adjacency
 
 
 @dataclass(frozen=True, eq=False)

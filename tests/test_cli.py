@@ -70,6 +70,25 @@ class TestExitCodes:
         assert "need model 'file'" in capsys.readouterr().err
         assert not (tmp_path / "exp" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("experiment", "--workers", "-3"),
+        ("select", "--vem-max-iter", "-5"),
+        ("select", "--vem-tol", "-1"),
+    ])
+    def test_ignored_setting_is_2(self, tmp_path, capsys, command, flag, value):
+        # each once ran as if valid and exited 0
+        argv = [command, "--k-range", "3..4", flag, value]
+        if command == "experiment":
+            argv += ["--n", "30", "--k-star", "2", "--replicates", "1",
+                     "--out", str(tmp_path / "exp")]
+        else:
+            argv += ["--graph", str(bundled_data_path("synthetic_edges.txt"))]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "must be >=" in captured.err
+        assert "K_hat" not in captured.out
+        assert not (tmp_path / "exp" / "manifest.json").exists()
+
     def test_experiment_criterion_is_usage_error(self, tmp_path, capsys):
         # experiment always reports both criteria; the option selected nothing
         with pytest.raises(SystemExit) as exc:
@@ -127,7 +146,9 @@ class TestEstimate:
 
     def test_bundled_output_bytes_pinned(self, tmp_path, capsys):
         # sha256 of every file, computed before estimate ran through
-        # analyze_graph; the manifest's absolute graph path is masked
+        # analyze_graph (K05 and K06 since VEM multiplies by a sparse
+        # adjacency, which moves the VBEM theta's last digit); the
+        # manifest's absolute graph path is masked
         graph = bundled_data_path("synthetic_edges.txt")
         out = tmp_path / "est"
         rc = main(["estimate", "--graph", graph, "--k-range", "2..6", "--seed", "3",
@@ -137,8 +158,8 @@ class TestEstimate:
             "estimate_K02.json": "5b7fc1458deedc99e1cab7f798a087439e49081d707c03827d0f448dfba0b91f",
             "estimate_K03.json": "08681d35a31c7684a9057ece5e407f57d1743eadf19dd03bae7baa9bbfdc425c",
             "estimate_K04.json": "8e47e5a83cc27b173a63639ae00ccb6bd52a057d58713acb142defdc6f6a9998",
-            "estimate_K05.json": "ec32467278534c7e2c9867854990e6e0f2940b838b9e04808506eedeedb738a1",
-            "estimate_K06.json": "89ae3a3b2cdc3f7f7f83e767335b6eb5e04b901e5a818db13cbf8921671fedd2",
+            "estimate_K05.json": "c225d665e5fd02ba9adc7474bff9ca82c0767a87ddf49456b03c5cd6434e9bc8",
+            "estimate_K06.json": "eb63de8cd960b36759bfb572a098a5684bd3639a2766a226688e503e4779b411",
             "manifest.json": "54f781cd2abbef9f996b5cb69ef28a282a07ba3d6d959bc9e0da22453be6b5f5",
             "partition_K02.txt": "7e0fca3bb69293666c74f30b44384cb86643125b1e6b09fa76b18538ee2750f6",
             "partition_K03.txt": "8d0b9483c45a23de998c40ea68131b09a5d242567a3820e1b57da81702d168d9",

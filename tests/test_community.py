@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import linalg
 
 from ebsbm import community
 from ebsbm.community import (DetectionResult, _kmeans_once, detect_pipeline, spectral_partition,
@@ -69,18 +72,30 @@ class TestSpectral:
         back = r2.partition.labels[perm]
         assert hungarian_agreement(r1.partition.labels, back) == 1.0
 
-
-    def test_shared_eigenbasis_matches_standalone(self):
-        # a K sweep slices one eigensolve at its largest K; every K must
-        # cluster exactly as its own top-K eigensolve does
+    def test_matrix_free_eigvecs_match_dense_reference(self):
+        # reference: the regularized normalized adjacency written out as a
+        # dense matrix and eigensolved with eigh; the implicit-shift Lanczos
+        # solve must span the same top-K subspace
         spec = affiliation_theta(K=5, lam=0.8, epsilon=0.1, rho=0.5)
         g, _ = sample_sbm(spec, n=120, seed=4)
+        n = g.n
+        a = np.zeros((n, n))
+        a[g.edges[:, 0], g.edges[:, 1]] = a[g.edges[:, 1], g.edges[:, 0]] = 1.0
+        a += 2.0 * g.edge_count / n / n
+        dinv = 1.0 / np.sqrt(a.sum(axis=1))
+        _, ref = linalg.eigh(dinv[:, None] * a * dinv[None, :])
         for K in range(2, 9):
-            alone = spectral_partition(Graph(n=g.n, edges=g.edges), K=K, seed=K)
-            shared = spectral_partition(g, K=K, seed=K, _width=8)
-            assert shared.partition == alone.partition
-            assert shared.iterations == alone.iterations
-        assert list(g._memo) == [("top_eigvecs", 8)]
+            got = community._top_eigvecs(g, K)
+            cosines = linalg.svdvals(ref[:, n - K:].T @ got)
+            assert got.shape == (n, K)
+            assert cosines.min() >= 1 - 1e-9
+
+    @pytest.mark.parametrize("K", [5, 6])
+    def test_k_at_node_count(self, K):
+        # ARPACK needs K < n; K = n takes the dense path
+        g = Graph(n=6, edges=[(0, 1), (1, 2), (0, 2), (3, 4)])
+        res = spectral_partition(g, K=K, seed=0)
+        assert res.partition.n == 6 and 1 <= res.partition.K <= K
 
 
 class TestKmeans:
@@ -138,7 +153,7 @@ class TestVariationalEm:
         # pinned: on this graph and random init the last batched sweep ends
         # (by rounding) below the sweep before it, so it is redone node by node
         spec = affiliation_theta(K=3, lam=0.8, epsilon=0.1, rho=1.0)
-        g, _ = sample_sbm(spec, n=40, seed=9)
+        g, _ = sample_sbm(spec, n=40, seed=13)
         blocks, values = [], []
         e_step, elbo = community._e_step, community._elbo
 
@@ -154,7 +169,7 @@ class TestVariationalEm:
         monkeypatch.setattr(community, "_e_step", step)
         monkeypatch.setattr(community, "_elbo", objective)
         trace = []
-        res, _, _ = variational_em(g, K=3, init=_random_init(g.n, 3, 9), trace=trace)
+        res, _, _ = variational_em(g, K=3, init=_random_init(g.n, 3, 13), trace=trace)
         # sweep j's batched E-step is call j; its redo is call j + 1
         j = blocks.index(1) - 1
         assert blocks.count(1) == 1 and j >= 1
@@ -236,6 +251,22 @@ class TestDetectPipeline:
         g, labels = cliques_graph(10)
         det, _, theta_vb = detect_pipeline(g, K=2, seed=0)
         assert hungarian_agreement(det.partition.labels, labels) == 1.0
+
+    def test_allocates_no_node_by_node_array(self):
+        # at n=3000 one n x n array is 72 MB in float64 and 9 MB even at one
+        # byte an entry; detection needs O(m + nK^2) memory (the sparse
+        # adjacency, n x K assignments, the Lanczos basis and k-means'
+        # n x K x K distances), about 3.5 MB here, so 8 MB leaves headroom
+        # yet admits no n x n array of any dtype
+        spec = affiliation_theta(K=10, lam=0.9, epsilon=0.1, rho=0.02)
+        g, _ = sample_sbm(spec, n=3000, seed=0)
+        tracemalloc.start()
+        try:
+            detect_pipeline(g, K=10, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, f"peak allocation {peak / 1e6:.1f} MB"
 
 
 def test_detection_result_validation():

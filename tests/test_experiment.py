@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import ebsbm
 from ebsbm.experiment import (
     ExperimentConfig,
     analyze_graph,
@@ -32,6 +36,12 @@ class TestConfig:
             small_cfg(k_range=())
         with pytest.raises(ValueError):
             small_cfg(replicates=0)
+        # each once ran as if valid: workers < 1 serially, vem_max_iter < 1
+        # with no EM sweep and a negative vem_tol up to the sweep cap
+        for bad in ({"workers": 0}, {"workers": -3}, {"vem_max_iter": 0},
+                    {"vem_max_iter": -5}, {"vem_tol": -1.0}, {"vem_tol": float("nan")}):
+            with pytest.raises(ValueError, match=f"{next(iter(bad))} must be"):
+                small_cfg(**bad)
         with pytest.raises(ValueError):
             small_cfg(model="nope")
         with pytest.raises(ValueError):
@@ -116,6 +126,30 @@ class TestRun:
         b = run_experiment(small_cfg(workers=2), out_dir=str(tmp_path / "p"))
         assert (tmp_path / "s" / "records.jsonl").read_bytes() == \
             (tmp_path / "p" / "records.jsonl").read_bytes()
+
+    def test_records_independent_of_blas_threads(self, tmp_path):
+        # one replicate of the criterion-5 configuration; a manifest-driven
+        # rerun on a machine with another core count must give the same bytes
+        script = (
+            "import sys\n"
+            "from ebsbm.experiment import ExperimentConfig, run_experiment\n"
+            "cfg = ExperimentConfig(model='sbm-affiliation', n=400, k_star=10, lam=0.9,\n"
+            "                       epsilon=0.1, rho=0.2, k_range=tuple(range(5, 16)),\n"
+            "                       replicates=1, base_seed=2000, workers=1,\n"
+            "                       write_replicates=False)\n"
+            "run_experiment(cfg, out_dir=sys.argv[1])\n"
+        )
+        src = os.path.dirname(os.path.dirname(ebsbm.__file__))
+        records = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True,
+                           timeout=300)
+            records.append((out / "records.jsonl").read_bytes())
+        assert records[0].count(b"\n") == 11
+        assert records[0] == records[1]
 
     def test_selection_summary_shape(self):
         res = run_experiment(small_cfg(write_replicates=False))

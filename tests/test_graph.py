@@ -38,14 +38,6 @@ class TestGraph:
         assert g.pair_count == 6
         assert g.density() == pytest.approx(2 / 6)
 
-    def test_adjacency_symmetric(self):
-        g = make(4, [(0, 1), (1, 3)])
-        a = g.adjacency()
-        assert np.array_equal(a, a.T)
-        assert a[0, 1] == 1 and a[3, 1] == 1 and a[0, 3] == 0
-        with pytest.raises(ValueError):
-            a[0, 0] = 5  # read-only
-
 
 class TestEdgeArray:
     PAIRS = [(2, 3), (0, 1), (1, 3), (0, 2)]
@@ -71,7 +63,6 @@ class TestEdgeArray:
         for edges in ([], frozenset(), np.zeros((0, 2), dtype=np.int64)):
             g = Graph(n=3, edges=edges)
             assert g.edges.shape == (0, 2) and g.edge_count == 0
-            assert not g.adjacency().any()
 
     def test_input_array_is_copied(self):
         raw = np.array([[0, 1], [1, 2]])
