@@ -18,7 +18,7 @@ from .graph import (
     compact_partition,
     induced_subgraph,
 )
-from .numerics import Bounds, MaximizeResult, digamma, log_beta, log_gamma, maximize_box
+from .numerics import digamma, log_beta, log_gamma
 from .samplers import (
     GraphonSpec,
     SbmSpec,

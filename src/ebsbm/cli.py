@@ -24,6 +24,7 @@ from .experiment import (
     _write_sidecars,
     analyze_graph,
     annotation_truth,
+    check_k_range,
     run_experiment,
     run_testlik_protocol,
     write_json,
@@ -47,9 +48,7 @@ def _parse_k_range(text):
         k_range = tuple(range(int(lo), int(hi) + 1))
     else:
         k_range = tuple(int(t) for t in text.split(","))
-    if not k_range:
-        raise ValueError("k_range must be nonempty")
-    return k_range
+    return check_k_range(k_range)
 
 
 def _out_dir(args, command):
@@ -110,9 +109,9 @@ def cmd_simulate(args):
 
 
 def cmd_estimate(args):
+    k_range = _parse_k_range(args.k_range)
     out = _require_out(args, "estimate")
     graph, _, report = read_edge_list(args.graph)
-    k_range = _parse_k_range(args.k_range)
     _, _, estimates = _analyze(args, graph, k_range)
     for est in estimates:
         K, part = est["K"], est["partition"]
@@ -133,8 +132,8 @@ def cmd_estimate(args):
 
 
 def cmd_select(args):
-    graph, _, report = read_edge_list(args.graph)
     k_range = _parse_k_range(args.k_range)
+    graph, _, report = read_edge_list(args.graph)
     records, selection, _ = _analyze(args, graph, k_range)
     scores = [rec.scores[0] for rec in records]
     k_hat = selection[args.criterion]
@@ -155,11 +154,11 @@ def cmd_select(args):
 
 
 def cmd_evaluate(args):
+    k_range = _parse_k_range(args.k_range) if args.k_range else None
     graph, part, _, report = ingest_network(args.graph, args.labels)
     if part is None:
         raise DataError("evaluate needs --labels with annotated memberships")
     print(f"ingested n={report['n']} edges={report['edges']} labels={report['k_labels']}")
-    k_range = _parse_k_range(args.k_range) if args.k_range else None
     # the protocol first, so a bad --splits or --fraction fails before the K sweep
     loglik = run_testlik_protocol(graph, part, n_splits=args.splits,
                                   fraction=args.fraction, base_seed=args.seed)
@@ -212,6 +211,8 @@ def cmd_experiment(args):
         print(f"{row['criterion']}: k_hats={row['frequencies']}{extra}")
     if res.skipped:
         print(f"skipped {len(res.skipped)} replicate(s)", file=sys.stderr)
+        for skip in res.skipped:
+            print(f"replicate {skip['replicate']}: {skip['error']}", file=sys.stderr)
     return 2 if len(res.skipped) == cfg.replicates else 0
 
 

@@ -7,8 +7,8 @@ adjacency data integrates theta out blockwise:
 
     sum_blocks log Beta(alpha + X, beta + n - X) - (#blocks) log Beta(alpha, beta)
 
-Maximizing it over the hyperparameters (in log space, inside a fixed box)
-and plugging the maximizer into the conditional posterior mean
+Maximizing it over the hyperparameters and plugging the maximizer into
+the conditional posterior mean
 
     (alpha + X) / (alpha + beta + n)
 
@@ -16,27 +16,32 @@ gives the empirical Bayes estimate. The same posterior-mean formula with
 user-pinned hyperparameters is the fixed-prior baseline, and the raw block
 frequency X / n is the MLE baseline.
 
-The marginal and its gradient are written once, in ``_marginal_and_grad``,
-which the optimizer objective, :func:`marginal_loglik` and
-:func:`loglik_gradient` all call. Inputs are checked at the API boundary
-(``BlockStats``, the public functions' hyperparameters and ``which``, and
-the log-space box); the kernel itself calls SciPy unchecked.
+The fit runs L-BFGS-B in (log alpha, log beta) over the fixed box
+[log HYPER_BOX_LOWER, log HYPER_BOX_UPPER]^2 (:func:`maximize_box`), one
+2-D fit per block family. The marginal and its gradient are written once,
+in ``_marginal_and_grad``, which the fit's objective,
+:func:`marginal_loglik` and :func:`loglik_gradient` all call. Inputs are
+checked at the API boundary (``BlockStats`` and the public functions'
+hyperparameters and ``which``); the kernel itself calls SciPy unchecked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import betaln, psi
 
 from .graph import BlockStats
-from .numerics import Bounds, maximize_box
 
 # Hyperparameter search box; spans essentially-no-shrinkage (1e-4) through
 # full-pooling (1e6) regimes. Optimization runs on log(alpha), log(beta).
 HYPER_BOX_LOWER = 1e-4
 HYPER_BOX_UPPER = 1e6
+_LOG_LO = np.log(HYPER_BOX_LOWER)
+_LOG_HI = np.log(HYPER_BOX_UPPER)
 
 _WHICH = ("diagonal", "offdiagonal")
 
@@ -231,6 +236,51 @@ def _moment_init(x, m):
     return np.clip(np.array([mu * s, (1 - mu) * s]), lo, hi)
 
 
+class BoxFit(NamedTuple):
+    argmax: np.ndarray
+    converged: bool
+    iterations: int
+
+
+def maximize_box(objective, init) -> BoxFit:
+    """Maximize a smooth objective over the log-space box by L-BFGS-B.
+
+    `objective` maps u = (log alpha, log beta) to (value, gradient) and
+    must be finite at `init`, a point of the box. Iterations stop once the
+    projected gradient max-norm drops below 1e-6 or after 500; in the
+    latter case ``converged`` is False and the best iterate is still
+    returned. The result never leaves the box, and if its value is below
+    the value at `init` (a line-search pathology) `init` is returned,
+    unconverged. Deterministic given `init`.
+    """
+    x0 = np.asarray(init, dtype=np.float64)
+    f0, g0 = objective(x0)
+    if not np.isfinite(f0) or not np.all(np.isfinite(g0)):
+        raise ValueError("objective is not finite at init")
+    # the last evaluated point and (f, g) there: serves L-BFGS-B's first
+    # call at x0 and the value at the returned point, evaluated last
+    last_x, last_fg = x0, (f0, g0)
+
+    def evaluate(x):
+        nonlocal last_x, last_fg
+        if not np.array_equal(x, last_x):
+            last_x, last_fg = np.array(x, dtype=np.float64), objective(x)
+        return last_fg
+
+    def negated(x):
+        f, g = evaluate(x)
+        return -float(f), -np.asarray(g, dtype=np.float64)
+
+    res = minimize(negated, x0=x0, jac=True, method="L-BFGS-B",
+                   bounds=[(_LOG_LO, _LOG_HI)] * 2,
+                   options={"maxiter": 500, "gtol": 1e-6, "ftol": 1e-15})
+    x = np.clip(res.x, _LOG_LO, _LOG_HI)
+    if float(evaluate(x)[0]) < float(f0):
+        return BoxFit(argmax=x0, converged=False, iterations=int(res.nit))
+    converged = bool(res.success) or "CONVER" in str(res.message).upper()
+    return BoxFit(argmax=x, converged=converged, iterations=int(res.nit))
+
+
 def _fit_pair(x, m):
     """Maximize the blockwise marginal over (alpha, beta) in log space."""
 
@@ -239,13 +289,9 @@ def _fit_pair(x, m):
         f, da, db = _marginal_and_grad(a, b, x, m)
         return f, np.array([da * a, db * b])
 
-    log_lo = np.log(HYPER_BOX_LOWER)
-    log_hi = np.log(HYPER_BOX_UPPER)
-    bounds = Bounds(lower=np.full(2, log_lo), upper=np.full(2, log_hi))
-    init = np.clip(np.log(_moment_init(x, m)), log_lo + 1e-9, log_hi - 1e-9)
-    res = maximize_box(objective, bounds, init)
-    a, b = np.exp(res.argmax)
-    return float(a), float(b), res.converged
+    fit = maximize_box(objective, np.log(_moment_init(x, m)))
+    a, b = np.exp(fit.argmax)
+    return float(a), float(b), fit.converged
 
 
 def fit_hyperparams(stats: BlockStats) -> HyperParams:

@@ -13,7 +13,8 @@ per-replicate records plus summary tables to an output directory:
       replicates/rNNN/  simulated edge lists and truth sidecars
 
 Replicate r draws from seed base_seed + r and is independent of the
-others, so replicates parallelize across a process pool. Graphs are
+others, so replicates parallelize across a process pool; a file model is
+loaded once and handed to every replicate. Graphs are
 canonicalized to the node order an edge-list round-trip produces, which
 makes one-replicate runs equal the composed simulate/estimate/select
 commands output-for-output.
@@ -84,11 +85,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in _MODELS:
             raise ValueError(f"model must be one of {_MODELS}")
-        if not self.k_range:
-            raise ValueError("k_range must be nonempty")
-        object.__setattr__(self, "k_range", tuple(int(k) for k in self.k_range))
-        if any(k < 1 for k in self.k_range):
-            raise ValueError("k_range entries must be >= 1")
+        object.__setattr__(self, "k_range", check_k_range(self.k_range))
+        if self.model != "file":
+            if self.n < 1:
+                raise ValueError("n must be >= 1")
+            _model_spec(self)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.workers < 1:
@@ -110,6 +111,29 @@ class ExperimentConfig:
         return cls(**d)
 
 
+def check_k_range(k_range) -> tuple:
+    """k_range as a tuple of ints; raises unless it is nonempty, every K
+    is >= 1 and no K repeats."""
+    k_range = tuple(int(k) for k in k_range)
+    if not k_range:
+        raise ValueError("k_range must be nonempty")
+    if any(k < 1 for k in k_range):
+        raise ValueError("k_range entries must be >= 1")
+    if len(set(k_range)) < len(k_range):
+        raise ValueError(f"k_range must not repeat a K, got {list(k_range)}")
+    return k_range
+
+
+def _model_spec(cfg: ExperimentConfig):
+    """The simulated model's SbmSpec or GraphonSpec; raises on parameters
+    the model does not admit."""
+    if cfg.model == "sbm-affiliation":
+        return affiliation_theta(cfg.k_star, cfg.lam, cfg.epsilon, cfg.rho)
+    if cfg.model == "graphon-powerlaw":
+        return powerlaw_graphon(cfg.rho, cfg.lam)
+    raise ValueError(f"model {cfg.model!r} is not simulated")
+
+
 def _restrict_truth(theta_full, raw_labels1, ids):
     """Truth matrix and partition restricted to the kept nodes; clusters
     that lost every node are dropped from both."""
@@ -124,8 +148,8 @@ def _restrict_truth(theta_full, raw_labels1, ids):
 def _simulate_replicate(cfg: ExperimentConfig, r: int):
     """Returns (canonical graph, truth dict, sidecars dict)."""
     seed = cfg.base_seed + r
+    spec = _model_spec(cfg)
     if cfg.model == "sbm-affiliation":
-        spec = affiliation_theta(cfg.k_star, cfg.lam, cfg.epsilon, cfg.rho)
         graph, z0 = _draw_sbm(spec, cfg.n, seed)
         raw1 = z0 + 1
         order = canonical_order(graph)
@@ -133,15 +157,12 @@ def _simulate_replicate(cfg: ExperimentConfig, r: int):
         theta_t, part_t = _restrict_truth(spec.theta, raw1, order)
         truth = {"kind": "sbm", "theta": theta_t, "partition": part_t}
         sidecars = {"graph": graph, "labels": raw1}
-    elif cfg.model == "graphon-powerlaw":
-        spec = powerlaw_graphon(cfg.rho, cfg.lam)
+    else:
         graph, latents = sample_graphon(spec, cfg.n, seed)
         order = canonical_order(graph)
         g = relabel_nodes(graph, order)
         truth = {"kind": "graphon", "spec": spec}
         sidecars = {"graph": graph, "latents": latents}
-    else:
-        raise ValueError(cfg.model)
     return g, truth, sidecars
 
 
@@ -208,12 +229,6 @@ def _run_one(cfg: ExperimentConfig, r: int, loaded=None):
             "sidecars": sidecars}
 
 
-def _worker(args):
-    cfg, r = args
-    loaded = _load_file_model(cfg) if cfg.model == "file" else None
-    return _run_one(cfg, r, loaded=loaded)
-
-
 def _load_file_model(cfg: ExperimentConfig):
     graph, part, _, _ = ingest_network(cfg.graph_file, cfg.label_file)
     return graph, (annotation_truth(graph, part) if part is not None else None)
@@ -244,7 +259,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     tasks = list(range(cfg.replicates))
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = {r: pool.submit(_worker, (cfg, r)) for r in tasks}
+            futures = {r: pool.submit(_run_one, cfg, r, loaded) for r in tasks}
             for r in tasks:
                 try:
                     results.append(futures[r].result())

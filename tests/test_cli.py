@@ -48,6 +48,40 @@ class TestExitCodes:
         assert "k_range must be nonempty" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command", ["estimate", "select", "evaluate", "experiment"])
+    def test_repeated_k_is_2(self, tmp_path, capsys, command):
+        # experiment once ran K=2 twice per replicate and counted it twice
+        path = cliques_file(tmp_path)
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join(f"{i} {1 + i // 10}\n" for i in range(20)))
+        out = tmp_path / "out"
+        argv = [command, "--graph", str(path), "--k-range", "2,2", "--out", str(out)]
+        if command == "evaluate":
+            argv += ["--labels", str(labels), "--splits", "1"]
+        if command == "experiment":
+            argv += ["--replicates", "2", "--workers", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "k_range must not repeat a K" in captured.err
+        assert captured.out == ""
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--lambda", "2"], "need 0 <= epsilon < lam <= 1"),
+        (["--n", "0"], "n must be >= 1"),
+        (["--model", "graphon-powerlaw", "--rho", "0.5", "--lambda", "3"],
+         "rho * lam^2 must not exceed 1"),
+    ])
+    def test_invalid_model_is_2(self, tmp_path, capsys, flags, message):
+        # each once skipped every replicate and exited 2 without the reason
+        rc = main(["experiment", "--k-range", "2..3", "--replicates", "2", "--workers", "1",
+                   "--out", str(tmp_path / "exp")] + flags)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "k_hats" not in captured.out
+        assert not (tmp_path / "exp" / "manifest.json").exists()
+
     def test_zero_splits_is_2(self, tmp_path, capsys):
         # zero splits once printed nan medians and exited 0; the K sweep
         # must not run first
@@ -232,7 +266,10 @@ class TestSimulateAndExperiment:
         rc = main(["experiment", "--n", "30", "--k-star", "2", "--k-range", "1..2",
                    "--replicates", "2", "--workers", "1", "--out", str(tmp_path / "exp")])
         assert rc == rc_expected
-        assert f"skipped {len(failing)} replicate(s)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"skipped {len(failing)} replicate(s)" in err
+        for r in (0, 1):
+            assert (f"replicate {r}: RuntimeError: synthetic failure" in err) == (r in failing)
 
     def test_experiment_composes_from_simulate_estimate_select(self, tmp_path, capsys):
         # one replicate, same seeds: the pipeline equals its parts

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from ebsbm.estimator import (
     HYPER_BOX_LOWER,
@@ -13,6 +16,7 @@ from ebsbm.estimator import (
     fixed_prior_estimate,
     loglik_gradient,
     marginal_loglik,
+    maximize_box,
     mle_estimate,
 )
 from ebsbm.graph import BlockStats, Graph, Partition, block_stats
@@ -200,6 +204,81 @@ class TestFitHyperparams:
             hp = fit_hyperparams(random_stats(rng))
             for v in (hp.alpha0, hp.beta0, hp.alpha1, hp.beta1):
                 assert HYPER_BOX_LOWER * 0.999 <= v <= HYPER_BOX_UPPER * 1.001
+
+
+LOG_LO = math.log(HYPER_BOX_LOWER)
+LOG_HI = math.log(HYPER_BOX_UPPER)
+
+
+def quad_obj(center, scale=1.0):
+    """-scale * |u - center|^2 and its gradient, in log space."""
+    center = np.asarray(center, dtype=np.float64)
+
+    def f(u):
+        d = u - center
+        return -scale * float(d @ d), -2 * scale * d
+    return f
+
+
+class TestMaximizeBox:
+    def test_interior_quadratic(self):
+        res = maximize_box(quad_obj([3.0, -2.0]), np.zeros(2))
+        assert np.allclose(res.argmax, [3.0, -2.0], atol=1e-6)
+        assert res.converged
+
+    def test_boundary_quadratic(self):
+        # the optimum lies beyond log(HYPER_BOX_UPPER) in the first coordinate
+        res = maximize_box(quad_obj([20.0, 1.0]), np.zeros(2))
+        assert res.argmax[0] == pytest.approx(LOG_HI, abs=1e-8)
+        assert res.argmax[1] == pytest.approx(1.0, abs=1e-6)
+
+    def test_2d_anisotropic(self):
+        # oracle: the stationary point of -(u-1)^2 - 10(v-2)^2 is (1, 2)
+        def f(u):
+            v = -((u[0] - 1.0) ** 2) - 10.0 * (u[1] - 2.0) ** 2
+            g = np.array([-2.0 * (u[0] - 1.0), -20.0 * (u[1] - 2.0)])
+            return v, g
+
+        res = maximize_box(f, np.array([0.5, 0.5]))
+        assert np.allclose(res.argmax, [1.0, 2.0], atol=1e-6)
+        assert f(res.argmax)[0] == pytest.approx(0.0, abs=1e-10)
+
+    def test_nonfinite_init_rejected(self):
+        def f(u):
+            return float("nan"), np.zeros(2)
+
+        with pytest.raises(ValueError, match="not finite at init"):
+            maximize_box(f, np.zeros(2))
+
+    @pytest.mark.parametrize("center", [3.0, 20.0])
+    def test_objective_calls_equal_lbfgsb_evaluations(self, center):
+        # the init check serves L-BFGS-B's first evaluation and the last
+        # evaluation serves the returned value: no call outside the solver
+        f = quad_obj([center, 1.0])
+        calls = []
+
+        def counted(u):
+            calls.append(np.array(u))
+            return f(u)
+
+        init = np.array([1.0, -1.0])
+        res = maximize_box(counted, init)
+        direct = minimize(lambda u: tuple(-v for v in f(u)), init, jac=True,
+                          method="L-BFGS-B", bounds=[(LOG_LO, LOG_HI)] * 2,
+                          options={"maxiter": 500, "gtol": 1e-6, "ftol": 1e-15})
+        assert len(calls) == direct.nfev
+        assert np.array_equal(res.argmax, direct.x)
+        assert np.array_equal(calls[-1], res.argmax)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.tuples(st.floats(-15, 20), st.floats(-15, 20)),
+           st.tuples(st.floats(LOG_LO + 0.05, LOG_HI - 0.05),
+                     st.floats(LOG_LO + 0.05, LOG_HI - 0.05)))
+    def test_stays_in_box_and_improves(self, center, start):
+        f = quad_obj(center)
+        res = maximize_box(f, np.array(start))
+        assert np.all(res.argmax >= LOG_LO) and np.all(res.argmax <= LOG_HI)
+        assert f(res.argmax)[0] >= f(np.array(start))[0] - 1e-12
 
 
 class TestPinnedValues:

@@ -52,6 +52,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="need model 'file'"):
             small_cfg(graph_file="graph.txt")
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"lam": 2.0}, "need 0 <= epsilon < lam <= 1"),
+        ({"n": 0}, "n must be >= 1"),
+        ({"model": "graphon-powerlaw", "rho": 0.5, "lam": 3.0},
+         "rho \\* lam\\^2 must not exceed 1"),
+        ({"k_range": (2, 2)}, "must not repeat a K"),
+    ])
+    def test_rejected_before_any_replicate(self, bad, message):
+        # each once skipped every replicate (or, for a repeated K, wrote its
+        # records twice) instead of failing
+        with pytest.raises(ValueError, match=message):
+            small_cfg(**bad)
+
     def test_no_criterion_field(self):
         # every run reports both criteria, so no field selects one
         assert "criterion" not in {f.name for f in fields(ExperimentConfig)}
@@ -181,6 +194,34 @@ class TestRun:
         assert len(manifest["skipped"]) == 1
         # records only for completed replicates
         assert {rec.replicate for rec in res.records} == {0, 2}
+
+    def test_file_model_ingested_once_with_workers(self, tmp_path, monkeypatch):
+        # workers get the loaded graph; the file is gone once it is read, so
+        # a re-ingest in any worker would skip its replicate
+        import ebsbm.experiment as mod
+
+        g, _ = sample_sbm(affiliation_theta(K=2, lam=0.8, epsilon=0.1, rho=1.0), n=40, seed=5)
+        path = tmp_path / "g.txt"
+        from ebsbm.io import write_edge_list
+
+        write_edge_list(g, path)
+        real = mod.ingest_network
+        calls = []
+
+        def counted(graph_file, label_file=None):
+            calls.append(graph_file)
+            loaded = real(graph_file, label_file)
+            os.remove(graph_file)
+            return loaded
+
+        monkeypatch.setattr(mod, "ingest_network", counted)
+        cfg = ExperimentConfig(model="file", graph_file=str(path), k_range=(2, 3),
+                               replicates=3, base_seed=0, workers=2,
+                               write_replicates=False)
+        res = run_experiment(cfg)
+        assert res.skipped == []
+        assert len(calls) == 1
+        assert len(res.records) == 3 * 2
 
     def test_file_model_without_labels(self, tmp_path):
         spec = affiliation_theta(K=2, lam=0.8, epsilon=0.1, rho=1.0)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
 
-from ebsbm.numerics import Bounds, digamma, log_beta, log_gamma, maximize_box
+from ebsbm.numerics import digamma, log_beta, log_gamma
 
 EULER = 0.5772156649015329
 
@@ -100,91 +99,3 @@ class TestDigamma:
     def test_domain(self):
         with pytest.raises(ValueError):
             digamma(0.0)
-
-
-class TestBounds:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Bounds(lower=np.array([0.0, 1.0]), upper=np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            Bounds(lower=np.array([0.0]), upper=np.array([np.inf]))
-
-    def test_contains_and_clip(self):
-        b = Bounds(lower=np.array([0.0, 0.0]), upper=np.array([1.0, 2.0]))
-        assert b.contains([0.5, 1.0], strict=True)
-        assert not b.contains([0.0, 1.0], strict=True)
-        assert np.array_equal(b.clip([-1.0, 5.0]), [0.0, 2.0])
-
-
-def quad_obj(center, scale=1.0):
-    def f(x):
-        d = x - center
-        return -scale * float(d @ d), -2 * scale * d
-    return f
-
-
-class TestMaximizeBox:
-    def test_interior_quadratic(self):
-        b = Bounds(lower=np.array([0.0]), upper=np.array([10.0]))
-        res = maximize_box(quad_obj(np.array([3.0])), b, np.array([1.0]))
-        assert res.argmax[0] == pytest.approx(3.0, abs=1e-6)
-        assert res.converged
-
-    def test_boundary_quadratic(self):
-        b = Bounds(lower=np.array([0.0]), upper=np.array([2.0]))
-        res = maximize_box(quad_obj(np.array([3.0])), b, np.array([1.0]))
-        assert res.argmax[0] == pytest.approx(2.0, abs=1e-8)
-
-    def test_2d_anisotropic(self):
-        # oracle: the stationary point of -(x-1)^2 - 10(y-2)^2 is (1, 2)
-        def f(x):
-            v = -((x[0] - 1.0) ** 2) - 10.0 * (x[1] - 2.0) ** 2
-            g = np.array([-2.0 * (x[0] - 1.0), -20.0 * (x[1] - 2.0)])
-            return v, g
-
-        b = Bounds(lower=np.zeros(2), upper=np.full(2, 5.0))
-        res = maximize_box(f, b, np.array([0.5, 0.5]))
-        assert np.allclose(res.argmax, [1.0, 2.0], atol=1e-6)
-        assert res.value == pytest.approx(0.0, abs=1e-10)
-
-    def test_nonfinite_init_rejected(self):
-        def f(x):
-            return float("nan"), np.zeros(1)
-
-        b = Bounds(lower=np.array([0.0]), upper=np.array([1.0]))
-        with pytest.raises(ValueError):
-            maximize_box(f, b, np.array([0.5]))
-
-    @pytest.mark.parametrize("center", [3.0, 12.0])
-    def test_objective_calls_equal_lbfgsb_evaluations(self, center):
-        # the init check serves L-BFGS-B's first evaluation and the last
-        # evaluation serves the returned value: no call outside the solver
-        f = quad_obj(np.array([center]))
-        calls = []
-
-        def counted(x):
-            calls.append(np.array(x))
-            return f(x)
-
-        b = Bounds(lower=np.array([0.0]), upper=np.array([10.0]))
-        res = maximize_box(counted, b, np.array([1.0]))
-        direct = minimize(lambda x: tuple(-v for v in f(x)), np.array([1.0]), jac=True,
-                          method="L-BFGS-B", bounds=[(0.0, 10.0)],
-                          options={"maxiter": 500, "gtol": 1e-6, "ftol": 1e-15})
-        assert len(calls) == direct.nfev
-        assert np.array_equal(res.argmax, direct.x)
-        assert res.value == f(res.argmax)[0]
-
-    def test_init_must_be_strictly_inside(self):
-        b = Bounds(lower=np.array([0.0]), upper=np.array([1.0]))
-        with pytest.raises(ValueError):
-            maximize_box(quad_obj(np.array([0.5])), b, np.array([0.0]))
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.floats(-5, 15), st.floats(0.05, 9.95))
-    def test_stays_in_box_and_improves(self, center, start):
-        b = Bounds(lower=np.array([0.0]), upper=np.array([10.0]))
-        f = quad_obj(np.array([center]))
-        res = maximize_box(f, b, np.array([start]))
-        assert b.contains(res.argmax)
-        assert res.value >= f(np.array([start]))[0] - 1e-12
