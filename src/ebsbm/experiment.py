@@ -347,7 +347,7 @@ def _write_sidecars(side, out_dir, r):
     if "latents" in side:
         with open(os.path.join(sub, "latents.txt"), "w") as fh:
             for i, u in enumerate(side["latents"]):
-                fh.write(f"{i} {u!r}\n")
+                fh.write(f"{i} {float(u)!r}\n")
 
 
 def _write_selection_csv(rows, path):

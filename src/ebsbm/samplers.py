@@ -3,6 +3,11 @@
 All sampling uses NumPy's PCG64 generator (``np.random.default_rng(seed)``),
 so identical (spec, n, seed) inputs reproduce the same graph bit for bit.
 Replicate r of an experiment draws from seed ``base_seed + r``.
+
+A sampler first draws the n node labels (or latents), then one uniform per
+pair i < j in ``np.triu_indices(n, 1)`` order: row by row, columns
+ascending. The pairs are visited a block of rows at a time, so memory is
+O(n + m + block) for m edges, never O(n^2); time is still O(n^2).
 """
 
 from __future__ import annotations
@@ -121,10 +126,32 @@ def affiliation_theta(K: int, lam: float, epsilon: float, rho: float) -> SbmSpec
     return SbmSpec(pi=np.full(K, 1.0 / K), theta=theta)
 
 
-def _pair_edges(rng, probs_upper, iu):
-    draws = rng.random(probs_upper.size)
-    keep = draws < probs_upper
-    return np.column_stack((iu[0][keep], iu[1][keep]))
+# A block's tile spans at most this many (row, column) entries, or one
+# row if that is longer: about 8 MB per float64 tile.
+_BLOCK_PAIRS = 1 << 20
+
+
+def _sample_pairs(rng, n, tile):
+    """Edges i < j, each pair drawn once in ``np.triu_indices(n, 1)`` order.
+
+    ``tile(r0, r1, upper)`` gives the edge probabilities of rows r0..r1-1
+    against columns r0+1..n-1. Only the tile's upper triangle ``upper``
+    (column > row) holds pairs: the draws fill it in row-major order, which
+    is triu order, and nothing below it or on its diagonal can become an
+    edge.
+    """
+    chunks = [np.empty((0, 2), dtype=np.int64)]
+    r0 = 0
+    while r0 < n - 1:
+        width = n - 1 - r0
+        r1 = min(n - 1, r0 + max(1, _BLOCK_PAIRS // width))
+        upper = np.arange(width) >= np.arange(r1 - r0)[:, None]
+        draws = np.empty(upper.shape)
+        draws[upper] = rng.random(np.count_nonzero(upper))
+        i, j = np.divmod(np.flatnonzero(upper & (draws < tile(r0, r1, upper))), width)
+        chunks.append(np.column_stack((i + r0, j + r0 + 1)))
+        r0 = r1
+    return np.concatenate(chunks)
 
 
 def _draw_sbm(spec: SbmSpec, n: int, seed: int) -> tuple[Graph, np.ndarray]:
@@ -133,9 +160,7 @@ def _draw_sbm(spec: SbmSpec, n: int, seed: int) -> tuple[Graph, np.ndarray]:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     z0 = rng.choice(spec.K, size=n, p=spec.pi)
-    iu = np.triu_indices(n, k=1)
-    probs = spec.theta[z0[iu[0]], z0[iu[1]]]
-    edges = _pair_edges(rng, probs, iu)
+    edges = _sample_pairs(rng, n, lambda r0, r1, upper: spec.theta[z0[r0:r1]][:, z0[r0 + 1:]])
     return Graph(n=n, edges=edges), z0
 
 
@@ -156,9 +181,12 @@ def sample_graphon(spec: GraphonSpec, n: int, seed: int) -> tuple[Graph, np.ndar
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     u = rng.random(n)
-    iu = np.triu_indices(n, k=1)
-    probs = np.asarray(spec.w(u[iu[0]], u[iu[1]]), dtype=np.float64)
-    if probs.size and (not np.all(np.isfinite(probs)) or probs.min() < 0 or probs.max() > 1):
-        raise ValueError("graphon returned a value outside [0, 1] at a sampled point")
-    edges = _pair_edges(rng, probs, iu)
+
+    def tile(r0, r1, upper):
+        p = np.asarray(spec.w(u[r0:r1, None], u[None, r0 + 1:]), dtype=np.float64)
+        if (upper & ~((p >= 0) & (p <= 1))).any():  # NaN fails both
+            raise ValueError("graphon returned a value outside [0, 1] at a sampled point")
+        return p
+
+    edges = _sample_pairs(rng, n, tile)
     return Graph(n=n, edges=edges), u

@@ -18,7 +18,7 @@ from ebsbm.experiment import (
 )
 from ebsbm.graph import Graph, Partition
 from ebsbm.io import write_label_file
-from ebsbm.samplers import affiliation_theta, sample_sbm
+from ebsbm.samplers import affiliation_theta, powerlaw_graphon, sample_graphon, sample_sbm
 from helpers import two_cliques_graph
 
 
@@ -97,6 +97,17 @@ class TestSimulate:
         assert got == "".join(f"{i} {lab}\n" for i, lab in enumerate(raw.tolist())).encode()
         write_label_file(raw, tmp_path / "direct.txt")
         assert (tmp_path / "direct.txt").read_bytes() == got
+
+    def test_latent_sidecar_is_numbers(self, tmp_path):
+        # one "node latent" line each, the float written in its shortest
+        # round-trip form so that parsing gives back the sampler's u exactly
+        cfg = small_cfg(model="graphon-powerlaw", rho=0.1, lam=2.0, k_range=(2,), replicates=1)
+        run_experiment(cfg, out_dir=str(tmp_path))
+        lines = (tmp_path / "replicates" / "r000" / "latents.txt").read_text().splitlines()
+        nodes, latents = zip(*(line.split(" ") for line in lines))
+        _, u = sample_graphon(powerlaw_graphon(0.1, 2.0), cfg.n, cfg.base_seed)
+        assert [int(i) for i in nodes] == list(range(cfg.n))
+        assert np.array_equal([float(x) for x in latents], u)
 
     def test_deterministic(self):
         cfg = small_cfg()

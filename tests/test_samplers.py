@@ -1,13 +1,16 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ebsbm import samplers
 from ebsbm.graph import block_stats, compact_partition
 from ebsbm.io import write_edge_list
 from ebsbm.samplers import (
     GraphonSpec,
     SbmSpec,
+    _draw_sbm,
     affiliation_theta,
     constant_graphon,
     powerlaw_graphon,
@@ -136,13 +139,97 @@ class TestSampleGraphon:
         assert np.array_equal(u1, u2)
 
     def test_out_of_range_w_rejected_at_sampling(self):
-        spec = GraphonSpec.__new__(GraphonSpec)  # bypass probe to test the sampler guard
-        object.__setattr__(spec, "w", lambda x, y: np.full(np.broadcast(x, y).shape, 1.5))
-        object.__setattr__(spec, "kind", "generic")
-        object.__setattr__(spec, "rho", None)
-        object.__setattr__(spec, "lam", None)
+        spec = unprobed_spec(lambda x, y: np.full(np.broadcast(x, y).shape, 1.5))
         with pytest.raises(ValueError):
             sample_graphon(spec, n=5, seed=0)
+
+    def test_guard_reaches_late_blocks(self, monkeypatch):
+        # w leaves [0, 1] only on the pair of the two latents above 0.97,
+        # nodes 92 and 99, whose row lies far past the first block
+        monkeypatch.setattr(samplers, "_BLOCK_PAIRS", 64)
+        u = np.random.default_rng(18).random(100)
+        assert np.flatnonzero(u > 0.97).tolist() == [92, 99]
+        spec = unprobed_spec(lambda x, y: np.where((x > 0.97) & (y > 0.97), 1.5, 0.2))
+        with pytest.raises(ValueError, match="outside"):
+            sample_graphon(spec, n=100, seed=18)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, samplers._BLOCK_PAIRS])
+    def test_guard_skips_the_diagonal(self, monkeypatch, block):
+        # x == y only where a node meets itself, which is never a sampled
+        # pair; elsewhere w is the constant 0.3, so the graph is that one's
+        monkeypatch.setattr(samplers, "_BLOCK_PAIRS", block)
+        spec = unprobed_spec(lambda x, y: np.where(x == y, 1.5, 0.3))
+        g, u = sample_graphon(spec, n=60, seed=4)
+        ref, ref_u = sample_graphon(constant_graphon(0.3), n=60, seed=4)
+        assert np.array_equal(g.edges, ref.edges) and np.array_equal(u, ref_u)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, samplers._BLOCK_PAIRS])
+    def test_unsampled_tile_entries_never_edges(self, monkeypatch, block):
+        # a tile is rows r0.. against columns r0+1..; its entries strictly
+        # below the upper triangle are the diagonal and lower triangle of
+        # the adjacency, where w here is 1 and on the pairs themselves 0
+        monkeypatch.setattr(samplers, "_BLOCK_PAIRS", block)
+        spec = unprobed_spec(lambda x, y: np.tril(np.ones(np.broadcast(x, y).shape), k=-1))
+        g, _ = sample_graphon(spec, n=60, seed=0)
+        assert g.edge_count == 0
+
+
+def unprobed_spec(w):
+    """A GraphonSpec that bypasses the probe, to test the sampler's guard."""
+    spec = GraphonSpec.__new__(GraphonSpec)
+    object.__setattr__(spec, "w", w)
+    object.__setattr__(spec, "kind", "generic")
+    object.__setattr__(spec, "rho", None)
+    object.__setattr__(spec, "lam", None)
+    return spec
+
+
+def all_pairs_reference(n, seed, draw_nodes, pair_probs):
+    """Every pair at once, as np.triu_indices orders them: the form the
+    block samplers must reproduce draw for draw."""
+    rng = np.random.default_rng(seed)
+    nodes = draw_nodes(rng)
+    i, j = np.triu_indices(n, k=1)
+    keep = rng.random(i.size) < pair_probs(nodes, i, j)
+    return np.column_stack((i[keep], j[keep])), nodes
+
+
+class TestBlockSampling:
+    # block 1 gives one row per block (down to one pair), 7 and 64 give
+    # multi-row blocks with a ragged last block; the default is one block
+    @pytest.mark.parametrize("block", [1, 7, 64, samplers._BLOCK_PAIRS])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 60])
+    def test_same_stream_as_all_pairs(self, monkeypatch, block, n):
+        monkeypatch.setattr(samplers, "_BLOCK_PAIRS", block)
+        sbm = affiliation_theta(K=3, lam=0.6, epsilon=0.1, rho=1.0)
+        graphon = powerlaw_graphon(rho=0.25, lam=2.0)
+        for seed in (0, 3, 11):
+            edges, z0 = all_pairs_reference(
+                n, seed, lambda rng: rng.choice(sbm.K, size=n, p=sbm.pi),
+                lambda z, i, j: sbm.theta[z[i], z[j]])
+            g, got_z0 = _draw_sbm(sbm, n, seed)
+            assert np.array_equal(g.edges, edges) and np.array_equal(got_z0, z0)
+            edges, u = all_pairs_reference(
+                n, seed, lambda rng: rng.random(n), lambda u, i, j: graphon.w(u[i], u[j]))
+            g, got_u = sample_graphon(graphon, n, seed)
+            assert np.array_equal(g.edges, edges) and np.array_equal(got_u, u)
+
+    @pytest.mark.parametrize("draw", [
+        lambda seed: _draw_sbm(affiliation_theta(10, 0.9, 0.1, 0.05), 4000, seed),
+        lambda seed: sample_graphon(powerlaw_graphon(0.05, 2.0), 4000, seed),
+    ], ids=["sbm", "graphon"])
+    def test_memory_is_linear_in_n_and_m(self, draw):
+        # n=4000 has 8.0M pairs: drawn all at once, their indices, draws
+        # and probabilities peak above 300 MB; a block's tiles of 2^20
+        # entries (8 MB in float64, a few at once) and at most 0.4M edges
+        # stay under 48 MB
+        tracemalloc.start()
+        try:
+            draw(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48_000_000, f"peak allocation {peak / 1e6:.1f} MB"
 
 
 def test_sbm_matches_piecewise_constant_graphon_distribution():
