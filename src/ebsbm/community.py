@@ -1,10 +1,11 @@
 """Partition providers: spectral clustering and a variational EM refiner.
 
 The default pipeline embeds nodes with a regularized normalized-Laplacian
-spectral map, clusters the embedding with seeded k-means, and hands that
-partition to a mean-field variational EM for the Bernoulli block model
-(Beta(1/2, 1/2) priors on block probabilities, Dirichlet(1/2) on
-memberships). The EM's hard assignment is what downstream estimation
+spectral map, clusters the embedding with k-means (ten k-means++ restarts,
+each seeded on its own, whose Lloyd iterations run as one batch), and
+hands that partition to a mean-field variational EM for the Bernoulli
+block model (Beta(1/2, 1/2) priors on block probabilities, Dirichlet(1/2)
+on memberships). The EM's hard assignment is what downstream estimation
 consumes; its per-block posterior means double as a variational baseline
 estimate of the connectivity matrix.
 
@@ -67,7 +68,10 @@ class DetectionResult:
         object.__setattr__(self, "responsibilities", r)
 
 
-def _kmeans_once(X, K, rng, max_iter=300):
+def _kmeans_pp(X, K, rng):
+    """k-means++ seeding (Arthur & Vassilvitskii 2007): K rows of X, the
+    first uniform, each next with probability proportional to its squared
+    distance from the nearest centre so far."""
     n = X.shape[0]
     centers = np.empty((K, X.shape[1]))
     first = int(rng.integers(n))
@@ -81,32 +85,81 @@ def _kmeans_once(X, K, rng, max_iter=300):
             idx = int(rng.choice(n, p=d2 / total))
         centers[k] = X[idx]
         d2 = np.minimum(d2, np.sum((X - centers[k]) ** 2, axis=1))
+    return centers
 
-    labels = np.full(n, -1, dtype=np.int64)
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        dist = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_labels = np.argmin(dist, axis=1)
-        own = dist[np.arange(n), new_labels]
-        counts = np.bincount(new_labels, minlength=K)
-        for k in np.flatnonzero(counts == 0):
+
+def _nearest_centres(X, x2, centers):
+    """Nearest-centre labels (A, n), 0-based, and cluster sizes (A, K) for
+    the (A, K, d) centres of A restarts; x2 holds the squared row norms.
+
+    The squared distances are ||x||^2 - 2 x.c + ||c||^2, with the cross
+    terms of all restarts from one einsum. It sums over d in a fixed
+    order; OpenBLAS's threaded GEMM does not once there are about 200
+    centres, so its last digits would depend on the BLAS thread count.
+    """
+    A, K, d = centers.shape
+    n = X.shape[0]
+    dist = np.einsum("nd,dk->nk", X, np.ascontiguousarray(centers.reshape(-1, d).T))
+    dist *= -2.0
+    dist += x2[:, None]
+    dist += np.sum(centers * centers, axis=2).ravel()
+    dist = dist.reshape(n, A, K)
+    labels = np.argmin(dist, axis=2).T
+    counts = np.bincount((labels + np.arange(A)[:, None] * K).ravel(), minlength=A * K)
+    counts = counts.reshape(A, K)
+    for a in np.flatnonzero(np.any(counts == 0, axis=1)):
+        lab, cnt = labels[a], counts[a]
+        own = dist[np.arange(n), a, lab]
+        for k in np.flatnonzero(cnt == 0):
             # the point farthest from its centre, taken from a cluster it
             # does not leave empty
-            far = int(np.argmax(np.where(counts[new_labels] > 1, own, -1.0)))
-            counts[new_labels[far]] -= 1
-            counts[k] = 1
-            new_labels[far] = k
-        if np.array_equal(new_labels, labels):
-            converged = True
+            far = int(np.argmax(np.where(cnt[lab] > 1, own, -1.0)))
+            cnt[lab[far]] -= 1
+            cnt[k] = 1
+            lab[far] = k
+    return labels, counts
+
+
+def _kmeans_once(X, K, rngs, max_iter=300):
+    """Lloyd's k-means (Lloyd 1982), one restart per generator in `rngs`,
+    all restarts iterated together.
+
+    Each restart is seeded by k-means++ from its own generator, in order,
+    so it draws exactly what it would draw alone. The Lloyd steps of the
+    restarts still running then share one pass: one contraction for the
+    distances (:func:`_nearest_centres`), one bincount per column of X
+    for the centre sums over the bins restart * K + label, which add
+    rows in index order as X[labels == k].mean(axis=0) does. A restart
+    drops out once its labels stop changing.
+
+    Returns (labels, inertia, total_iters, iters, converged): per restart
+    the (R, n) 0-based labels, the within-cluster sums of squares, the
+    Lloyd iterations and the convergence flags, and as total_iters the
+    Lloyd iterations summed over all restarts.
+    """
+    n, d = X.shape
+    R = len(rngs)
+    centers = np.stack([_kmeans_pp(X, K, rng) for rng in rngs])
+    labels = np.full((R, n), -1, dtype=np.int64)
+    iters = np.full(R, max_iter, dtype=np.int64)
+    converged = np.zeros(R, dtype=bool)
+    x2 = np.sum(X * X, axis=1)
+    active = np.arange(R)
+    for it in range(1, max_iter + 1):
+        new, counts = _nearest_centres(X, x2, centers[active])
+        moved = np.any(new != labels[active], axis=1)
+        iters[active[~moved]] = it
+        converged[active[~moved]] = True
+        active, new, counts = active[moved], new[moved], counts[moved]
+        if active.size == 0:
             break
-        labels = new_labels
-        # rows add in index order, as in X[labels == k].mean(axis=0)
-        centers = np.zeros_like(centers)
-        np.add.at(centers, labels, X)
-        centers /= counts[:, None]
-    inertia = float(np.sum((X - centers[labels]) ** 2))
-    return labels, inertia, it, converged
+        labels[active] = new
+        index = (new + np.arange(active.size)[:, None] * K).ravel()
+        sums = [np.bincount(index, weights=np.tile(col, active.size), minlength=active.size * K)
+                for col in X.T]
+        centers[active] = np.stack(sums, axis=1).reshape(active.size, K, d) / counts[:, :, None]
+    inertia = np.array([np.sum((X - centers[r][labels[r]]) ** 2) for r in range(R)])
+    return labels, inertia, int(iters.sum()), iters, converged
 
 
 def _csr_adjacency(graph: Graph):
@@ -148,9 +201,11 @@ def spectral_partition(graph: Graph, K: int, seed: int) -> DetectionResult:
     normalized adjacency, row-normalized then k-means'd.
 
     Mean-degree/n is added to every adjacency entry before normalization
-    so isolated nodes stay well-defined. k-means runs 10 seeded restarts
-    (streams spawned from the given seed); the lowest within-cluster sum
-    of squares wins, ties going to the earliest restart.
+    so isolated nodes stay well-defined. k-means runs 10 restarts in one
+    batched Lloyd loop, each seeded from its own stream spawned from the
+    given seed; the lowest within-cluster sum of squares wins, ties going
+    to the earliest restart, and the result reports the winner's Lloyd
+    iterations and convergence flag.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -164,16 +219,12 @@ def spectral_partition(graph: Graph, K: int, seed: int) -> DetectionResult:
     row_norm = np.linalg.norm(vecs, axis=1)
     emb = vecs / np.maximum(row_norm, 1e-12)[:, None]
 
-    best = None
-    for child in np.random.SeedSequence(seed).spawn(10):
-        rng = np.random.default_rng(child)
-        labels, inertia, iters, conv = _kmeans_once(emb, K, rng)
-        if best is None or inertia < best[1]:
-            best = (labels, inertia, iters, conv)
-    labels, _, iters, conv = best
-    part = compact_partition(labels + 1)
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(10)]
+    labels, inertia, _, iters, conv = _kmeans_once(emb, K, rngs)
+    best = int(np.argmin(inertia))
+    part = compact_partition(labels[best] + 1)
     return DetectionResult(partition=part, responsibilities=None,
-                           converged=conv, iterations=iters)
+                           converged=bool(conv[best]), iterations=int(iters[best]))
 
 
 def _expected_block_counts(R, X):

@@ -30,8 +30,10 @@ class Graph:
     ``edges`` is the graph's one stored form: a read-only (m, 2) int64
     array of pairs i < j, sorted by (i, j) and free of duplicates. The
     constructor accepts that array or any iterable of pairs; a self-loop,
-    a reversed pair or an out-of-range pair raises ValueError. Equality
-    and hashing are on (n, edges), and the graph holds nothing else.
+    a reversed pair or an out-of-range pair raises ValueError. Pairs that
+    already arrive sorted and unique, as the samplers' do, are kept as
+    validated without a sort. Equality and hashing are on (n, edges), and
+    the graph holds nothing else.
     """
 
     n: int
@@ -42,7 +44,7 @@ class Graph:
         if n < 1:
             raise ValueError("graph needs at least one node")
         e = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
-        e = np.array(e, dtype=np.int64)
+        e = np.array(e, dtype=np.int64, order="C")
         e = e.reshape(0, 2) if e.size == 0 else e
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError("edges must be (i, j) pairs")
@@ -52,9 +54,14 @@ class Graph:
             if i == j:
                 raise ValueError(f"self-loop ({i}, {i}) is not allowed")
             raise ValueError(f"edge ({i}, {j}) must satisfy 0 <= i < j < n={n}")
-        key = np.unique(e[:, 0] * n + e[:, 1])
+        key = e[:, 0] * n
+        key += e[:, 1]
+        if not np.all(key[1:] > key[:-1]):
+            # not yet sorted and unique: sort the keys and split them back
+            key = np.unique(key)
+            e = np.column_stack((key // n, key % n))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", _freeze(np.column_stack((key // n, key % n))))
+        object.__setattr__(self, "edges", _freeze(e))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

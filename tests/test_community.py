@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from ebsbm import community
 from ebsbm.community import (DetectionResult, _kmeans_once, detect_pipeline, spectral_partition,
                              variational_em)
 from ebsbm.graph import Graph, Partition, block_stats
+from ebsbm.io import bundled_data_path, ingest_network
 from ebsbm.samplers import affiliation_theta, sample_sbm
 from helpers import hungarian_agreement, two_cliques_graph
 
@@ -98,18 +100,122 @@ class TestSpectral:
         assert res.partition.n == 6 and 1 <= res.partition.K <= K
 
 
+def _reference_kmeans(X, K, rng, max_iter=300):
+    # one restart as a scalar Lloyd loop: broadcast n x K x d distances,
+    # centre sums with np.add.at; the batched loop must match it exactly
+    centers = community._kmeans_pp(X, K, rng)
+    n = X.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        dist = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(dist, axis=1)
+        own = dist[np.arange(n), new_labels]
+        counts = np.bincount(new_labels, minlength=K)
+        for k in np.flatnonzero(counts == 0):
+            far = int(np.argmax(np.where(counts[new_labels] > 1, own, -1.0)))
+            counts[new_labels[far]] -= 1
+            counts[k] = 1
+            new_labels[far] = k
+        if np.array_equal(new_labels, labels):
+            converged = True
+            break
+        labels = new_labels
+        centers = np.zeros_like(centers)
+        np.add.at(centers, labels, X)
+        centers /= counts[:, None]
+    inertia = float(np.sum((X - centers[labels]) ** 2))
+    return labels, inertia, it, converged
+
+
+def _duplicated_points(distinct=3, copies=5):
+    # with five copies of three points, K=5 makes k-means++ repeat a
+    # centre, so clusters start empty and must be refilled; the offset
+    # makes the inertia show a last-digit change in any centre
+    points = 10.0 + 1e-3 * np.random.default_rng(0).standard_normal((distinct, 4))
+    return np.repeat(points, copies, axis=0)
+
+
+def _spectral_embedding(K, seed):
+    spec = affiliation_theta(K=6, lam=0.8, epsilon=0.1, rho=0.5)
+    g, _ = sample_sbm(spec, n=150, seed=seed)
+    vecs = community._top_eigvecs(g, K)
+    return vecs / np.maximum(np.linalg.norm(vecs, axis=1), 1e-12)[:, None]
+
+
+def _streams(seed, count=10):
+    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(count)]
+
+
+# sha256 of the int64 labels, with the winner's Lloyd iterations, recorded
+# from the one-restart-at-a-time k-means with broadcast distances: a near
+# tie that the batched distances resolve otherwise fails here
+SPECTRAL_PINS = [
+    (None, 2, 0, "b0ec647c087518952015171d3032a5af45d30f74cbd87fd5f865db669b601037", 4),
+    (None, 3, 0, "ffee69de37b8f6ed4d9ce9c8549f04fb76f8b613f7acf28d1e6a4d268a9b0c41", 8),
+    (None, 4, 0, "079af43f411d16354e092674b4a02007d6bb757c1c7b897bd23530c4add01efd", 8),
+    (None, 5, 0, "819f0f3a367c1b7c1db72119cf61eee50a66fa36835fd72a067afe80628f6f96", 16),
+    (None, 6, 0, "f08c4c5e07a13627520475b8a7a3b7b15e23bca34a1f596076572af72f45ac91", 11),
+    (None, 7, 0, "3714e22a8ef0f778e6e7317d6014ff726f37c8c2e4bcae52364472dd92dd3393", 7),
+    (None, 8, 0, "d128f630a4b43317a02881f882d95a6afd0ea63a4c43c02b123c78d2246db282", 7),
+    (None, 9, 0, "0ffdd4e28eaf308b05ff22d8d65d8952152cc4f8c0c7624e98a03d053bead64e", 2),
+    (None, 10, 0, "9f5290005952c6be3bdbd49dbcfdbb29c409854b0196867cf7927d98687efc74", 2),
+    ((400, 0.2, 2000), 10, 2000,
+     "86c89cdd7f5b157b036a9ab5b7db258ea755b47fbe68ff4d8252ec33dfdfcb1f", 7),
+    ((400, 0.2, 2000), 15, 7, "fdad3931eb2faa1d8ee028e42b5620275e4c0973d4735ebe1205e8f771e1ffb6", 14),
+    ((400, 0.2, 2000), 25, 3, "c3d99e480e2eab864d633d8191753843e0a434d7285afec68f61876c53eac30e", 8),
+    ((400, 0.2, 2000), 40, 4, "c370f437cbe17b8fefd5516270324d18bc71ee5e73ee2aca3d8b4f7d1d2bcdbc", 7),
+    ((1000, 0.05, 5), 10, 1, "7ffab4a80d270f4e4f857e2f7dbc4bf459d089ca134f8308b148026bd5384c60", 12),
+]
+
+
+@pytest.mark.parametrize("sbm, K, seed, digest, iters", SPECTRAL_PINS)
+def test_spectral_partition_pinned(sbm, K, seed, digest, iters):
+    # sbm is (n, rho, graph seed) of an affiliation SBM; None is the bundled network
+    if sbm is None:
+        g = ingest_network(bundled_data_path("synthetic_edges.txt"))[0]
+    else:
+        n, rho, graph_seed = sbm
+        spec = affiliation_theta(K=10, lam=0.9, epsilon=0.1, rho=rho)
+        g, _ = sample_sbm(spec, n=n, seed=graph_seed)
+    res = spectral_partition(g, K, seed=seed)
+    assert hashlib.sha256(res.partition.labels.astype("<i8").tobytes()).hexdigest() == digest
+    assert res.iterations == iters and res.converged
+
+
 class TestKmeans:
     @pytest.mark.parametrize("distinct, copies", [(3, 5), (30, 1)])
     def test_centres_are_exact_cluster_means(self, distinct, copies):
-        # with five copies of three points, K=5 makes k-means++ repeat a
-        # centre, so clusters start empty and must be refilled; the offset
-        # makes the inertia show a last-digit change in any centre
-        points = 10.0 + 1e-3 * np.random.default_rng(0).standard_normal((distinct, 4))
-        X = np.repeat(points, copies, axis=0)
-        labels, inertia, _, _ = _kmeans_once(X, 5, np.random.default_rng(1))
-        assert np.all(np.bincount(labels, minlength=5) > 0)
-        means = np.array([X[labels == k].mean(axis=0) for k in range(5)])
-        assert inertia == float(np.sum((X - means[labels]) ** 2))
+        X = _duplicated_points(distinct, copies)
+        labels, inertia, _, _, _ = _kmeans_once(X, 5, [np.random.default_rng(1)])
+        assert np.all(np.bincount(labels[0], minlength=5) > 0)
+        means = np.array([X[labels[0] == k].mean(axis=0) for k in range(5)])
+        assert inertia[0] == float(np.sum((X - means[labels[0]]) ** 2))
+
+    @pytest.mark.parametrize("X, K", [
+        (_duplicated_points(), 5),
+        (_duplicated_points(4, 3), 6),
+        (np.random.default_rng(5).standard_normal((200, 3)), 7),
+        *[(_spectral_embedding(K, seed=K), K) for K in range(2, 13)],
+    ])
+    def test_batched_restarts_match_scalar_loop(self, X, K):
+        labels, inertia, total, iters, converged = _kmeans_once(X, K, _streams(K))
+        want = [_reference_kmeans(X, K, rng) for rng in _streams(K)]
+        for r, (ref_labels, ref_inertia, ref_iters, ref_converged) in enumerate(want):
+            assert np.array_equal(labels[r], ref_labels), f"restart {r}"
+            assert inertia[r] == ref_inertia
+            assert iters[r] == ref_iters and converged[r] == ref_converged
+        assert type(total) is int and total == sum(w[2] for w in want)
+
+    def test_restart_stopped_by_the_cap(self):
+        X = np.random.default_rng(6).standard_normal((300, 2))
+        labels, inertia, total, iters, converged = _kmeans_once(X, 8, _streams(3, 4), max_iter=2)
+        want = [_reference_kmeans(X, 8, rng, max_iter=2) for rng in _streams(3, 4)]
+        assert not converged.any() and total == 8 and np.all(iters == 2)
+        for r, (ref_labels, ref_inertia, _, ref_converged) in enumerate(want):
+            assert np.array_equal(labels[r], ref_labels) and inertia[r] == ref_inertia
+            assert not ref_converged
 
 
 def _random_init(n, K, seed):
@@ -256,8 +362,8 @@ class TestDetectPipeline:
         # at n=3000 one n x n array is 72 MB in float64 and 9 MB even at one
         # byte an entry; detection needs O(m + nK^2) memory (the sparse
         # adjacency, n x K assignments, the Lanczos basis and k-means'
-        # n x K x K distances), about 3.5 MB here, so 8 MB leaves headroom
-        # yet admits no n x n array of any dtype
+        # distances, n x 10K for its ten restarts), about 4.4 MB here, so
+        # 8 MB leaves headroom yet admits no n x n array of any dtype
         spec = affiliation_theta(K=10, lam=0.9, epsilon=0.1, rho=0.02)
         g, _ = sample_sbm(spec, n=3000, seed=0)
         tracemalloc.start()

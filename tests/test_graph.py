@@ -59,6 +59,20 @@ class TestEdgeArray:
             assert np.array_equal(g.edges, [[0, 1], [2, 3]])
             assert g.edge_count == 2
 
+    def test_stored_edges_same_bytes_for_any_input_order(self):
+        # reference: the sorted unique keys i * n + j split back into pairs
+        n = 50
+        pairs = np.array(sorted({(int(i), int(j)) for i, j in
+                                 np.random.default_rng(0).integers(0, n, (300, 2)) if i < j}))
+        key = np.unique(pairs[:, 0] * n + pairs[:, 1])
+        want = np.column_stack((key // n, key % n))
+        shuffled = pairs[np.random.default_rng(1).permutation(len(pairs))]
+        for edges in (pairs, shuffled, np.concatenate((pairs, pairs[::3])),
+                      np.asfortranarray(pairs), [tuple(p) for p in pairs]):
+            g = Graph(n=n, edges=edges)
+            assert g.edges.flags.c_contiguous and g.edges.dtype == np.int64
+            assert g.edges.tobytes() == want.tobytes() and g.edges.shape == want.shape
+
     def test_empty_edges(self):
         for edges in ([], frozenset(), np.zeros((0, 2), dtype=np.int64)):
             g = Graph(n=3, edges=edges)
