@@ -2,7 +2,8 @@
 
 The default pipeline embeds nodes with a regularized normalized-Laplacian
 spectral map, clusters the embedding with k-means (ten k-means++ restarts,
-each seeded on its own, whose Lloyd iterations run as one batch), and
+seeded together, each drawing from its own stream exactly what
+Generator.choice would, and iterated as one batched Lloyd loop), and
 hands that partition to a mean-field variational EM for the Bernoulli
 block model (Beta(1/2, 1/2) priors on block probabilities, Dirichlet(1/2)
 on memberships). The EM's hard assignment is what downstream estimation
@@ -13,7 +14,8 @@ The EM updates the nodes' assignments in blocks of consecutive nodes, each
 block jointly (the fixed-point update of Daudin, Picard & Robin 2008); a
 sweep that ends below the previous sweep's objective is redone one node at
 a time, which is coordinate ascent (Latouche, Birmele & Ambroise 2012), so
-the objective never decreases.
+the objective never decreases. The adjacency's row blocks are sliced once
+per fit, and the expected logs and KL terms once per sweep.
 
 This is the only module that puts the graph in matrix form: a sparse CSR
 adjacency built from the edge array, which the EM multiplies with and the
@@ -68,23 +70,34 @@ class DetectionResult:
         object.__setattr__(self, "responsibilities", r)
 
 
-def _kmeans_pp(X, K, rng):
-    """k-means++ seeding (Arthur & Vassilvitskii 2007): K rows of X, the
+def _kmeans_pp(X, K, rngs):
+    """k-means++ seeding (Arthur & Vassilvitskii 2007) of one restart per
+    generator in `rngs`: (R, K, d) centres, each restart K rows of X, the
     first uniform, each next with probability proportional to its squared
-    distance from the nearest centre so far."""
-    n = X.shape[0]
-    centers = np.empty((K, X.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = X[first]
-    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    distance from the nearest centre so far.
+
+    The restarts are seeded together on one (R, n) array of squared
+    distances, and each draws from its own generator exactly what
+    Generator.choice(n, p=d2 / total) would: the cumulative sum of p,
+    normalised by its last entry, searched for one uniform draw.
+    """
+    n, d = X.shape
+    R = len(rngs)
+    centers = np.empty((R, K, d))
+    centers[:, 0] = X[[int(rng.integers(n)) for rng in rngs]]
+    d2 = np.sum((X - centers[:, :1]) ** 2, axis=2)
     for k in range(1, K):
-        total = d2.sum()
-        if total <= 1e-12:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centers[k] = X[idx]
-        d2 = np.minimum(d2, np.sum((X - centers[k]) ** 2, axis=1))
+        total = d2.sum(axis=1)
+        spread = total > 1e-12
+        cdf = np.cumsum(d2[spread] / total[spread, None], axis=1)
+        cdf /= cdf[:, -1:]
+        idx = np.empty(R, dtype=np.int64)
+        for r, row in zip(np.flatnonzero(spread), cdf):
+            idx[r] = row.searchsorted(rngs[r].random(), side="right")
+        for r in np.flatnonzero(~spread):  # every point sits on a centre
+            idx[r] = rngs[r].integers(n)
+        centers[:, k] = X[idx]
+        d2 = np.minimum(d2, np.sum((X - centers[:, k:k + 1]) ** 2, axis=2))
     return centers
 
 
@@ -124,13 +137,14 @@ def _kmeans_once(X, K, rngs, max_iter=300):
     """Lloyd's k-means (Lloyd 1982), one restart per generator in `rngs`,
     all restarts iterated together.
 
-    Each restart is seeded by k-means++ from its own generator, in order,
-    so it draws exactly what it would draw alone. The Lloyd steps of the
-    restarts still running then share one pass: one contraction for the
-    distances (:func:`_nearest_centres`), one bincount per column of X
-    for the centre sums over the bins restart * K + label, which add
-    rows in index order as X[labels == k].mean(axis=0) does. A restart
-    drops out once its labels stop changing.
+    The restarts are seeded together by k-means++ (:func:`_kmeans_pp`),
+    each from its own generator, so each draws exactly what it would draw
+    alone. The Lloyd steps of the restarts still running then share one
+    pass: one contraction for the distances (:func:`_nearest_centres`),
+    one bincount per column of X, weighted by that column repeated once
+    per restart, for the centre sums over the bins restart * K + label,
+    which add rows in index order as X[labels == k].mean(axis=0) does. A
+    restart drops out once its labels stop changing.
 
     Returns (labels, inertia, total_iters, iters, converged): per restart
     the (R, n) 0-based labels, the within-cluster sums of squares, the
@@ -139,11 +153,12 @@ def _kmeans_once(X, K, rngs, max_iter=300):
     """
     n, d = X.shape
     R = len(rngs)
-    centers = np.stack([_kmeans_pp(X, K, rng) for rng in rngs])
+    centers = _kmeans_pp(X, K, rngs)
     labels = np.full((R, n), -1, dtype=np.int64)
     iters = np.full(R, max_iter, dtype=np.int64)
     converged = np.zeros(R, dtype=bool)
     x2 = np.sum(X * X, axis=1)
+    weights = np.tile(X.T, R)
     active = np.arange(R)
     for it in range(1, max_iter + 1):
         new, counts = _nearest_centres(X, x2, centers[active])
@@ -155,8 +170,8 @@ def _kmeans_once(X, K, rngs, max_iter=300):
             break
         labels[active] = new
         index = (new + np.arange(active.size)[:, None] * K).ravel()
-        sums = [np.bincount(index, weights=np.tile(col, active.size), minlength=active.size * K)
-                for col in X.T]
+        sums = [np.bincount(index, weights=w[:index.size], minlength=active.size * K)
+                for w in weights]
         centers[active] = np.stack(sums, axis=1).reshape(active.size, K, d) / counts[:, :, None]
     inertia = np.array([np.sum((X - centers[r][labels[r]]) ** 2) for r in range(R)])
     return labels, inertia, int(iters.sum()), iters, converged
@@ -249,34 +264,49 @@ def _beta_kl(zeta, xi, a0, b0):
     )
 
 
-def _elbo(R, X, gamma, zeta, xi, K):
-    """The objective, and the block counts of R it was computed from."""
-    counts = _expected_block_counts(R, X)
-    edges, pairs, colsum = counts
-    elog_t = _psi(zeta) - _psi(zeta + xi)
-    elog_1mt = _psi(xi) - _psi(zeta + xi)
-    iu = np.triu_indices(K)
-    e_loglik = float(np.sum(edges[iu] * elog_t[iu] + (pairs - edges)[iu] * elog_1mt[iu]))
-    elog_pi = _psi(gamma) - _psi(gamma.sum())
-    e_logpz = float(colsum @ elog_pi)
-    entropy = -float(np.sum(_xlogy(R, R)))
+def _kl_terms(gamma, zeta, xi, elog_pi, iu):
+    """KL divergences of the membership and block-probability posteriors
+    from their priors. They depend on the posteriors alone, so a sweep
+    computes them once and a redo reuses them."""
+    K = gamma.size
     kl_pi = float(
         _gammaln(gamma.sum()) - np.sum(_gammaln(gamma))
         - _gammaln(K * _TAU) + K * _gammaln(_TAU)
-        + np.sum((gamma - _TAU) * (_psi(gamma) - _psi(gamma.sum())))
+        + np.sum((gamma - _TAU) * elog_pi)
     )
     kl_theta = float(np.sum(_beta_kl(zeta[iu], xi[iu], _A0, _B0)))
+    return kl_pi, kl_theta
+
+
+def _elbo(R, X, elog, kl, iu):
+    """The objective, and the block counts of R it was computed from.
+
+    elog holds the sweep's expected logs of pi, theta and 1 - theta, kl
+    its two KL terms (:func:`_kl_terms`) and iu the upper-triangle
+    indices of a K x K array."""
+    counts = _expected_block_counts(R, X)
+    edges, pairs, colsum = counts
+    elog_pi, elog_t, elog_1mt = elog
+    kl_pi, kl_theta = kl
+    e_loglik = float(np.sum(edges[iu] * elog_t[iu] + (pairs - edges)[iu] * elog_1mt[iu]))
+    e_logpz = float(colsum @ elog_pi)
+    entropy = -float(np.sum(_xlogy(R, R)))
     return e_loglik + e_logpz + entropy - kl_pi - kl_theta, counts
 
 
-def _e_step(R, X, colsum, elog_pi, elog_t, elog_1mt, block):
-    """Update the soft assignments in place, `block` consecutive nodes at
-    a time: each block's rows are set jointly from the rows of all other
-    nodes as they stand, and `colsum` follows. block=1 is exact
-    sequential coordinate ascent."""
-    for start in range(0, R.shape[0], block):
-        b = slice(start, start + block)
-        S = X[b] @ R
+def _row_blocks(X, size):
+    """The rows of X in blocks of `size` consecutive nodes, as (row slice,
+    CSR rows) pairs."""
+    return [(slice(s, s + size), X[s:s + size]) for s in range(0, X.shape[0], size)]
+
+
+def _e_step(R, blocks, colsum, elog_pi, elog_t, elog_1mt):
+    """Update the soft assignments in place, one block of `blocks`
+    (:func:`_row_blocks`) at a time: each block's rows are set jointly
+    from the rows of all other nodes as they stand, and `colsum` follows.
+    One-node blocks are exact sequential coordinate ascent."""
+    for b, Xb in blocks:
+        S = Xb @ R
         T = np.maximum(colsum - R[b] - S, 0.0)
         L = elog_pi + S @ elog_t + T @ elog_1mt
         L -= L.max(axis=1, keepdims=True)
@@ -298,6 +328,12 @@ def variational_em(graph: Graph, K: int, init: DetectionResult,
     coordinate ascent, so the objective never decreases. Stops when the
     improvement falls below `tol` or after `max_iter` sweeps.
 
+    The adjacency's row blocks are sliced once per fit, the one-node
+    blocks only when a sweep is first redone. The expected logs and the
+    KL terms of the objective depend only on the posteriors set at the
+    start of a sweep, so they are computed once per sweep and a redo
+    reuses them.
+
     Returns (DetectionResult, pi_hat, theta_vb), where theta_vb holds the
     per-block posterior-mean connectivity for the compacted clusters. Pass
     a list as `trace` to capture the objective value of every sweep.
@@ -308,6 +344,9 @@ def variational_em(graph: Graph, K: int, init: DetectionResult,
         raise ValueError(f"init has {init.partition.K} clusters but K={K}")
     n = graph.n
     X = _csr_adjacency(graph)
+    blocks = _row_blocks(X, _BLOCK)
+    nodes = None  # one-node blocks, sliced when a sweep is first redone
+    iu = np.triu_indices(K)
 
     if init.responsibilities is not None and init.responsibilities.shape[1] == K:
         R = init.responsibilities.copy()
@@ -324,16 +363,19 @@ def variational_em(graph: Graph, K: int, init: DetectionResult,
         gamma = _TAU + colsum
         zeta = _A0 + edges
         xi = _B0 + np.maximum(pairs - edges, 0.0)
-        elog = (_psi(gamma) - _psi(gamma.sum()),
-                _psi(zeta) - _psi(zeta + xi), _psi(xi) - _psi(zeta + xi))
+        psi_sum = _psi(zeta + xi)
+        elog = (_psi(gamma) - _psi(gamma.sum()), _psi(zeta) - psi_sum, _psi(xi) - psi_sum)
+        kl = _kl_terms(gamma, zeta, xi, elog[0], iu)
 
         start = R.copy(), colsum.copy()
-        _e_step(R, X, colsum, *elog, _BLOCK)
-        value, counts = _elbo(R, X, gamma, zeta, xi, K)
+        _e_step(R, blocks, colsum, *elog)
+        value, counts = _elbo(R, X, elog, kl, iu)
         if value < prev:
+            if nodes is None:
+                nodes = _row_blocks(X, 1)
             R, colsum = start
-            _e_step(R, X, colsum, *elog, 1)
-            value, counts = _elbo(R, X, gamma, zeta, xi, K)
+            _e_step(R, nodes, colsum, *elog)
+            value, counts = _elbo(R, X, elog, kl, iu)
         if not np.isfinite(value):
             raise NumericalError(f"objective became non-finite at sweep {sweeps}")
         if __debug__ and np.isfinite(prev):

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -100,10 +101,29 @@ class TestSpectral:
         assert res.partition.n == 6 and 1 <= res.partition.K <= K
 
 
+def _reference_kmeans_pp(X, K, rng):
+    # one restart's k-means++ seeding with Generator.choice; the batched
+    # seeding must draw exactly these centres
+    n = X.shape[0]
+    centers = np.empty((K, X.shape[1]))
+    first = int(rng.integers(n))
+    centers[0] = X[first]
+    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    for k in range(1, K):
+        total = d2.sum()
+        if total <= 1e-12:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[k] = X[idx]
+        d2 = np.minimum(d2, np.sum((X - centers[k]) ** 2, axis=1))
+    return centers
+
+
 def _reference_kmeans(X, K, rng, max_iter=300):
     # one restart as a scalar Lloyd loop: broadcast n x K x d distances,
     # centre sums with np.add.at; the batched loop must match it exactly
-    centers = community._kmeans_pp(X, K, rng)
+    centers = _reference_kmeans_pp(X, K, rng)
     n = X.shape[0]
     labels = np.full(n, -1, dtype=np.int64)
     converged = False
@@ -184,7 +204,31 @@ def test_spectral_partition_pinned(sbm, K, seed, digest, iters):
     assert res.iterations == iters and res.converged
 
 
+KMEANS_FIXTURES = [
+    (_duplicated_points(), 5),
+    (_duplicated_points(4, 3), 6),
+    (np.random.default_rng(5).standard_normal((200, 3)), 7),
+    *[(_spectral_embedding(K, seed=K), K) for K in range(2, 13)],
+]
+
+
 class TestKmeans:
+    @pytest.mark.parametrize("X, K", [
+        *KMEANS_FIXTURES,
+        (_duplicated_points(30, 1), 5),
+        (np.random.default_rng(6).standard_normal((300, 2)), 8),
+        (np.full((6, 3), 0.25), 4),
+    ])
+    def test_batched_seeding_matches_choice(self, X, K):
+        # the duplicated and coincident points run out of spread, so later
+        # centres come from the uniform fallback; no 0/0 may warn there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            centers = community._kmeans_pp(X, K, _streams(K))
+        assert centers.shape == (10, K, X.shape[1])
+        for r, rng in enumerate(_streams(K)):
+            assert np.array_equal(centers[r], _reference_kmeans_pp(X, K, rng)), f"restart {r}"
+
     @pytest.mark.parametrize("distinct, copies", [(3, 5), (30, 1)])
     def test_centres_are_exact_cluster_means(self, distinct, copies):
         X = _duplicated_points(distinct, copies)
@@ -193,12 +237,7 @@ class TestKmeans:
         means = np.array([X[labels[0] == k].mean(axis=0) for k in range(5)])
         assert inertia[0] == float(np.sum((X - means[labels[0]]) ** 2))
 
-    @pytest.mark.parametrize("X, K", [
-        (_duplicated_points(), 5),
-        (_duplicated_points(4, 3), 6),
-        (np.random.default_rng(5).standard_normal((200, 3)), 7),
-        *[(_spectral_embedding(K, seed=K), K) for K in range(2, 13)],
-    ])
+    @pytest.mark.parametrize("X, K", KMEANS_FIXTURES)
     def test_batched_restarts_match_scalar_loop(self, X, K):
         labels, inertia, total, iters, converged = _kmeans_once(X, K, _streams(K))
         want = [_reference_kmeans(X, K, rng) for rng in _streams(K)]
@@ -222,6 +261,65 @@ def _random_init(n, K, seed):
     r = np.random.default_rng(seed).dirichlet(np.ones(K), size=n)
     part = Partition(labels=np.argmax(r, axis=1) + 1, K=K)
     return DetectionResult(partition=part, responsibilities=r, converged=False, iterations=0)
+
+
+def _block_width(blocks):
+    # the number of nodes per block of an E-step's row blocks
+    rows = blocks[0][0]
+    return rows.stop - rows.start
+
+
+def _one_node_blocks(blocks):
+    # the same rows as one-node blocks, as the redo of a sweep uses them
+    return [(slice(rows.start + i, rows.start + i + 1), Xb[i:i + 1])
+            for rows, Xb in blocks for i in range(Xb.shape[0])]
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+# sha256 of the objective trace (float.hex, comma-joined), theta_vb and the
+# responsibilities (little-endian float64), recorded before the E-step took
+# pre-sliced row blocks: (graph, K, init, init seed, sweeps, digests).
+# The first case redoes one sweep node by node.
+VEM_PINS = [
+    ((3, 0.8, 1.0, 40, 13), 3, "random", 13, 20,
+     "2c5f639aa9a16dd856e324c637e8ad7e41b9cac9b05a3cd209c6413030c723b2",
+     "44cc623faef78137648d3eddf0670a31903b11811f239ff24d3185242537605b",
+     "13dcada5c8c244bb7285a190fb86817062b4ece5220c46071c30db1be68dee3c"),
+    ((5, 0.8, 0.5, 150, 4), 6, "spectral", 4, 40,
+     "decce786377591ad63fba969e5d71ca4cce9672a3b57c2f8cf8056a62c06ac27",
+     "01ebe0e000f0cdbed5fd2df0e440d7314195a8936c4f46cfb154cf3996871c88",
+     "5ad89cbad1dd765431f426184f86bbc93a8500c12b16c2d82c42398c4fceb317"),
+    ((10, 0.9, 0.2, 400, 2000), 12, "spectral", 2000, 23,
+     "26bc7d615055df35b6420e72511f614db25f1ab7d2e6890d67a0bbaf146af9a6",
+     "4e79bcf7d933212f20974b852851d98c461a06285cc44afa6abd7a79bd581ccc",
+     "e8ace9b4d8651a3a3589e197e53572648eb90b3cb4150572782d81b20cecede6"),
+    (None, 10, "spectral", 0, 2,
+     "b3164842255abf6d22c174dc737eb32c6d1f2073e06d40fc10e4bd89f669852d",
+     "a60783a7841f33dd710aa0e8d3238b2a805ad8acc65505586cf55e3d171372c3",
+     "e71795c491d632b3a80d14ceb3445f521c2278cce0734e0dfa588c62673dd9c9"),
+]
+
+
+@pytest.mark.parametrize("sbm, K, init, seed, sweeps, trace_sha, theta_sha, resp_sha", VEM_PINS)
+def test_variational_em_pinned(sbm, K, init, seed, sweeps, trace_sha, theta_sha, resp_sha):
+    # sbm is (K*, lambda, rho, n, graph seed) of an affiliation SBM with
+    # epsilon 0.1; None is the bundled network
+    if sbm is None:
+        g = ingest_network(bundled_data_path("synthetic_edges.txt"))[0]
+    else:
+        k, lam, rho, n, graph_seed = sbm
+        g, _ = sample_sbm(affiliation_theta(K=k, lam=lam, epsilon=0.1, rho=rho), n=n,
+                          seed=graph_seed)
+    start = _random_init(g.n, K, seed) if init == "random" else spectral_partition(g, K, seed)
+    trace = []
+    det, _, theta_vb = variational_em(g, K, start, trace=trace)
+    assert det.iterations == sweeps == len(trace)
+    assert _sha(",".join(v.hex() for v in trace).encode()) == trace_sha
+    assert _sha(theta_vb.astype("<f8").tobytes()) == theta_sha
+    assert _sha(det.responsibilities.astype("<f8").tobytes()) == resp_sha
 
 
 class TestVariationalEm:
@@ -264,7 +362,7 @@ class TestVariationalEm:
         e_step, elbo = community._e_step, community._elbo
 
         def step(*args):
-            blocks.append(args[-1])
+            blocks.append(_block_width(args[1]))
             e_step(*args)
 
         def objective(*args):
@@ -295,13 +393,13 @@ class TestVariationalEm:
         def run(spoil):
             batched = []
 
-            def step(R, X, colsum, *args):
-                block = args[-1]
+            def step(R, blocks, colsum, *args):
+                block = _block_width(blocks)
                 if block > 1:
                     batched.append(block)
                     if len(batched) > 1 and not spoil:
-                        block = 1
-                e_step(R, X, colsum, *args[:-1], block)
+                        blocks, block = _one_node_blocks(blocks), 1
+                e_step(R, blocks, colsum, *args)
                 if block > 1 and len(batched) > 1:
                     R[:] = np.eye(3)[np.argmin(R, axis=1)]
 
