@@ -23,7 +23,6 @@ from .samplers import (
     GraphonSpec,
     SbmSpec,
     affiliation_theta,
-    constant_graphon,
     powerlaw_graphon,
     sample_graphon,
     sample_sbm,
@@ -43,8 +42,8 @@ from .selection import (
     cvrp_score,
     eb_penalty,
     log_dirichlet_marginal,
+    pick_best,
     score_partition,
-    select_partition,
 )
 from .graphon import (
     StepGraphon,
@@ -52,7 +51,6 @@ from .graphon import (
     build_step_graphon,
     mse_graphon,
     reorder_identifiable,
-    step_graphon_spec,
 )
 from .community import DetectionResult, detect_pipeline, spectral_partition, variational_em
 from .metrics import (

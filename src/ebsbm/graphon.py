@@ -4,7 +4,7 @@ A fitted block model becomes a step function: the unit interval is cut at
 the cumulative cluster proportions and each cell carries its block's
 connectivity. Cluster order is pinned down by requiring the degree
 function g(l) = sum_k pi_k theta_lk to be nondecreasing, which makes
-estimates comparable across runs and against ground-truth surfaces.
+estimates comparable across runs and against the power-law truth.
 """
 
 from __future__ import annotations
@@ -61,12 +61,6 @@ class StepGraphon:
         return {"boundaries": [float(v) for v in self.boundaries],
                 "theta": [float(v) for v in self.theta.ravel()]}
 
-    @classmethod
-    def from_json_dict(cls, d):
-        b = np.array(d["boundaries"], dtype=np.float64)
-        K = b.size - 1
-        return cls(boundaries=b, theta=np.array(d["theta"], dtype=np.float64).reshape(K, K))
-
 
 def build_step_graphon(partition: Partition, estimate: ConnectivityEstimate) -> StepGraphon:
     """Step function with cell widths n_k / n and the estimate's values.
@@ -94,14 +88,6 @@ def bin_index(x, boundaries):
     return int(idx) if np.isscalar(x) or xs.ndim == 0 else idx
 
 
-def evaluate(g: StepGraphon, x, y):
-    """Step-function value at (x, y); symmetric in its arguments."""
-    ix = np.asarray(bin_index(x, g.boundaries)) - 1
-    iy = np.asarray(bin_index(y, g.boundaries)) - 1
-    out = g.theta[ix, iy]
-    return float(out) if np.isscalar(x) and np.isscalar(y) else out
-
-
 def reorder_identifiable(g: StepGraphon):
     """Permute clusters so the degree function is nondecreasing.
 
@@ -118,78 +104,20 @@ def reorder_identifiable(g: StepGraphon):
     return StepGraphon(boundaries=boundaries, theta=theta), perm
 
 
-def step_graphon_spec(g: StepGraphon) -> GraphonSpec:
-    """Wrap a step graphon as a sampling/evaluation spec with exact MSE."""
-    spec = GraphonSpec(w=_StepW(g), kind="step")
-    object.__setattr__(spec, "_step", g)
-    return spec
-
-
-class _StepW:
-    def __init__(self, g: StepGraphon):
-        self.g = g
-
-    def __call__(self, x, y):
-        # the probe grid includes 1.0; clip into the last right-open cell
-        xs = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0 - 1e-15)
-        ys = np.clip(np.asarray(y, dtype=np.float64), 0.0, 1.0 - 1e-15)
-        return evaluate(self.g, xs, ys)
-
-
-def _powerlaw_cell_integrals(truth: GraphonSpec, edges: np.ndarray):
-    """Per-interval integrals of x^(lam-1) and x^(2 lam - 2)."""
-    lam = truth.lam
-    i1 = np.diff(edges**lam) / lam
-    p2 = 2 * lam - 1
-    i2 = np.diff(edges**p2) / p2
-    return i1, i2
-
-
-def _mse_powerlaw_exact(estimate: StepGraphon, truth: GraphonSpec) -> float:
+def mse_graphon(estimate: StepGraphon, truth: GraphonSpec) -> float:
+    """Integrated squared error between the estimate and a power-law truth
+    rho lam^2 (x y)^(lam - 1), in closed form: on each cell every term of
+    the squared difference has a monomial antiderivative."""
     rho, lam = truth.rho, truth.lam
+    if rho is None or lam is None:
+        raise ValueError("mse_graphon integrates power-law truths only "
+                         "(a GraphonSpec with rho and lam)")
     edges = estimate.boundaries
-    i1, i2 = _powerlaw_cell_integrals(truth, edges)
+    p2 = 2 * lam - 1
+    i1 = np.diff(edges**lam) / lam  # per-cell integrals of x^(lam - 1)
+    i2 = np.diff(edges**p2) / p2    # and of x^(2 lam - 2)
     areas = np.outer(estimate.gaps, estimate.gaps)
     sq = rho**2 * lam**4 * np.outer(i2, i2)
     cross = rho * lam**2 * np.outer(i1, i1)
     t = estimate.theta
     return float(np.sum(sq - 2 * t * cross + t**2 * areas))
-
-
-def _mse_step_exact(estimate: StepGraphon, truth_step: StepGraphon) -> float:
-    merged = np.union1d(estimate.boundaries, truth_step.boundaries)
-    mids = (merged[:-1] + merged[1:]) / 2
-    widths = np.diff(merged)
-    ie = np.asarray(bin_index(mids, estimate.boundaries)) - 1
-    it = np.asarray(bin_index(mids, truth_step.boundaries)) - 1
-    diff = estimate.theta[np.ix_(ie, ie)] - truth_step.theta[np.ix_(it, it)]
-    return float(np.sum(np.outer(widths, widths) * diff**2))
-
-
-def _mse_grid(estimate: StepGraphon, truth: GraphonSpec, grid: int) -> float:
-    mids = (np.arange(grid) + 0.5) / grid
-    w = np.asarray(truth.w(mids[:, None], mids[None, :]), dtype=np.float64)
-    idx = np.asarray(bin_index(mids, estimate.boundaries)) - 1
-    what = estimate.theta[np.ix_(idx, idx)]
-    return float(np.mean((w - what) ** 2))
-
-
-def mse_graphon(estimate: StepGraphon, truth: GraphonSpec, method: str = "auto",
-                grid: int = 2000) -> float:
-    """Integrated squared error between the estimate and a truth surface.
-
-    The built-in power-law and step families integrate each cell in closed
-    form (every term has a monomial antiderivative); generic truths use
-    midpoint quadrature on a grid x grid mesh. method="quadrature" forces
-    the grid path for cross-checking the exact one.
-    """
-    if method not in ("auto", "exact", "quadrature"):
-        raise ValueError("method must be 'auto', 'exact' or 'quadrature'")
-    if method != "quadrature":
-        if truth.kind == "powerlaw":
-            return _mse_powerlaw_exact(estimate, truth)
-        if truth.kind == "step" and hasattr(truth, "_step"):
-            return _mse_step_exact(estimate, truth._step)
-        if method == "exact":
-            raise ValueError(f"no exact integral for graphon kind {truth.kind!r}")
-    return _mse_grid(estimate, truth, grid)

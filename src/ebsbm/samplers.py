@@ -58,13 +58,12 @@ _PROBE = np.linspace(0.0, 1.0, 100)
 class GraphonSpec:
     """A symmetric edge-probability function on the unit square.
 
-    ``w`` must accept array arguments. ``kind`` tags the built-in families
-    ("powerlaw", "step") for which exact integrals are available; anything
-    else is treated as a generic graphon.
+    ``w`` must accept array arguments. ``rho`` and ``lam`` are set only for
+    the power-law family, whose error :func:`ebsbm.graphon.mse_graphon`
+    integrates in closed form.
     """
 
     w: object
-    kind: str = "generic"
     rho: float | None = None
     lam: float | None = None
 
@@ -104,12 +103,7 @@ def powerlaw_graphon(rho: float, lam: float) -> GraphonSpec:
         raise ValueError("lam must be >= 1")
     if rho * lam * lam > 1 + 1e-12:
         raise ValueError("rho * lam^2 must not exceed 1")
-    return GraphonSpec(w=_PowerlawW(rho, lam), kind="powerlaw", rho=float(rho), lam=float(lam))
-
-
-def constant_graphon(p: float) -> GraphonSpec:
-    """Erdos-Renyi edge probability p as the lam = 1 power-law member."""
-    return powerlaw_graphon(rho=p, lam=1.0)
+    return GraphonSpec(w=_PowerlawW(rho, lam), rho=float(rho), lam=float(lam))
 
 
 def affiliation_theta(K: int, lam: float, epsilon: float, rho: float) -> SbmSpec:

@@ -117,26 +117,12 @@ def score_partition(graph: Graph, partition: Partition, cvrp_mode: str = "square
                           total=float(fit) - float(pen), cvrp=float(cv), hyper=hyper)
 
 
-def select_partition(graph: Graph, candidates, criterion: str = "EB",
-                     cvrp_mode: str = "squared"):
-    """Pick the best candidate partition.
-
-    criterion="EB" maximizes total = j_z - penalty; criterion="CVRP"
-    minimizes the cvrp column. Exact ties go to the smaller K, then to
-    input order. Returns (best partition, list of SelectionScore).
-    """
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("need at least one candidate partition")
+def pick_best(scores, criterion: str) -> int:
+    """Index of the winning score row. criterion="EB" maximizes total =
+    j_z - penalty; criterion="CVRP" minimizes the cvrp column. Exact ties
+    go to the smaller K, then to input order."""
     if criterion not in ("EB", "CVRP"):
         raise ValueError(f"criterion must be 'EB' or 'CVRP', got {criterion!r}")
-    scores = [score_partition(graph, p, cvrp_mode=cvrp_mode) for p in candidates]
-    return candidates[pick_best(scores, criterion)], scores
-
-
-def pick_best(scores, criterion: str) -> int:
-    """Index of the winning score row; exact ties go to the smaller K,
-    then to input order."""
     best_idx = 0
     for i in range(1, len(scores)):
         cur, best = scores[i], scores[best_idx]

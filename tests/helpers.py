@@ -98,6 +98,33 @@ def grid_search_max_marginal(xs, ms, lo, hi, num=100):
     return float(total[i, j]), (float(grid[i]), float(grid[j]))
 
 
+def step_values(boundaries, theta, x, y):
+    """A step function's values at (x, y): cells are closed on the left,
+    so a point's cell is the number of interior boundaries at or below it."""
+    inner = np.asarray(boundaries, dtype=float)[1:-1]
+    ix = np.searchsorted(inner, x, side="right")
+    iy = np.searchsorted(inner, y, side="right")
+    return np.asarray(theta, dtype=float)[ix, iy]
+
+
+def step_vs_step_mse(a, b):
+    """Exact integrated squared difference of two step graphons, summed
+    over the rectangles cut by the union of their boundaries."""
+    merged = np.union1d(a.boundaries, b.boundaries)
+    mids = (merged[:-1] + merged[1:]) / 2
+    widths = np.diff(merged)
+    x, y = mids[:, None], mids[None, :]
+    diff = step_values(a.boundaries, a.theta, x, y) - step_values(b.boundaries, b.theta, x, y)
+    return float(np.sum(np.outer(widths, widths) * diff**2))
+
+
+def midpoint_grid_mse(step, w, grid=2000):
+    """Midpoint-rule integral over a grid x grid mesh of (w - step)^2."""
+    mids = (np.arange(grid) + 0.5) / grid
+    x, y = mids[:, None], mids[None, :]
+    return float(np.mean((w(x, y) - step_values(step.boundaries, step.theta, x, y)) ** 2))
+
+
 def hungarian_agreement(labels_a, labels_b):
     """Fraction of nodes matched after the best cluster-label assignment."""
     a = np.asarray(labels_a)

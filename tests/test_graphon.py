@@ -7,12 +7,11 @@ from ebsbm.graphon import (
     StepGraphon,
     bin_index,
     build_step_graphon,
-    evaluate,
     mse_graphon,
     reorder_identifiable,
-    step_graphon_spec,
 )
-from ebsbm.samplers import constant_graphon, powerlaw_graphon
+from ebsbm.samplers import GraphonSpec, powerlaw_graphon
+from helpers import midpoint_grid_mse, step_values
 
 
 def step(boundaries, theta):
@@ -92,23 +91,6 @@ class TestBin:
         assert list(out) == [1, 2]
 
 
-class TestEvaluate:
-    def test_constant(self):
-        g = step([0.0, 1.0], [[0.7]])
-        assert evaluate(g, 0.2, 0.9) == 0.7
-
-    def test_cross_block(self):
-        g = step([0.0, 0.5, 1.0], [[0.9, 0.1], [0.1, 0.8]])
-        assert evaluate(g, 0.25, 0.75) == 0.1
-
-    def test_symmetry(self):
-        g = step([0.0, 0.2, 0.6, 1.0],
-                 [[0.9, 0.1, 0.3], [0.1, 0.8, 0.2], [0.3, 0.2, 0.5]])
-        rng = np.random.default_rng(0)
-        xs, ys = rng.random(1000), rng.random(1000)
-        assert np.array_equal(evaluate(g, xs, ys), evaluate(g, ys, xs))
-
-
 class TestReorder:
     def test_swap_example(self):
         # oracle: g(1) = .5*.9 + .5*.1 = .5, g(2) = .5*.1 + .5*.5 = .3
@@ -150,29 +132,25 @@ class TestReorder:
 
 
 class TestMse:
-    def test_self_is_zero(self):
-        g = step([0.0, 0.35, 1.0], [[0.8, 0.1], [0.1, 0.4]])
-        assert mse_graphon(g, step_graphon_spec(g)) <= 1e-12
-
     def test_constant_match(self):
         g = step([0.0, 1.0], [[0.25]])
-        assert mse_graphon(g, constant_graphon(0.25)) == pytest.approx(0.0, abs=1e-12)
+        assert mse_graphon(g, powerlaw_graphon(0.25, 1.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_vs_constant(self):
         g = step([0.0, 1.0], [[0.0]])
-        assert mse_graphon(g, constant_graphon(0.3)) == pytest.approx(0.09, abs=1e-12)
+        assert mse_graphon(g, powerlaw_graphon(0.3, 1.0)) == pytest.approx(0.09, abs=1e-12)
 
     def test_closed_form_vs_quadrature_and_monte_carlo(self):
         truth = powerlaw_graphon(rho=0.1, lam=2.0)
         est = step([0.0, 0.2, 0.7, 1.0],
                    [[0.02, 0.05, 0.1], [0.05, 0.12, 0.2], [0.1, 0.2, 0.3]])
         exact = mse_graphon(est, truth)
-        grid = mse_graphon(est, truth, method="quadrature")
+        grid = midpoint_grid_mse(est, truth.w)
         assert exact == pytest.approx(grid, abs=1e-4)
         # Monte Carlo oracle: 1e6 uniform points, 3 standard errors
         rng = np.random.default_rng(99)
         xs, ys = rng.random(1_000_000), rng.random(1_000_000)
-        sq = (truth.w(xs, ys) - evaluate(est, xs, ys)) ** 2
+        sq = (truth.w(xs, ys) - step_values(est.boundaries, est.theta, xs, ys)) ** 2
         se = sq.std(ddof=1) / np.sqrt(sq.size)
         assert abs(exact - sq.mean()) <= 3 * se
 
@@ -183,31 +161,7 @@ class TestMse:
         want = 0.05**2 * 3.0**4 / (2 * 3.0 - 1) ** 2
         assert mse_graphon(zero, truth) == pytest.approx(want, rel=1e-12)
 
-    def test_step_truth_exact_path(self):
-        a = step([0.0, 0.5, 1.0], [[0.9, 0.1], [0.1, 0.5]])
-        b = step([0.0, 0.25, 1.0], [[0.9, 0.1], [0.1, 0.5]])
-        got = mse_graphon(b, step_graphon_spec(a))
-        # oracle: rectangle decomposition by merged boundaries {0,.25,.5,1}
-        cells = [(0.0, 0.25), (0.25, 0.5), (0.5, 1.0)]
-        want = 0.0
-        for x0, x1 in cells:
-            for y0, y1 in cells:
-                xa = a.theta[bin_index((x0 + x1) / 2, a.boundaries) - 1,
-                             bin_index((y0 + y1) / 2, a.boundaries) - 1]
-                xb = b.theta[bin_index((x0 + x1) / 2, b.boundaries) - 1,
-                             bin_index((y0 + y1) / 2, b.boundaries) - 1]
-                want += (x1 - x0) * (y1 - y0) * (xa - xb) ** 2
-        assert got == pytest.approx(want, abs=1e-14)
-
-    def test_generic_truth_uses_grid(self):
-        from ebsbm.samplers import GraphonSpec
-
-        spec = GraphonSpec(w=lambda x, y: 0.25 * (np.asarray(x) + np.asarray(y)))
-        g = step([0.0, 1.0], [[0.25]])
-        got = mse_graphon(g, spec, grid=400)
-        # oracle: direct double integral of (0.25(x+y) - 0.25)^2
-        # = 0.0625 * Var-like integral; compute numerically at high res
-        xs = (np.arange(2000) + 0.5) / 2000
-        w = 0.25 * (xs[:, None] + xs[None, :])
-        want = ((w - 0.25) ** 2).mean()
-        assert got == pytest.approx(want, abs=1e-5)
+    def test_non_powerlaw_truth_rejected(self):
+        truth = GraphonSpec(w=lambda x, y: 0.25 * (np.asarray(x) + np.asarray(y)))
+        with pytest.raises(ValueError, match="power-law"):
+            mse_graphon(step([0.0, 1.0], [[0.25]]), truth)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebsbm.graph import Graph, Partition, block_stats, compact_partition
-from ebsbm.graphon import build_step_graphon, mse_graphon, step_graphon_spec
+from ebsbm.graphon import build_step_graphon
 from ebsbm.estimator import ConnectivityEstimate
 from ebsbm.metrics import (
     ExperimentRecord,
@@ -20,7 +20,7 @@ from ebsbm.metrics import (
 )
 from ebsbm.metrics import test_loglik as held_out_loglik
 from ebsbm.samplers import affiliation_theta, sample_sbm
-from helpers import two_cliques_graph
+from helpers import step_vs_step_mse, two_cliques_graph
 
 
 def random_theta(rng, K):
@@ -114,7 +114,7 @@ class TestMseSbm:
         m_sbm = mse_sbm(t_est, p, t_true, p)
         g_est = build_step_graphon(p, ConnectivityEstimate(theta=t_est, method="MLE"))
         g_true = build_step_graphon(p, ConnectivityEstimate(theta=t_true, method="MLE"))
-        m_gra = mse_graphon(g_est, step_graphon_spec(g_true))
+        m_gra = step_vs_step_mse(g_est, g_true)
         assert abs(m_sbm - m_gra) <= 2 / n
 
 

@@ -12,7 +12,6 @@ from ebsbm.samplers import (
     SbmSpec,
     _draw_sbm,
     affiliation_theta,
-    constant_graphon,
     powerlaw_graphon,
     sample_graphon,
     sample_sbm,
@@ -42,10 +41,6 @@ class TestSpecs:
             powerlaw_graphon(rho=0.5, lam=3.0)  # rho * lam^2 > 1
         with pytest.raises(ValueError):
             powerlaw_graphon(rho=0.1, lam=0.5)  # unbounded near origin
-
-    def test_constant_graphon(self):
-        spec = constant_graphon(0.25)
-        assert spec.w(0.1, 0.9) == pytest.approx(0.25)
 
 
 class TestAffiliation:
@@ -116,7 +111,7 @@ class TestSampleSbm:
 
 class TestSampleGraphon:
     def test_constant_is_erdos_renyi(self):
-        spec = constant_graphon(0.3)
+        spec = powerlaw_graphon(0.3, 1.0)
         dens = []
         for seed in range(10):
             g, u = sample_graphon(spec, n=200, seed=seed)
@@ -160,7 +155,7 @@ class TestSampleGraphon:
         monkeypatch.setattr(samplers, "_BLOCK_PAIRS", block)
         spec = unprobed_spec(lambda x, y: np.where(x == y, 1.5, 0.3))
         g, u = sample_graphon(spec, n=60, seed=4)
-        ref, ref_u = sample_graphon(constant_graphon(0.3), n=60, seed=4)
+        ref, ref_u = sample_graphon(powerlaw_graphon(0.3, 1.0), n=60, seed=4)
         assert np.array_equal(g.edges, ref.edges) and np.array_equal(u, ref_u)
 
     @pytest.mark.parametrize("block", [1, 7, 64, samplers._BLOCK_PAIRS])
@@ -178,7 +173,6 @@ def unprobed_spec(w):
     """A GraphonSpec that bypasses the probe, to test the sampler's guard."""
     spec = GraphonSpec.__new__(GraphonSpec)
     object.__setattr__(spec, "w", w)
-    object.__setattr__(spec, "kind", "generic")
     object.__setattr__(spec, "rho", None)
     object.__setattr__(spec, "lam", None)
     return spec

@@ -9,8 +9,8 @@ from ebsbm.selection import (
     cvrp_score,
     eb_penalty,
     log_dirichlet_marginal,
+    pick_best,
     score_partition,
-    select_partition,
 )
 from helpers import log_dirichlet_marginal_lgamma, two_cliques_graph
 
@@ -130,11 +130,18 @@ class TestJz:
         assert a == pytest.approx(b, abs=1e-9)
 
 
+def select(g, candidates, criterion):
+    """The selection step of experiment.analyze_graph: score every
+    candidate, then pick by the criterion."""
+    scores = [score_partition(g, p) for p in candidates]
+    return candidates[pick_best(scores, criterion)], scores
+
+
 class TestSelectPartition:
     def test_single_candidate(self):
         g = graph_of(4, [(0, 1)])
         p = Partition.from_labels([1, 1, 1, 1])
-        best, scores = select_partition(g, [p], criterion="EB")
+        best, scores = select(g, [p], criterion="EB")
         assert best == p
         assert len(scores) == 1
         assert scores[0].total == scores[0].j_z - scores[0].penalty
@@ -147,7 +154,7 @@ class TestSelectPartition:
             Partition.from_labels(labels),
             Partition.from_labels([1] * 5 + [2] * 5 + [3] * 10),
         ]
-        best, scores = select_partition(g, cands, criterion="EB")
+        best, scores = select(g, cands, criterion="EB")
         assert best.K == 2
         totals = {s.K: s.total for s in scores}
         assert totals[2] > totals[1] and totals[2] > totals[3]
@@ -156,7 +163,7 @@ class TestSelectPartition:
         g = graph_of(6, [(0, 1), (2, 3)])
         cands = [Partition.from_labels([1] * 6),
                  Partition.from_labels([1, 1, 1, 2, 2, 2])]
-        best, scores = select_partition(g, cands, criterion="CVRP")
+        best, scores = select(g, cands, criterion="CVRP")
         cvrps = [s.cvrp for s in scores]
         assert best == cands[int(np.argmin(cvrps))]
 
@@ -164,13 +171,12 @@ class TestSelectPartition:
         n, edges, labels = two_cliques_graph(size=4)
         g = graph_of(n, edges)
         p = Partition.from_labels(labels)
-        _, scores = select_partition(g, [p, p], criterion="EB")
+        _, scores = select(g, [p, p], criterion="EB")
         assert scores[0].total == scores[1].total
         assert scores[0].cvrp == scores[1].cvrp
 
     def test_tie_breaks_to_smaller_k_then_input_order(self):
         from ebsbm.estimator import HyperParams
-        from ebsbm.selection import pick_best
 
         hp = HyperParams(1.0, 1.0, 1.0, 1.0)
 
@@ -183,10 +189,8 @@ class TestSelectPartition:
         assert pick_best(tied, "CVRP") == 1
         assert pick_best([row(2, -7.0, 0.5), row(2, -6.0, 0.9)], "EB") == 1
         assert pick_best([row(2, -7.0, 0.5), row(2, -6.0, 0.9)], "CVRP") == 0
-
-    def test_empty_candidates(self):
         with pytest.raises(ValueError):
-            select_partition(graph_of(2, []), [], criterion="EB")
+            pick_best(tied, "eb")
 
 
 def test_score_partition_reuses_precomputed_stats():
@@ -206,7 +210,7 @@ def test_scores_to_csv(tmp_path):
     from ebsbm.selection import scores_to_csv
     n, edges, labels = two_cliques_graph(size=4)
     g = graph_of(n, edges)
-    _, scores = select_partition(g, [Partition.from_labels(labels)], criterion="EB")
+    scores = [score_partition(g, Partition.from_labels(labels))]
     path = tmp_path / "scores.csv"
     scores_to_csv(scores, path)
     lines = path.read_text().strip().splitlines()
