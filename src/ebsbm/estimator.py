@@ -34,7 +34,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import betaln, psi
 
-from .graph import BlockStats
+from .graph import BlockStats, check_connectivity
 
 # Hyperparameter search box; spans essentially-no-shrinkage (1e-4) through
 # full-pooling (1e6) regimes. Optimization runs on log(alpha), log(beta).
@@ -83,10 +83,6 @@ class HyperParams:
             "offdiag_converged": self.offdiag_converged,
         }
 
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass(frozen=True, eq=False)
 class ConnectivityEstimate:
@@ -104,13 +100,7 @@ class ConnectivityEstimate:
     flags: tuple = ()
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=np.float64).copy()
-        if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
-            raise ValueError("theta must be square")
-        if not np.allclose(theta, theta.T, atol=1e-9):
-            raise ValueError("theta must be symmetric")
-        if theta.min() < -1e-12 or theta.max() > 1 + 1e-12:
-            raise ValueError("theta entries must lie in [0, 1]")
+        theta = check_connectivity(self.theta)
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
         if self.shrinkage is not None:
@@ -135,19 +125,6 @@ class ConnectivityEstimate:
                           if self.shrinkage is not None else None),
             "flags": list(self.flags),
         }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        K = int(d["K"])
-        theta = np.array(d["theta"], dtype=np.float64).reshape(K, K)
-        shrink = d.get("shrinkage")
-        if shrink is not None:
-            shrink = np.array(shrink, dtype=np.float64).reshape(K, K)
-        hyper = d.get("hyper")
-        if hyper is not None:
-            hyper = HyperParams.from_json_dict(hyper)
-        return cls(theta=theta, method=d["method"], hyper=hyper,
-                   shrinkage=shrink, flags=tuple(d.get("flags", ())))
 
 
 def _family_blocks(stats: BlockStats, which: str):

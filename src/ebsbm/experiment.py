@@ -369,23 +369,27 @@ def run_testlik_protocol(graph: Graph, partition: Partition, n_splits: int = 100
     Per split: fit each estimator on the train-induced subgraph under the
     annotated labels (keeping the full K* block structure; blocks emptied
     by the split contribute prior means or density fills), then score the
-    held-out pairs. Returns method -> list of log-likelihoods.
+    held-out pairs. Train and test cover every node, so a pair is held out
+    iff it is not inside train, and the held-out block counts are the
+    whole graph's (counted once) less the train subgraph's. Returns
+    method -> list of log-likelihoods.
     """
     if n_splits < 1:
         raise ValueError(f"n_splits must be >= 1, got {n_splits}")
     out = {"MLE": [], "EB": [], "fixed-prior": []}
     K = partition.K
+    x_all, m_all = block_counts(graph, partition.labels - 1, K)
     for s in range(n_splits):
-        train, test = split_nodes(graph.n, fraction=fraction, seed=base_seed + s)
+        train, _ = split_nodes(graph.n, fraction=fraction, seed=base_seed + s)
         sub, ids = induced_subgraph(graph, train)
-        labs0 = partition.labels[ids] - 1
-        x, m = block_counts(sub, labs0, K)
+        x, m = block_counts(sub, partition.labels[ids] - 1, K)
         stats = BlockStats(K=K, edge_counts=x, pair_counts=m)
+        heldout = BlockStats(K=K, edge_counts=x_all - x, pair_counts=m_all - m)
         ests = {
             "MLE": mle_estimate(stats),
             "EB": eb_estimate(stats, fit_hyperparams(stats)),
             "fixed-prior": fixed_prior_estimate(stats),
         }
         for name, est in ests.items():
-            out[name].append(test_loglik(graph, partition, est.theta, train, test))
+            out[name].append(test_loglik(est.theta, heldout))
     return out

@@ -131,6 +131,20 @@ class Partition:
         return hash((self.K, self.labels.tobytes()))
 
 
+def check_connectivity(theta, K: int | None = None, name: str = "theta") -> np.ndarray:
+    """theta as a new float64 K x K matrix (any square size if K is None)
+    that is symmetric and has entries in [0, 1], both to within 1e-12."""
+    t = np.array(theta, dtype=np.float64)
+    if t.ndim != 2 or t.shape[0] != t.shape[1] or K not in (None, t.shape[0]):
+        size = "a square" if K is None else f"{K}x{K}"
+        raise ValueError(f"{name} must be {size} matrix, got shape {t.shape}")
+    if not np.all(np.abs(t - t.T) <= 1e-12):
+        raise ValueError(f"{name} must be symmetric")
+    if not np.all((t >= -1e-12) & (t <= 1 + 1e-12)):
+        raise ValueError(f"{name} entries must lie in [0, 1]")
+    return t
+
+
 def compact_partition(raw_labels) -> Partition:
     """Map arbitrary integer labels onto 1..K' (sorted unique order)."""
     raw = np.asarray(raw_labels, dtype=np.int64)

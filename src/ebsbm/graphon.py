@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import ConnectivityEstimate
-from .graph import Partition
-from .samplers import GraphonSpec
+from .graph import Partition, check_connectivity
+from .samplers import GraphonSpec, _PowerlawW
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,20 +28,13 @@ class StepGraphon:
 
     def __post_init__(self):
         b = np.asarray(self.boundaries, dtype=np.float64).copy()
-        t = np.asarray(self.theta, dtype=np.float64).copy()
         if b.ndim != 1 or b.size < 2:
             raise ValueError("boundaries must hold at least [0, 1]")
         if abs(b[0]) > 1e-12 or abs(b[-1] - 1.0) > 1e-12:
             raise ValueError("boundaries must start at 0 and end at 1")
         if np.any(np.diff(b) <= 0):
             raise ValueError("boundaries must be strictly increasing")
-        K = b.size - 1
-        if t.shape != (K, K):
-            raise ValueError(f"theta must be {K}x{K} for {K} cells")
-        if not np.allclose(t, t.T, atol=1e-12):
-            raise ValueError("theta must be symmetric")
-        if t.min() < -1e-12 or t.max() > 1 + 1e-12:
-            raise ValueError("theta entries must lie in [0, 1]")
+        t = check_connectivity(self.theta, b.size - 1)
         b[0], b[-1] = 0.0, 1.0
         b.flags.writeable = False
         t.flags.writeable = False
@@ -108,10 +101,10 @@ def mse_graphon(estimate: StepGraphon, truth: GraphonSpec) -> float:
     """Integrated squared error between the estimate and a power-law truth
     rho lam^2 (x y)^(lam - 1), in closed form: on each cell every term of
     the squared difference has a monomial antiderivative."""
-    rho, lam = truth.rho, truth.lam
-    if rho is None or lam is None:
+    if not isinstance(truth.w, _PowerlawW):
         raise ValueError("mse_graphon integrates power-law truths only "
-                         "(a GraphonSpec with rho and lam)")
+                         "(a GraphonSpec from powerlaw_graphon)")
+    rho, lam = truth.w.rho, truth.w.lam
     edges = estimate.boundaries
     p2 = 2 * lam - 1
     i1 = np.diff(edges**lam) / lam  # per-cell integrals of x^(lam - 1)

@@ -16,22 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import mle_estimate
-from .graph import Graph, Partition, block_stats, edge_tally, pair_tally
-from .selection import SelectionScore
+from .graph import BlockStats, Graph, Partition, block_stats, check_connectivity
 
 _CLAMP = 1e-9  # probability clipping for log terms
-
-
-def _check_theta(theta, K: int, name: str) -> np.ndarray:
-    """A K x K symmetric matrix of probabilities, as float64."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (K, K):
-        raise ValueError(f"{name} must be {K}x{K} for a partition with K={K}")
-    if not np.allclose(theta, theta.T, atol=1e-12):
-        raise ValueError(f"{name} must be symmetric")
-    if theta.min() < -1e-12 or theta.max() > 1 + 1e-12:
-        raise ValueError(f"{name} entries must lie in [0, 1]")
-    return theta
 
 
 def mse_sbm(est_theta, est_partition: Partition, true_theta,
@@ -44,8 +31,8 @@ def mse_sbm(est_theta, est_partition: Partition, true_theta,
     """
     if est_partition.n != true_partition.n:
         raise ValueError("partitions cover different node counts")
-    est_theta = _check_theta(est_theta, est_partition.K, "est_theta")
-    true_theta = _check_theta(true_theta, true_partition.K, "true_theta")
+    est_theta = check_connectivity(est_theta, est_partition.K, "est_theta")
+    true_theta = check_connectivity(true_theta, true_partition.K, "true_theta")
     n = est_partition.n
     if n < 2:
         return 0.0
@@ -108,35 +95,15 @@ def split_nodes(n: int, fraction: float = 0.7, seed: int = 0):
     return train, test
 
 
-def test_loglik(graph: Graph, labels: Partition, theta_hat, train, test) -> float:
-    """Log-likelihood of the held-out edge variables.
-
-    Sums x log(theta) + (1 - x) log(1 - theta) over train x test pairs and
-    test-internal pairs, i.e. the block counts inside train + test less
-    those inside train. Estimated probabilities are clipped to
-    [1e-9, 1 - 1e-9] before the logs.
+def test_loglik(theta_hat, heldout: BlockStats) -> float:
+    """Log-likelihood of the held-out edge variables from their block
+    counts: the sum over blocks a <= b of x log(theta) + (m - x) log(1 -
+    theta). Estimated probabilities are clipped to [1e-9, 1 - 1e-9]
+    before the logs.
     """
-    theta_hat = _check_theta(theta_hat, labels.K, "theta_hat")
-    if labels.n != graph.n:
-        raise ValueError("labels must cover every node")
-    train = np.asarray(train, dtype=np.int64)
-    test = np.asarray(test, dtype=np.int64)
-    both = np.concatenate([train, test])
-    if both.size and (both.min() < 0 or both.max() >= graph.n):
-        raise ValueError("node indices out of range")
-    if np.unique(both).size != both.size:
-        raise ValueError("train and test must be disjoint and must not repeat a node")
-    z0, K = labels.labels - 1, labels.K
-
-    def counts(nodes):
-        mask = np.zeros(graph.n, dtype=bool)
-        mask[nodes] = True
-        inside = graph.edges[mask[graph.edges].all(axis=1)]
-        return edge_tally(inside, z0, K), pair_tally(np.bincount(z0[mask], minlength=K))
-
-    (x, m), (x_train, m_train) = counts(both), counts(train)
-    x, m = x - x_train, m - m_train
-    iu = np.triu_indices(K)
+    theta_hat = check_connectivity(theta_hat, heldout.K, "theta_hat")
+    x, m = heldout.edge_counts, heldout.pair_counts
+    iu = np.triu_indices(heldout.K)
     probs = np.clip(theta_hat[iu], _CLAMP, 1 - _CLAMP)
     return float(np.sum(x[iu] * np.log(probs) + (m - x)[iu] * np.log1p(-probs)))
 
@@ -173,21 +140,6 @@ class ExperimentRecord:
             "scores": [s.to_json_dict() for s in self.scores],
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(
-            replicate=int(d["replicate"]), K_input=int(d["K_input"]),
-            K_returned=int(d["K_returned"]), mse_mle=float(d["mse_mle"]),
-            mse_eb=float(d["mse_eb"]), mse_vbem=float(d["mse_vbem"]),
-            scores=[SelectionScore.from_json_dict(s) for s in d.get("scores", [])],
-            seed=int(d["seed"]),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, ExperimentRecord):
-            return NotImplemented
-        return self.to_json_dict() == other.to_json_dict()
 
 
 def write_records_jsonl(records, path):

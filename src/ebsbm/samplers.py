@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, Partition, compact_partition
+from .graph import Graph, Partition, check_connectivity, compact_partition
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,18 +29,11 @@ class SbmSpec:
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=np.float64).copy()
-        theta = np.asarray(self.theta, dtype=np.float64).copy()
         if pi.ndim != 1 or pi.size == 0:
             raise ValueError("pi must be a nonempty vector")
         if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
             raise ValueError("pi must be nonnegative and sum to 1")
-        K = pi.size
-        if theta.shape != (K, K):
-            raise ValueError(f"theta must be {K}x{K}")
-        if not np.allclose(theta, theta.T, atol=1e-12):
-            raise ValueError("theta must be symmetric")
-        if theta.min() < 0 or theta.max() > 1:
-            raise ValueError("theta entries must lie in [0, 1]")
+        theta = check_connectivity(self.theta, pi.size)
         pi.flags.writeable = False
         theta.flags.writeable = False
         object.__setattr__(self, "pi", pi)
@@ -58,14 +51,12 @@ _PROBE = np.linspace(0.0, 1.0, 100)
 class GraphonSpec:
     """A symmetric edge-probability function on the unit square.
 
-    ``w`` must accept array arguments. ``rho`` and ``lam`` are set only for
-    the power-law family, whose error :func:`ebsbm.graphon.mse_graphon`
-    integrates in closed form.
+    ``w`` must accept array arguments. Only :func:`powerlaw_graphon`'s
+    ``w`` carries parameters, its ``rho`` and ``lam``, from which
+    :func:`ebsbm.graphon.mse_graphon` integrates the error in closed form.
     """
 
     w: object
-    rho: float | None = None
-    lam: float | None = None
 
     def __post_init__(self):
         gx, gy = np.meshgrid(_PROBE, _PROBE)
@@ -81,9 +72,9 @@ class GraphonSpec:
 class _PowerlawW:
     """w(x, y) = rho * lam^2 * (x y)^(lam - 1); picklable for worker pools."""
 
-    def __init__(self, rho, lam):
-        self.rho = rho
-        self.lam = lam
+    def __init__(self, rho: float, lam: float):
+        self.rho = float(rho)
+        self.lam = float(lam)
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=np.float64)
@@ -103,7 +94,7 @@ def powerlaw_graphon(rho: float, lam: float) -> GraphonSpec:
         raise ValueError("lam must be >= 1")
     if rho * lam * lam > 1 + 1e-12:
         raise ValueError("rho * lam^2 must not exceed 1")
-    return GraphonSpec(w=_PowerlawW(rho, lam), rho=float(rho), lam=float(lam))
+    return GraphonSpec(w=_PowerlawW(rho, lam))
 
 
 def affiliation_theta(K: int, lam: float, epsilon: float, rho: float) -> SbmSpec:

@@ -38,12 +38,6 @@ class SelectionScore:
             "hyper": self.hyper.to_json_dict(),
         }
 
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(K=int(d["K"]), j_z=float(d["j_z"]), penalty=float(d["penalty"]),
-                   total=float(d["total"]), cvrp=float(d["cvrp"]),
-                   hyper=HyperParams.from_json_dict(d["hyper"]))
-
 
 def log_dirichlet_marginal(sizes, tau: float = 0.5) -> float:
     """Log probability of the cluster-size counts with proportions

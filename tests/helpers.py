@@ -12,18 +12,19 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 
-def brute_force_block_counts(n, edges, labels):
-    """Exhaustive pair enumeration: O(n^2) loop, 1-based labels."""
+def brute_force_block_counts(n, edges, labels, pairs=None):
+    """Exhaustive pair enumeration: O(n^2) loop, 1-based labels; over the
+    given (i, j) pairs, or all of them."""
     K = max(labels)
     x = np.zeros((K, K), dtype=int)
     m = np.zeros((K, K), dtype=int)
     eset = {(min(i, j), max(i, j)) for i, j in edges}
-    for i, j in itertools.combinations(range(n), 2):
+    for i, j in itertools.combinations(range(n), 2) if pairs is None else pairs:
         a, b = labels[i] - 1, labels[j] - 1
         m[a, b] += 1
         if a != b:
             m[b, a] += 1
-        if (i, j) in eset:
+        if (min(i, j), max(i, j)) in eset:
             x[a, b] += 1
             if a != b:
                 x[b, a] += 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from ebsbm.experiment import (
     _write_sidecars,
 )
 from ebsbm.graph import Graph, Partition
-from ebsbm.io import write_label_file
+from ebsbm.io import bundled_data_path, ingest_network, write_label_file
 from ebsbm.samplers import affiliation_theta, powerlaw_graphon, sample_graphon, sample_sbm
 from helpers import two_cliques_graph
 
@@ -271,3 +272,13 @@ def test_testlik_protocol_orders_methods():
     assert med["EB"] >= med["MLE"]
     with pytest.raises(ValueError, match="n_splits"):
         run_testlik_protocol(g, part, n_splits=0)
+
+
+def test_testlik_protocol_bytes_pinned():
+    # sha256 of the sorted-key JSON of 20 splits on the bundled network:
+    # every per-split log-likelihood keeps its bits
+    g, part, _, _ = ingest_network(bundled_data_path("synthetic_edges.txt"),
+                                   bundled_data_path("synthetic_labels.txt"))
+    out = run_testlik_protocol(g, part, n_splits=20, fraction=0.7, base_seed=0)
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == "df4aa6a148469baa70fc88f1bea520948ba478c98e9de2301133dff4e317112b"

@@ -10,10 +10,14 @@ from ebsbm.graph import (
     Partition,
     block_counts,
     block_stats,
+    check_connectivity,
     compact_partition,
     induced_subgraph,
     relabel_nodes,
 )
+from ebsbm.estimator import ConnectivityEstimate
+from ebsbm.graphon import StepGraphon
+from ebsbm.samplers import SbmSpec
 from helpers import brute_force_block_counts
 
 
@@ -205,6 +209,23 @@ class TestBlockStats:
         x, m = block_counts(g, np.array([0, 0, 0]), K=2)
         assert m[1, 1] == 0 and m[0, 1] == 0
         assert x[0, 0] == 1 and x.sum() == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda t: check_connectivity(t, 2),
+    lambda t: ConnectivityEstimate(theta=t, method="MLE"),
+    lambda t: StepGraphon(boundaries=[0.0, 0.5, 1.0], theta=t),
+    lambda t: SbmSpec(pi=[0.5, 0.5], theta=t),
+], ids=["check", "estimate", "step", "sbm"])
+def test_connectivity_checked_alike(build):
+    # square, symmetric and in [0, 1], each to within 1e-12 (the metrics'
+    # BAD_THETAS cases cover mse_sbm and test_loglik)
+    build(np.array([[1 + 1e-12, 0.1], [0.1 + 5e-13, -1e-12]]))
+    for bad in ([[0.5, 0.1, 0.0]] * 2, [[0.5, 0.1 + 1e-11], [0.1, 0.5]],
+                [[1 + 1e-11, 0.1], [0.1, 0.5]], [[0.5, -1e-11], [-1e-11, 0.5]],
+                [[np.nan, 0.1], [0.1, 0.5]]):
+        with pytest.raises(ValueError):
+            build(np.array(bad))
 
 
 def test_induced_subgraph():

@@ -165,3 +165,15 @@ class TestMse:
         truth = GraphonSpec(w=lambda x, y: 0.25 * (np.asarray(x) + np.asarray(y)))
         with pytest.raises(ValueError, match="power-law"):
             mse_graphon(step([0.0, 1.0], [[0.25]]), truth)
+
+    def test_only_powerlaw_graphon_carries_rho_and_lam(self):
+        # a constant 0.5 cannot claim the power law's rho = 0.1, lam = 2
+        # (its error would read 0.16778 instead of 0)
+        def half(x, y):
+            return np.full(np.broadcast(x, y).shape, 0.5)
+
+        with pytest.raises(TypeError):
+            GraphonSpec(w=half, rho=0.1, lam=2.0)
+        half.rho, half.lam = 0.1, 2.0
+        with pytest.raises(ValueError, match="power-law"):
+            mse_graphon(step([0.0, 1.0], [[0.5]]), GraphonSpec(w=half))

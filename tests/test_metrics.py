@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -7,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebsbm.graph import Graph, Partition, block_stats, compact_partition
+from ebsbm.graph import (
+    BlockStats,
+    Graph,
+    Partition,
+    block_counts,
+    block_stats,
+    compact_partition,
+    induced_subgraph,
+)
 from ebsbm.graphon import build_step_graphon
 from ebsbm.estimator import ConnectivityEstimate
 from ebsbm.metrics import (
@@ -20,7 +29,7 @@ from ebsbm.metrics import (
 )
 from ebsbm.metrics import test_loglik as held_out_loglik
 from ebsbm.samplers import affiliation_theta, sample_sbm
-from helpers import step_vs_step_mse, two_cliques_graph
+from helpers import brute_force_block_counts, step_vs_step_mse, two_cliques_graph
 
 
 def random_theta(rng, K):
@@ -44,17 +53,34 @@ def mse_reference(est_theta, est_p, true_theta, true_p):
     return float(diff[off].mean()) if a.size > 1 else 0.0
 
 
+def heldout_pairs(train, test):
+    return ([(i, j) for i in train for j in test]
+            + [(i, j) for a, i in enumerate(test) for j in test[a + 1:]])
+
+
 def loglik_reference(edges, labels, theta, train, test):
     # enumerate the held-out pairs one by one
     eset = set(edges)
-    pairs = [(i, j) for i in train for j in test]
-    pairs += [(i, j) for a, i in enumerate(test) for j in test[a + 1:]]
     total = 0.0
-    for i, j in pairs:
+    for i, j in heldout_pairs(train, test):
         p = min(max(theta[labels.labels[i] - 1, labels.labels[j] - 1], 1e-9), 1 - 1e-9)
         x = (min(i, j), max(i, j)) in eset
         total += math.log(p) if x else math.log1p(-p)
     return total
+
+
+def heldout_counts(graph, labels, train):
+    # run_testlik_protocol's held-out counts: the whole graph's block
+    # counts less those of the subgraph induced by train
+    x_all, m_all = block_counts(graph, labels.labels - 1, labels.K)
+    sub, ids = induced_subgraph(graph, train)
+    x, m = block_counts(sub, labels.labels[ids] - 1, labels.K)
+    return BlockStats(K=labels.K, edge_counts=x_all - x, pair_counts=m_all - m)
+
+
+def held_out(graph, labels, theta, train):
+    # test_loglik on the pairs with an endpoint outside train
+    return held_out_loglik(theta, heldout_counts(graph, labels, train))
 
 
 # (theta, K) pairs every metric must reject
@@ -247,16 +273,13 @@ class TestTestLoglik:
         g = Graph(n=4, edges=frozenset({(0, 1), (2, 3)}))
         labels = Partition.from_labels([1, 1, 2, 2])
         theta = np.full((2, 2), 0.5)
-        train = np.array([0, 1])
-        test = np.array([2, 3])
         # contributing pairs: 2*2 across + 1 within test = 5
-        assert held_out_loglik(g, labels, theta, train, test) == pytest.approx(5 * math.log(0.5))
+        assert held_out(g, labels, theta, [0, 1]) == pytest.approx(5 * math.log(0.5))
 
     def test_certain_edge_clamped(self):
         g = Graph(n=2, edges=frozenset({(0, 1)}))
         labels = Partition.from_labels([1, 1])
-        theta = np.array([[1.0]])
-        val = held_out_loglik(g, labels, theta, np.array([0]), np.array([1]))
+        val = held_out(g, labels, np.array([[1.0]]), [0])
         assert abs(val) <= 1e-8
 
     def test_brute_force_four_nodes(self):
@@ -264,8 +287,6 @@ class TestTestLoglik:
         g = Graph(n=4, edges=frozenset({(0, 2), (1, 3), (2, 3)}))
         labels = Partition.from_labels([1, 2, 1, 2])
         theta = np.array([[0.7, 0.3], [0.3, 0.2]])
-        train = [0, 1]
-        test = [2, 3]
         adj = {(0, 2), (1, 3), (2, 3)}
         want = 0.0
         pairs = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -273,14 +294,12 @@ class TestTestLoglik:
             p = theta[labels.labels[i] - 1, labels.labels[j] - 1]
             x = 1.0 if (min(i, j), max(i, j)) in adj else 0.0
             want += x * math.log(p) + (1 - x) * math.log(1 - p)
-        got = held_out_loglik(g, labels, theta, np.array(train), np.array(test))
-        assert got == pytest.approx(want, abs=1e-12)
+        assert held_out(g, labels, theta, [0, 1]) == pytest.approx(want, abs=1e-12)
 
     def test_train_internal_pairs_excluded(self):
         g = Graph(n=3, edges=frozenset({(0, 1)}))
         labels = Partition.from_labels([1, 1, 1])
-        theta = np.array([[0.3]])
-        got = held_out_loglik(g, labels, theta, np.array([0, 1]), np.array([2]))
+        got = held_out(g, labels, np.array([[0.3]]), [0, 1])
         want = 2 * math.log(1 - 0.3)  # only pairs (0,2), (1,2)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -301,9 +320,7 @@ class TestTestLoglik:
         counts = np.zeros((2, 2))
         totals = np.zeros((2, 2))
         eset = {(min(i, j), max(i, j)) for i, j in edges}
-        contributing = [(i, j) for i in train for j in test]
-        contributing += [(i, j) for a, i in enumerate(test) for j in test[a + 1:]]
-        for i, j in contributing:
+        for i, j in heldout_pairs(train, test):
             a, b = labels[i] - 1, labels[j] - 1
             totals[a, b] += 1
             totals[b, a] = totals[a, b] if a != b else totals[a, b]
@@ -312,29 +329,23 @@ class TestTestLoglik:
                 counts[b, a] = counts[a, b] if a != b else counts[a, b]
         freq = counts / np.maximum(totals, 1)
         freq = (freq + freq.T) / 2
-        base = held_out_loglik(g, part, freq, train, test)
+        base = held_out(g, part, freq, train)
         for delta in (0.05, 0.1, 0.2):
             worse = np.clip(freq + delta, 0, 1)
-            assert held_out_loglik(g, part, worse, train, test) < base
-
-    def test_repeated_nodes_rejected(self):
-        g = Graph(n=3, edges=frozenset({(0, 1)}))
-        labels = Partition.from_labels([1, 1, 1])
-        theta = np.array([[0.3]])
-        for train, test in (([0, 0], [1]), ([0], [1, 1])):
-            with pytest.raises(ValueError, match="repeat a node"):
-                held_out_loglik(g, labels, theta, np.array(train), np.array(test))
+            assert held_out(g, part, worse, train) < base
 
     @pytest.mark.parametrize("case, bad", BAD_THETAS)
     def test_theta_checked(self, case, bad):
         g = Graph(n=3, edges=[(0, 1)])
         labels = Partition.from_labels([1, 2, 1])
         with pytest.raises(ValueError):
-            held_out_loglik(g, labels, bad, np.array([0]), np.array([1, 2]))
+            held_out(g, labels, bad, [0])
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 30), st.integers(1, 6), st.floats(0.0, 0.6), st.data())
     def test_matches_pair_enumeration(self, n, K, density, data):
+        # whole-graph counts less induced-train counts are the counts over
+        # the pairs with a test endpoint, for test = the rest of the nodes
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng = np.random.default_rng(seed)
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
@@ -342,12 +353,13 @@ class TestTestLoglik:
         labels = compact_partition(rng.integers(0, K, size=n))
         theta = random_theta(rng, labels.K)
         perm = rng.permutation(n)
-        n_train = data.draw(st.integers(0, n))
-        n_test = data.draw(st.integers(0, n - n_train))  # may leave nodes out
-        train, test = perm[:n_train], perm[n_train:n_train + n_test]
-        want = loglik_reference(edges, labels, theta, train.tolist(), test.tolist())
-        got = held_out_loglik(g, labels, theta, train, test)
-        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        n_train = data.draw(st.integers(1, n))
+        train, test = perm[:n_train].tolist(), perm[n_train:].tolist()
+        x, m = brute_force_block_counts(n, edges, labels.labels, heldout_pairs(train, test))
+        got = heldout_counts(g, labels, train)
+        assert np.array_equal(got.edge_counts, x) and np.array_equal(got.pair_counts, m)
+        want = loglik_reference(edges, labels, theta, train, test)
+        assert held_out_loglik(theta, got) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_empty_and_single_node_test_sets(self):
         rng = np.random.default_rng(3)
@@ -356,31 +368,30 @@ class TestTestLoglik:
         g = Graph(n=n, edges=edges)
         labels = Partition.from_labels([1, 2, 3] * 4)
         theta = random_theta(rng, 3)
-        assert held_out_loglik(g, labels, theta, np.arange(n), np.array([], dtype=int)) == 0.0
-        for train, test in ((np.arange(1, n), [0]), (np.arange(5), [7]), ([], [4])):
-            want = loglik_reference(edges, labels, theta, list(train), list(test))
-            got = held_out_loglik(g, labels, theta, np.asarray(train), np.asarray(test))
-            assert got == pytest.approx(want, rel=1e-12, abs=0)
+        assert held_out(g, labels, theta, np.arange(n)) == 0.0
+        want = loglik_reference(edges, labels, theta, list(range(1, n)), [0])
+        assert held_out(g, labels, theta, np.arange(1, n)) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_theta_domain_checked(self):
         g = Graph(n=2, edges=frozenset())
         labels = Partition.from_labels([1, 1])
         with pytest.raises(ValueError):
-            held_out_loglik(g, labels, np.array([[1.2]]), np.array([0]), np.array([1]))
+            held_out(g, labels, np.array([[1.2]]), [0])
 
 
 def test_metrics_allocate_no_node_by_node_matrix():
-    # one n x n float64 at n=3000 is 72 MB; both metrics work on block counts
+    # one n x n float64 at n=3000 is 72 MB; the MSE and the held-out
+    # counts and likelihood work on block counts
     n = 3000
     spec = affiliation_theta(K=10, lam=0.9, epsilon=0.1, rho=0.02)
     g, true_p = sample_sbm(spec, n=n, seed=0)
     rng = np.random.default_rng(1)
     est_p = compact_partition(rng.integers(0, 10, size=n))
     est_t = random_theta(rng, est_p.K)
-    train, test = split_nodes(n, fraction=0.7, seed=0)
+    train, _ = split_nodes(n, fraction=0.7, seed=0)
     calls = [
         lambda: mse_sbm(est_t, est_p, spec.theta, true_p),
-        lambda: held_out_loglik(g, true_p, spec.theta, train, test),
+        lambda: held_out(g, true_p, spec.theta, train),
     ]
     tracemalloc.start()
     try:
@@ -394,12 +405,13 @@ def test_metrics_allocate_no_node_by_node_matrix():
 
 
 def test_experiment_record_roundtrip():
+    # a records.jsonl line reads back as the record's fields
     rec = ExperimentRecord(replicate=3, K_input=5, K_returned=4,
                            mse_mle=0.5, mse_eb=0.2, mse_vbem=0.3,
                            scores=[], seed=12)
-    d = rec.to_json_dict()
-    back = ExperimentRecord.from_json_dict(d)
-    assert back == rec
+    assert json.loads(json.dumps(rec.to_json_dict())) == {
+        "replicate": 3, "K_input": 5, "K_returned": 4, "mse_mle": 0.5,
+        "mse_eb": 0.2, "mse_vbem": 0.3, "scores": [], "seed": 12}
 
 
 def test_experiment_record_validation():

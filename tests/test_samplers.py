@@ -36,7 +36,7 @@ class TestSpecs:
     def test_powerlaw_params(self):
         spec = powerlaw_graphon(rho=0.1, lam=2.0)
         assert spec.w(1.0, 1.0) == pytest.approx(0.4)
-        assert spec.rho == 0.1 and spec.lam == 2.0
+        assert spec.w.rho == 0.1 and spec.w.lam == 2.0
         with pytest.raises(ValueError):
             powerlaw_graphon(rho=0.5, lam=3.0)  # rho * lam^2 > 1
         with pytest.raises(ValueError):
