@@ -69,11 +69,9 @@ def _require_out(args, command):
 
 
 def _analyze(args, graph, k_range, truth=None):
-    """analyze_graph over k_range with the command's detection flags (and
-    its --cvrp-mode, where it has one)."""
+    """analyze_graph over k_range with the command's detection flags."""
     cfg = ExperimentConfig(k_range=k_range, vem_max_iter=args.vem_max_iter,
-                           vem_tol=args.vem_tol,
-                           cvrp_mode=getattr(args, "cvrp_mode", ExperimentConfig.cvrp_mode))
+                           vem_tol=args.vem_tol)
     return analyze_graph(graph, k_range, args.seed, truth=truth, cfg=cfg)
 
 
@@ -194,8 +192,7 @@ def cmd_experiment(args):
     cfg = ExperimentConfig(
         model=model, n=args.n, k_star=args.k_star, lam=args.lam,
         epsilon=args.epsilon, rho=args.rho, k_range=_parse_k_range(args.k_range),
-        replicates=args.replicates, base_seed=args.seed,
-        cvrp_mode=args.cvrp_mode, workers=args.workers,
+        replicates=args.replicates, base_seed=args.seed, workers=args.workers,
         vem_max_iter=args.vem_max_iter, vem_tol=args.vem_tol,
         graph_file=args.graph, label_file=args.labels,
     )
@@ -255,7 +252,6 @@ def build_parser():
     p.add_argument("--graph", required=True)
     p.add_argument("--k-range", required=True)
     p.add_argument("--criterion", default="EB", choices=["EB", "CVRP"])
-    p.add_argument("--cvrp-mode", default="squared", choices=["squared", "literal"])
     p.add_argument("--seed", type=int, default=0)
     _add_detect_flags(p)
     p.add_argument("--out")
@@ -279,7 +275,6 @@ def build_parser():
     p.add_argument("--k-range", required=True)
     p.add_argument("--replicates", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cvrp-mode", default="squared", choices=["squared", "literal"])
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     _add_detect_flags(p)
     p.add_argument("--out")

@@ -334,7 +334,7 @@ def variational_em(graph: Graph, K: int, init: DetectionResult,
     start of a sweep, so they are computed once per sweep and a redo
     reuses them.
 
-    Returns (DetectionResult, pi_hat, theta_vb), where theta_vb holds the
+    Returns (DetectionResult, theta_vb), where theta_vb holds the
     per-block posterior-mean connectivity for the compacted clusters. Pass
     a list as `trace` to capture the objective value of every sweep.
     """
@@ -392,13 +392,12 @@ def variational_em(graph: Graph, K: int, init: DetectionResult,
     Rc = R[:, used]
     Rc /= Rc.sum(axis=1, keepdims=True)
     part = compact_partition(labels0 + 1)
-    edges, pairs, colsum = _expected_block_counts(Rc, X)
+    edges, pairs, _ = _expected_block_counts(Rc, X)
     theta_vb = (_A0 + edges) / (_A0 + _B0 + pairs)
     theta_vb = (theta_vb + theta_vb.T) / 2.0
-    pi_hat = (_TAU + colsum) / (part.K * _TAU + n)
     det = DetectionResult(partition=part, responsibilities=Rc,
                           converged=converged, iterations=sweeps)
-    return det, pi_hat, theta_vb
+    return det, theta_vb
 
 
 def detect_pipeline(graph: Graph, K: int, seed: int, max_iter: int = 100,

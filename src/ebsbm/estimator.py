@@ -66,22 +66,8 @@ class HyperParams:
                 raise ValueError(f"{name} must be a positive finite real")
             object.__setattr__(self, name, v)
 
-    def pair(self, d: int) -> tuple[float, float]:
-        """(alpha, beta) for d = 0 (diagonal) or d = 1 (off-diagonal)."""
-        if d == 0:
-            return self.alpha0, self.beta0
-        if d == 1:
-            return self.alpha1, self.beta1
-        raise ValueError("d must be 0 or 1")
-
     def to_json_dict(self):
-        return {
-            "alpha0": self.alpha0, "beta0": self.beta0,
-            "alpha1": self.alpha1, "beta1": self.beta1,
-            "offdiag_fitted": self.offdiag_fitted,
-            "diag_converged": self.diag_converged,
-            "offdiag_converged": self.offdiag_converged,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True, eq=False)

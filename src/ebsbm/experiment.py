@@ -42,9 +42,18 @@ from .estimator import (
     fixed_prior_estimate,
     mle_estimate,
 )
-from .graph import BlockStats, Graph, Partition, block_counts, block_stats, induced_subgraph
+from .graph import (
+    BlockStats,
+    Graph,
+    Partition,
+    block_counts,
+    block_stats,
+    compact_partition,
+    induced_subgraph,
+    relabel_nodes,
+)
 from .graphon import build_step_graphon, mse_graphon, reorder_identifiable
-from .io import canonical_order, ingest_network, relabel_nodes, write_edge_list, write_label_file
+from .io import canonical_order, ingest_network, write_edge_list, write_label_file
 from .metrics import (
     ExperimentRecord,
     deviation_metrics,
@@ -74,7 +83,6 @@ class ExperimentConfig:
     k_range: tuple = tuple(range(1, 21))
     replicates: int = 20
     base_seed: int = 0
-    cvrp_mode: str = "squared"
     workers: int = 1
     vem_max_iter: int = 100
     vem_tol: float = 1e-3
@@ -140,9 +148,7 @@ def _restrict_truth(theta_full, raw_labels1, ids):
     labs = np.asarray(raw_labels1)[ids]
     present = np.unique(labs)
     theta = np.asarray(theta_full)[np.ix_(present - 1, present - 1)]
-    remap = np.zeros(int(present.max()) + 1, dtype=np.int64)
-    remap[present] = np.arange(1, present.size + 1)
-    return theta, Partition(labels=remap[labs], K=present.size)
+    return theta, compact_partition(labs)
 
 
 def _simulate_replicate(cfg: ExperimentConfig, r: int):
@@ -188,15 +194,14 @@ def analyze_graph(graph: Graph, k_range, seed: int, truth=None,
     records = []
     estimates = []
     for K in k_range:
-        det, _, theta_vb = detect_pipeline(graph, K, seed,
-                                           max_iter=cfg.vem_max_iter, tol=cfg.vem_tol)
+        det, theta_vb = detect_pipeline(graph, K, seed,
+                                        max_iter=cfg.vem_max_iter, tol=cfg.vem_tol)
         stats = block_stats(graph, det.partition)
         hyper = fit_hyperparams(stats)
         est_mle = mle_estimate(stats)
         est_eb = eb_estimate(stats, hyper)
         est_vb = ConnectivityEstimate(theta=theta_vb, method="VBEM-baseline")
-        score = score_partition(graph, det.partition, cvrp_mode=cfg.cvrp_mode,
-                                stats=stats, hyper=hyper)
+        score = score_partition(graph, det.partition, stats=stats, hyper=hyper)
         rec = ExperimentRecord(
             replicate=replicate, K_input=int(K), K_returned=det.partition.K,
             mse_mle=_mse_against_truth(est_mle, det.partition, truth),
@@ -242,12 +247,10 @@ def annotation_truth(graph: Graph, partition: Partition):
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
     records: list
     selection_rows: list
     summary_rows: list
     skipped: list
-    out_dir: str | None
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ExperimentResult:
@@ -279,8 +282,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
 
     if out_dir is not None:
         _write_outputs(cfg, out_dir, results, records, summary_rows, selection_rows, skipped)
-    return ExperimentResult(config=cfg, records=records, selection_rows=selection_rows,
-                            summary_rows=summary_rows, skipped=skipped, out_dir=out_dir)
+    return ExperimentResult(records=records, selection_rows=selection_rows,
+                            summary_rows=summary_rows, skipped=skipped)
 
 
 def _selection_summary(cfg: ExperimentConfig, results):

@@ -2,11 +2,11 @@
 
 Nodes are 0-indexed integers. A graph is its node count and a sorted
 (m, 2) edge array, nothing more; everything downstream works on that array
-or on per-block edge and pair counts (:func:`edge_tally`, :func:`pair_tally`),
-and only community detection builds a (sparse) matrix from it. Node
-renaming and induced subgraphs share :func:`relabel_nodes`. Cluster
-labels run from 1 to K so that label files and reported tables read
-naturally; all internal matrix indexing subtracts one.
+or on per-block edge and pair counts (:func:`block_counts`), and only
+community detection builds a (sparse) matrix from it. Node renaming and
+induced subgraphs share :func:`relabel_nodes`. Cluster labels run from 1
+to K so that label files and reported tables read naturally; all internal
+matrix indexing subtracts one.
 """
 
 from __future__ import annotations
@@ -74,14 +74,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return self.edges.shape[0]
-
-    @property
-    def pair_count(self) -> int:
-        return self.n * (self.n - 1) // 2
-
-    def density(self) -> float:
-        """Fraction of node pairs that are connected (0 for a single node)."""
-        return self.edge_count / self.pair_count if self.n > 1 else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,24 +191,10 @@ class BlockStats:
         return self.edge_counts[iu].copy(), self.pair_counts[iu].copy()
 
 
-def edge_tally(edges: np.ndarray, labels0: np.ndarray, K: int) -> np.ndarray:
-    """Symmetric K x K counts of the given (i, j) rows between the blocks
-    of 0-based labels; a within-block edge counts once on the diagonal."""
-    a, b = np.sort(labels0[edges], axis=1).T
-    upper = np.bincount(a * K + b, minlength=K * K).reshape(K, K)
-    return upper + np.triu(upper, 1).T
-
-
-def pair_tally(sizes: np.ndarray) -> np.ndarray:
-    """Node pairs per block for the given cluster sizes: size_a * size_b
-    between blocks, size * (size - 1) / 2 within one."""
-    pairs = np.outer(sizes, sizes)
-    np.fill_diagonal(pairs, sizes * (sizes - 1) // 2)
-    return pairs
-
-
 def block_counts(graph: Graph, labels0: np.ndarray, K: int):
-    """Raw block counting for 0-based labels; empty clusters are permitted.
+    """Symmetric K x K (edge_counts, pair_counts) for 0-based labels;
+    empty clusters are permitted. A within-block edge counts once on the
+    diagonal, where a cluster of size s has s * (s - 1) / 2 pairs.
 
     Used by :func:`block_stats` and by train/test protocols where a split
     may leave some clusters without nodes.
@@ -226,8 +204,12 @@ def block_counts(graph: Graph, labels0: np.ndarray, K: int):
         raise ValueError(f"labels cover {labels0.size} nodes, graph has {graph.n}")
     if labels0.size and (labels0.min() < 0 or labels0.max() >= K):
         raise ValueError(f"0-based labels must lie in 0..{K - 1}")
-    return (edge_tally(graph.edges, labels0, K),
-            pair_tally(np.bincount(labels0, minlength=K)))
+    a, b = np.sort(labels0[graph.edges], axis=1).T
+    upper = np.bincount(a * K + b, minlength=K * K).reshape(K, K)
+    sizes = np.bincount(labels0, minlength=K)
+    pairs = np.outer(sizes, sizes)
+    np.fill_diagonal(pairs, sizes * (sizes - 1) // 2)
+    return upper + np.triu(upper, 1).T, pairs
 
 
 def block_stats(graph: Graph, partition: Partition) -> BlockStats:

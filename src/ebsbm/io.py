@@ -14,11 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .graph import Graph, Partition, relabel_nodes
+from .graph import Graph, Partition
 
 __all__ = [
     "read_edge_list", "write_edge_list", "read_label_file", "write_label_file",
-    "ingest_network", "canonical_order", "relabel_nodes", "bundled_data_path",
+    "ingest_network", "canonical_order", "bundled_data_path",
 ]
 
 
@@ -31,8 +31,15 @@ def bundled_data_path(name: str) -> str:
 
 def _data_lines(path):
     try:
-        with open(path, encoding="utf-8") as fh:
+        # a byte that is not UTF-8 decodes to a lone surrogate, and strict
+        # decoding of its line's bytes then names the byte on that line
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, raw in enumerate(fh, start=1):
+                if not raw.isascii():
+                    try:
+                        raw.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise DataError(f"{path}: line {lineno}: {exc}") from exc
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
@@ -61,13 +68,11 @@ def read_edge_list(path):
     return graph, list(index), report
 
 
-def write_edge_list(graph: Graph, path, node_ids=None):
+def write_edge_list(graph: Graph, path):
     """Write edges sorted by index pair, one per line; byte-deterministic."""
     with open(path, "w", encoding="utf-8") as fh:
         for i, j in graph.edges.tolist():
-            a = node_ids[i] if node_ids is not None else i
-            b = node_ids[j] if node_ids is not None else j
-            fh.write(f"{a} {b}\n")
+            fh.write(f"{i} {j}\n")
 
 
 def read_label_file(path, node_ids):
@@ -96,15 +101,14 @@ def read_label_file(path, node_ids):
     return Partition(labels=labels, K=len(label_index)), list(label_index)
 
 
-def write_label_file(labels, path, node_ids=None):
+def write_label_file(labels, path):
     """Write one "node label" line per node, in index order. labels is a
     Partition or a 1-based label array, which may leave labels unused."""
     if isinstance(labels, Partition):
         labels = labels.labels
     with open(path, "w", encoding="utf-8") as fh:
         for i, lab in enumerate(labels):
-            tok = node_ids[i] if node_ids is not None else i
-            fh.write(f"{tok} {lab}\n")
+            fh.write(f"{i} {lab}\n")
 
 
 def ingest_network(edges_path, labels_path=None):

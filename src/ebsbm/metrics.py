@@ -130,16 +130,7 @@ class ExperimentRecord:
                 raise ValueError(f"{name} must be nonnegative")
 
     def to_json_dict(self):
-        return {
-            "replicate": self.replicate,
-            "K_input": self.K_input,
-            "K_returned": self.K_returned,
-            "mse_mle": self.mse_mle,
-            "mse_eb": self.mse_eb,
-            "mse_vbem": self.mse_vbem,
-            "scores": [s.to_json_dict() for s in self.scores],
-            "seed": self.seed,
-        }
+        return {**vars(self), "scores": [s.to_json_dict() for s in self.scores]}
 
 
 def write_records_jsonl(records, path):

@@ -32,11 +32,7 @@ class SelectionScore:
     hyper: HyperParams
 
     def to_json_dict(self):
-        return {
-            "K": self.K, "j_z": self.j_z, "penalty": self.penalty,
-            "total": self.total, "cvrp": self.cvrp,
-            "hyper": self.hyper.to_json_dict(),
-        }
+        return {**vars(self), "hyper": self.hyper.to_json_dict()}
 
 
 def log_dirichlet_marginal(sizes, tau: float = 0.5) -> float:
@@ -75,7 +71,8 @@ def cvrp_score(partition: Partition, n: int, mode: str = "squared") -> float:
     mode="literal" evaluates 2K/(n-1) - ((n+1)K/(n-1)) * sum(n_i/n), which
     collapses to -K because proportions sum to one; it is kept for audits.
     mode="squared" (default) uses sum((n_i/n)^2), the nondegenerate variant
-    from the histogram-bandwidth literature.
+    from the histogram-bandwidth literature, and is the one the pipeline
+    scores.
     """
     if n <= 1:
         raise ValueError("n must be > 1")
@@ -92,8 +89,8 @@ def cvrp_score(partition: Partition, n: int, mode: str = "squared") -> float:
     return 2.0 * K / (n - 1) - (n + 1) * K / (n - 1) * ssum
 
 
-def score_partition(graph: Graph, partition: Partition, cvrp_mode: str = "squared",
-                    stats=None, hyper=None) -> SelectionScore:
+def score_partition(graph: Graph, partition: Partition, stats=None,
+                    hyper=None) -> SelectionScore:
     """Full score row for one candidate; stats/hyper may be passed in to
     avoid refitting when the caller already has them."""
     if stats is None:
@@ -106,7 +103,7 @@ def score_partition(graph: Graph, partition: Partition, cvrp_mode: str = "square
         + log_dirichlet_marginal(partition.sizes)
     )
     pen = eb_penalty(partition.K, partition.n)
-    cv = cvrp_score(partition, partition.n, mode=cvrp_mode)
+    cv = cvrp_score(partition, partition.n)
     return SelectionScore(K=partition.K, j_z=float(fit), penalty=float(pen),
                           total=float(fit) - float(pen), cvrp=float(cv), hyper=hyper)
 

@@ -162,6 +162,15 @@ class TestSelect:
         assert rc == 0
         assert "K_hat" in capsys.readouterr().out
 
+    def test_bundled_scores_bytes_pinned(self, tmp_path, capsys):
+        # sha256 of the score table over K 2..6 on the bundled network
+        out = tmp_path / "sel"
+        rc = main(["select", "--graph", bundled_data_path("synthetic_edges.txt"),
+                   "--k-range", "2..6", "--seed", "3", "--out", str(out)])
+        assert rc == 0
+        digest = hashlib.sha256((out / "scores.csv").read_bytes()).hexdigest()
+        assert digest == "b5817cf0b10412c2b0a94af3d40a3f5b6451fa242d418e3df5e366c8b5924d32"
+
 
 class TestEstimate:
     def test_writes_per_k_json(self, tmp_path):

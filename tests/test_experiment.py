@@ -249,6 +249,28 @@ class TestRun:
         assert res.selection_rows[0]["k_hats"]
 
 
+@pytest.mark.parametrize("model, extra, pinned", [
+    ("sbm-affiliation", dict(k_star=4, lam=0.8, epsilon=0.1, rho=1.0, base_seed=100), {
+        "records.jsonl": "ea513888d6fbcf654c47a0573cd779e1052ed20b3917118fe4149f9b36a8632e",
+        "summary.csv": "3d10083cea8456c5b650e20b73d83ad11173e9ba9e1886d5adb232dd19788629",
+        "selection.csv": "4732c8ccfdb2bf54dd892c96b5b1b3691102965969c22a1a10da11e0364ae58b",
+    }),
+    ("graphon-powerlaw", dict(rho=0.2, lam=2.0, base_seed=200), {
+        "records.jsonl": "1ea3a0dc41e291c602ce8c869bc88512ef7c10cbce1f967eff83fd93dd5ecab4",
+        "summary.csv": "5bab5a512430d59a0c4d01ea47e6bf1cd253375cc45382fd304eb3a8c428952e",
+        "selection.csv": "00f1ea2ac8d37cb1305011917748e3a533306a5cb0f016989a615d86dc20c799",
+    }),
+])
+def test_experiment_output_bytes_pinned(tmp_path, model, extra, pinned):
+    # sha256 of each output table of a three-replicate run over K 2..5
+    cfg = ExperimentConfig(model=model, n=150, k_range=(2, 3, 4, 5), replicates=3,
+                           workers=1, **extra)
+    run_experiment(cfg, out_dir=str(tmp_path))
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in pinned}
+    assert digests == pinned
+
+
 def test_analyze_graph_selects_two_cliques():
     n, edges, labels = two_cliques_graph(10)
     g = Graph(n=n, edges=frozenset(edges))

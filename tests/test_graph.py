@@ -39,8 +39,6 @@ class TestGraph:
     def test_dedup_and_counts(self):
         g = make(4, [(0, 1), (0, 1), (2, 3)])
         assert g.edge_count == 2
-        assert g.pair_count == 6
-        assert g.density() == pytest.approx(2 / 6)
 
 
 class TestEdgeArray:

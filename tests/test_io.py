@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebsbm.errors import DataError
-from ebsbm.graph import Graph, Partition
+from ebsbm.graph import Graph, Partition, relabel_nodes
 from ebsbm.io import (
     canonical_order,
     ingest_network,
     read_edge_list,
     read_label_file,
-    relabel_nodes,
     write_edge_list,
     write_label_file,
 )
@@ -59,6 +58,23 @@ class TestReadEdgeList:
             read_edge_list(p)
         assert "line 2" in str(err.value)
 
+    def test_line_endings(self, tmp_path):
+        # \n, \r\n and a lone \r each end a line
+        p = tmp_path / "e.txt"
+        p.write_bytes(b"0 1\r\n1 2\r2 3\n0 1 2\n")
+        with pytest.raises(DataError, match="line 4"):
+            read_edge_list(p)
+
+    @pytest.mark.parametrize("bad", ["e.txt", "l.txt"])
+    def test_non_utf8_byte_reports_file_and_line(self, tmp_path, bad):
+        # once a bare codec error without the file or the line
+        files = {"e.txt": b"a b\nb c\nc d\n", "l.txt": b"a 1\nb 1\nc 2\nd 2\n"}
+        files[bad] = files[bad].replace(b"\nc ", b"\n\xff ")  # node c on line 3
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        with pytest.raises(DataError, match=f"{bad}: line 3: .*byte 0xff"):
+            ingest_network(tmp_path / "e.txt", tmp_path / "l.txt")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             read_edge_list(tmp_path / "absent.txt")
@@ -100,8 +116,8 @@ class TestLabels:
     def test_roundtrip(self, tmp_path):
         part = Partition.from_labels([1, 2, 1, 3])
         path = tmp_path / "labels.txt"
-        write_label_file(part, path, node_ids=["w", "x", "y", "z"])
-        back, _ = read_label_file(path, ["w", "x", "y", "z"])
+        write_label_file(part, path)
+        back, _ = read_label_file(path, ["0", "1", "2", "3"])
         assert back == part
 
 

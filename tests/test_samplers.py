@@ -117,13 +117,14 @@ class TestSampleGraphon:
             g, u = sample_graphon(spec, n=200, seed=seed)
             assert u.shape == (200,)
             assert np.all((u >= 0) & (u < 1))
-            dens.append(g.density())
+            dens.append(g.edge_count / (200 * 199 / 2))
         assert abs(np.mean(dens) - 0.3) < 0.01
 
     def test_powerlaw_density_matches_rho(self):
         # oracle: E W(u,v) = rho, Monte Carlo over 10 seeds
         spec = powerlaw_graphon(rho=0.1, lam=2.0)
-        dens = [sample_graphon(spec, n=316, seed=s)[0].density() for s in range(10)]
+        dens = [sample_graphon(spec, n=316, seed=s)[0].edge_count / (316 * 315 / 2)
+                for s in range(10)]
         assert abs(np.mean(dens) - 0.1) < 0.01
 
     def test_determinism(self):
