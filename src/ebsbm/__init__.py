@@ -65,4 +65,6 @@ from .metrics import (
 from .experiment import ExperimentConfig, ExperimentResult, run_experiment, run_testlik_protocol
 from .io import ingest_network, read_edge_list, write_edge_list
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

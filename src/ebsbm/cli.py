@@ -20,13 +20,12 @@ from . import __version__
 from .errors import DataError, NumericalError
 from .experiment import (
     ExperimentConfig,
-    _simulate_replicate,
-    _write_sidecars,
     analyze_graph,
     annotation_truth,
     check_k_range,
     run_experiment,
     run_testlik_protocol,
+    simulate,
     write_json,
     write_manifest,
 )
@@ -96,12 +95,7 @@ def cmd_simulate(args):
                            lam=args.lam, epsilon=args.epsilon, rho=args.rho,
                            k_range=(1,), replicates=args.replicates,
                            base_seed=args.seed)
-    for r in range(cfg.replicates):
-        _write_sidecars(_simulate_replicate(cfg, r)[2], out, r)
-    write_manifest(out, "simulate", {
-        "config": cfg.to_json_dict(),
-        "seeds": [cfg.base_seed + r for r in range(cfg.replicates)],
-    })
+    simulate(cfg, out)
     print(f"wrote {cfg.replicates} replicate(s) under {out}")
     return 0
 

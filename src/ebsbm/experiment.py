@@ -26,8 +26,11 @@ results go through write_manifest and write_json.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -65,6 +68,7 @@ from .metrics import (
     theta_star,
     write_records_jsonl,
     write_summary_csv,
+    write_table,
 )
 from .samplers import _draw_sbm, affiliation_theta, powerlaw_graphon, sample_graphon
 from .selection import pick_best, score_partition
@@ -257,25 +261,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     """Execute all replicates and (when out_dir is given) write the full
     output layout. Replicates that raise are logged, skipped and counted."""
     loaded = _load_file_model(cfg) if cfg.model == "file" else None
-    results = []
-    skipped = []
-    tasks = list(range(cfg.replicates))
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = {r: pool.submit(_run_one, cfg, r, loaded) for r in tasks}
-            for r in tasks:
-                try:
-                    results.append(futures[r].result())
-                except Exception as exc:  # noqa: BLE001 - replicate isolation
-                    skipped.append({"replicate": r, "error": f"{type(exc).__name__}: {exc}"})
-    else:
-        for r in tasks:
+    results, skipped = [], []
+    with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else contextlib.nullcontext() as pool:
+        # every replicate is submitted before the first result is awaited
+        calls = [pool.submit(_run_one, cfg, r, loaded).result if pool
+                 else functools.partial(_run_one, cfg, r, loaded) for r in range(cfg.replicates)]
+        for r, call in enumerate(calls):
             try:
-                results.append(_run_one(cfg, r, loaded=loaded))
+                results.append(call())
             except Exception as exc:  # noqa: BLE001 - replicate isolation
                 skipped.append({"replicate": r, "error": f"{type(exc).__name__}: {exc}"})
 
-    results.sort(key=lambda d: d["replicate"])
     records = [rec for res in results for rec in res["records"]]
     selection_rows = _selection_summary(cfg, results)
     summary_rows = summarize_records(records)
@@ -289,21 +285,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
 def _selection_summary(cfg: ExperimentConfig, results):
     rows = []
     k_tildes = [res["selection"].get("k_tilde") for res in results]
-    have_tilde = all(k is not None for k in k_tildes) and k_tildes
     for criterion in ("EB", "CVRP"):
         k_hats = [res["selection"][criterion] for res in results]
-        freq = {}
-        for k in k_hats:
-            freq[k] = freq.get(k, 0) + 1
         row = {"criterion": criterion, "k_hats": k_hats,
-               "frequencies": dict(sorted(freq.items()))}
-        if have_tilde:
-            k_star = cfg.k_star if cfg.model == "sbm-affiliation" else None
-            if k_star is not None:
-                e_star, e_tilde = deviation_metrics(k_hats, k_star, k_tildes)
+               "frequencies": dict(sorted(Counter(k_hats).items()))}
+        if k_tildes and None not in k_tildes:
+            e_star, e_tilde = deviation_metrics(k_hats, cfg.k_star, k_tildes)
+            if cfg.model == "sbm-affiliation":
                 row["e_k_star"] = e_star
-            else:
-                _, e_tilde = deviation_metrics(k_hats, 0, k_tildes)
             row["e_k_tilde"] = e_tilde
         rows.append(row)
     return rows
@@ -318,11 +307,24 @@ def _write_outputs(cfg, out_dir, results, records, summary_rows, selection_rows,
         for res in results:
             _write_sidecars(res["sidecars"], out_dir, res["replicate"])
     write_manifest(out_dir, "experiment", {
-        "config": cfg.to_json_dict(),
-        "seeds": [cfg.base_seed + r for r in range(cfg.replicates)],
+        **_rerun_payload(cfg),
         "completed": [res["replicate"] for res in results],
         "skipped": skipped,
     })
+
+
+def simulate(cfg: ExperimentConfig, out_dir):
+    """Write every replicate's simulated graph and truth sidecars under
+    out_dir/replicates/ and a manifest to rerun them."""
+    for r in range(cfg.replicates):
+        _write_sidecars(_simulate_replicate(cfg, r)[2], out_dir, r)
+    write_manifest(out_dir, "simulate", _rerun_payload(cfg))
+
+
+def _rerun_payload(cfg: ExperimentConfig):
+    """The manifest's config and per-replicate seeds: enough to rerun."""
+    return {"config": cfg.to_json_dict(),
+            "seeds": [cfg.base_seed + r for r in range(cfg.replicates)]}
 
 
 def write_json(doc, path):
@@ -354,15 +356,10 @@ def _write_sidecars(side, out_dir, r):
 
 
 def _write_selection_csv(rows, path):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["criterion", "k_hat_frequencies", "e_k_star", "e_k_tilde"])
-        for row in rows:
-            freq = ";".join(f"{k}:{v}" for k, v in row["frequencies"].items())
-            w.writerow([row["criterion"], freq,
-                        repr(row.get("e_k_star", "")), repr(row.get("e_k_tilde", ""))])
+    """selection.csv; a deviation that does not apply is an empty cell."""
+    write_table(path, ["criterion", "k_hat_frequencies", "e_k_star", "e_k_tilde"],
+                ([row["criterion"], ";".join(f"{k}:{v}" for k, v in row["frequencies"].items()),
+                  row.get("e_k_star"), row.get("e_k_tilde")] for row in rows))
 
 
 def run_testlik_protocol(graph: Graph, partition: Partition, n_splits: int = 100,

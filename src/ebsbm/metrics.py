@@ -10,6 +10,7 @@ the test log-likelihood work on block counts, never on n x n matrices.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 
@@ -173,14 +174,16 @@ def summarize_records(records):
     return rows
 
 
-def write_summary_csv(rows, path):
-    import csv
-
-    cols = ["K", "replicates", "median_mse_mle", "median_mse_eb",
-            "median_mse_vbem", "median_ratio_eb_mle", "median_ratio_eb_vbem"]
+def write_table(path, header, rows):
+    """A CSV table: a float cell is its repr, None an empty cell, and any
+    other cell is written as is."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(cols)
-        for row in rows:
-            w.writerow([row[c] if c in ("K", "replicates") else repr(row[c])
-                        for c in cols])
+        w.writerow(header)
+        w.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def write_summary_csv(rows, path):
+    cols = ["K", "replicates", "median_mse_mle", "median_mse_eb",
+            "median_mse_vbem", "median_ratio_eb_mle", "median_ratio_eb_vbem"]
+    write_table(path, cols, ([row[c] for c in cols] for row in rows))

@@ -10,13 +10,13 @@ provided in two variants; see :func:`cvrp_score`.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimator import HyperParams, fit_hyperparams, marginal_loglik
 from .graph import Graph, Partition, block_stats
+from .metrics import write_table
 from .numerics import log_gamma
 
 
@@ -128,11 +128,7 @@ def pick_best(scores, criterion: str) -> int:
 
 def scores_to_csv(scores, path):
     """Write the score table: K,j_z,penalty,total,cvrp,alpha0,beta0,alpha1,beta1."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["K", "j_z", "penalty", "total", "cvrp",
-                         "alpha0", "beta0", "alpha1", "beta1"])
-        for s in scores:
-            writer.writerow([s.K, repr(s.j_z), repr(s.penalty), repr(s.total),
-                             repr(s.cvrp), repr(s.hyper.alpha0), repr(s.hyper.beta0),
-                             repr(s.hyper.alpha1), repr(s.hyper.beta1)])
+    write_table(path, ["K", "j_z", "penalty", "total", "cvrp",
+                       "alpha0", "beta0", "alpha1", "beta1"],
+                ([s.K, s.j_z, s.penalty, s.total, s.cvrp, s.hyper.alpha0,
+                  s.hyper.beta0, s.hyper.alpha1, s.hyper.beta1] for s in scores))

@@ -139,10 +139,6 @@ def hungarian_agreement(labels_a, labels_b):
     return confusion[rows, cols].sum() / a.size
 
 
-def central_difference(f, x, h=1e-5):
-    return (f(x + h) - f(x - h)) / (2 * h)
-
-
 def two_cliques_graph(size=10):
     """Two disjoint cliques of the given size, nodes 0..2*size-1."""
     edges = set()

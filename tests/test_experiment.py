@@ -185,6 +185,8 @@ class TestRun:
             assert "e_k_tilde" in row and "e_k_star" in row
 
     def test_failed_replicate_skipped_and_counted(self, tmp_path, monkeypatch):
+        # serial and pooled runs share one loop; forked workers see the
+        # patched sampler, so both skip replicate 1 alone
         import ebsbm.experiment as mod
 
         real = mod._simulate_replicate
@@ -195,17 +197,18 @@ class TestRun:
             return real(cfg, r)
 
         monkeypatch.setattr(mod, "_simulate_replicate", flaky)
-        cfg = small_cfg(replicates=3)
-        out = tmp_path / "exp"
-        res = run_experiment(cfg, out_dir=str(out))
-        assert len(res.skipped) == 1
-        assert res.skipped[0]["replicate"] == 1
-        assert "synthetic failure" in res.skipped[0]["error"]
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["completed"] == [0, 2]
-        assert len(manifest["skipped"]) == 1
-        # records only for completed replicates
-        assert {rec.replicate for rec in res.records} == {0, 2}
+        for workers in (1, 2):
+            cfg = small_cfg(replicates=3, workers=workers)
+            out = tmp_path / f"workers{workers}"
+            res = run_experiment(cfg, out_dir=str(out))
+            assert len(res.skipped) == 1
+            assert res.skipped[0]["replicate"] == 1
+            assert "synthetic failure" in res.skipped[0]["error"]
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["completed"] == [0, 2]
+            assert len(manifest["skipped"]) == 1
+            # records only for completed replicates
+            assert {rec.replicate for rec in res.records} == {0, 2}
 
     def test_file_model_ingested_once_with_workers(self, tmp_path, monkeypatch):
         # workers get the loaded graph; the file is gone once it is read, so
@@ -244,9 +247,13 @@ class TestRun:
         write_edge_list(g, path)
         cfg = ExperimentConfig(model="file", graph_file=str(path), k_range=(2, 3),
                                replicates=1, base_seed=0, write_replicates=False)
-        res = run_experiment(cfg)
+        res = run_experiment(cfg, out_dir=str(tmp_path / "exp"))
         assert np.isnan(res.records[0].mse_mle)
         assert res.selection_rows[0]["k_hats"]
+        # without labels neither deviation applies: both cells are empty
+        lines = (tmp_path / "exp" / "selection.csv").read_text().splitlines()
+        assert lines[0] == "criterion,k_hat_frequencies,e_k_star,e_k_tilde"
+        assert [line.split(",")[2:] for line in lines[1:]] == [["", ""], ["", ""]]
 
 
 @pytest.mark.parametrize("model, extra, pinned", [
@@ -258,7 +265,8 @@ class TestRun:
     ("graphon-powerlaw", dict(rho=0.2, lam=2.0, base_seed=200), {
         "records.jsonl": "1ea3a0dc41e291c602ce8c869bc88512ef7c10cbce1f967eff83fd93dd5ecab4",
         "summary.csv": "5bab5a512430d59a0c4d01ea47e6bf1cd253375cc45382fd304eb3a8c428952e",
-        "selection.csv": "00f1ea2ac8d37cb1305011917748e3a533306a5cb0f016989a615d86dc20c799",
+        # e_k_star does not apply to a graphon and is an empty cell
+        "selection.csv": "0d84bb732f88559fa7161db82b4433c58902794b34aa1a5f6f9a20af82099b29",
     }),
 ])
 def test_experiment_output_bytes_pinned(tmp_path, model, extra, pinned):
