@@ -16,13 +16,15 @@ gives the empirical Bayes estimate. The same posterior-mean formula with
 user-pinned hyperparameters is the fixed-prior baseline, and the raw block
 frequency X / n is the MLE baseline.
 
-The fit runs L-BFGS-B in (log alpha, log beta) over the fixed box
-[log HYPER_BOX_LOWER, log HYPER_BOX_UPPER]^2 (:func:`maximize_box`), one
-2-D fit per block family. The marginal and its gradient are written once,
-in ``_marginal_and_grad``, which the fit's objective,
+The fit maximizes over (log alpha, log beta) in the fixed box
+[log HYPER_BOX_LOWER, log HYPER_BOX_UPPER]^2, one 2-D fit per block
+family: in closed form at the complete-pooling limit (s = alpha + beta
+-> inf) when that is the maximum, else by Newton ascent with a trigamma
+Hessian (:func:`_fit_pair`, :func:`maximize_box`). The marginal and its
+gradient are written once, in ``_marginal_and_grad``, which the fit,
 :func:`marginal_loglik` and :func:`loglik_gradient` all call. Inputs are
 checked at the API boundary (``BlockStats`` and the public functions'
-hyperparameters and ``which``); the kernel itself calls SciPy unchecked.
+hyperparameters and ``which``); the kernels call SciPy unchecked.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import betaln, psi
+from scipy.special import betaln, psi, xlogy, zeta
 
 from .graph import BlockStats, check_connectivity
 
 # Hyperparameter search box; spans essentially-no-shrinkage (1e-4) through
-# full-pooling (1e6) regimes. Optimization runs on log(alpha), log(beta).
+# full-pooling (1e6) regimes. The fit runs on log(alpha), log(beta).
 HYPER_BOX_LOWER = 1e-4
 HYPER_BOX_UPPER = 1e6
 _LOG_LO = np.log(HYPER_BOX_LOWER)
@@ -49,7 +50,8 @@ _WHICH = ("diagonal", "offdiagonal")
 @dataclass(frozen=True)
 class HyperParams:
     """The four Beta hyperparameters: (alpha0, beta0) for diagonal blocks,
-    (alpha1, beta1) for off-diagonal blocks."""
+    (alpha1, beta1) for off-diagonal blocks; ``*_pooled`` marks a family
+    fitted at the complete-pooling limit (see ``_fit_pair``)."""
 
     alpha0: float
     beta0: float
@@ -58,6 +60,8 @@ class HyperParams:
     offdiag_fitted: bool = True
     diag_converged: bool = True
     offdiag_converged: bool = True
+    diag_pooled: bool = False
+    offdiag_pooled: bool = False
 
     def __post_init__(self):
         for name in ("alpha0", "beta0", "alpha1", "beta1"):
@@ -184,21 +188,6 @@ def mle_estimate(stats: BlockStats) -> ConnectivityEstimate:
     return ConnectivityEstimate(theta=theta, method="MLE", flags=flags)
 
 
-def _moment_init(x, m):
-    """Beta moment-matching start for the optimizer, clamped into the box."""
-    freqs = x / m
-    mu = float(np.clip(freqs.mean(), 1e-6, 1 - 1e-6))
-    var = float(freqs.var())
-    if freqs.size < 2 or var <= 1e-12:
-        return np.array([1.0, 1.0])
-    s = mu * (1 - mu) / var - 1.0
-    if s <= 0:
-        return np.array([1.0, 1.0])
-    lo = HYPER_BOX_LOWER * (1 + 1e-6)
-    hi = HYPER_BOX_UPPER * (1 - 1e-6)
-    return np.clip(np.array([mu * s, (1 - mu) * s]), lo, hi)
-
-
 class BoxFit(NamedTuple):
     argmax: np.ndarray
     converged: bool
@@ -206,55 +195,104 @@ class BoxFit(NamedTuple):
 
 
 def maximize_box(objective, init) -> BoxFit:
-    """Maximize a smooth objective over the log-space box by L-BFGS-B.
+    """Maximize a smooth objective over the log-space box by projected,
+    modified Newton ascent.
 
-    `objective` maps u = (log alpha, log beta) to (value, gradient) and
-    must be finite at `init`, a point of the box. Iterations stop once the
-    projected gradient max-norm drops below 1e-6 or after 500; in the
-    latter case ``converged`` is False and the best iterate is still
-    returned. The result never leaves the box, and if its value is below
-    the value at `init` (a line-search pathology) `init` is returned,
-    unconverged. Deterministic given `init`.
+    `objective` maps u = (log alpha, log beta) to (value, gradient,
+    Hessian) and must be finite at `init`, a point of the box. A step is
+    Newton's on the coordinates not held at a bound (within 1e-9) by a
+    gradient pointing out, with the eigenvalues of -H flipped and floored
+    positive so that it ascends, shortened to stay in the box and halved
+    (at most 60 times) until the value rises, or falls only by rounding,
+    1e-10 (1 + |f|), at a point that passes the test: projected-gradient
+    max-norm below 1e-6 and predicted gain g.step / 2 below 1e-11. At
+    most 100 steps. The objective is called at `init` and at each trial
+    only; the result is the last point taken, or `init` if higher.
     """
-    x0 = np.asarray(init, dtype=np.float64)
-    f0, g0 = objective(x0)
-    if not np.isfinite(f0) or not np.all(np.isfinite(g0)):
+    def newton(u, g, H):
+        lo, hi = u <= _LOG_LO + 1e-9, u >= _LOG_HI - 1e-9
+        free = ~((lo & (g < 0)) | (hi & (g > 0)))
+        lam, vec = np.linalg.eigh(-H[np.ix_(free, free)])
+        step = np.zeros(2)
+        step[free] = vec @ (vec.T @ g[free] / np.maximum(np.abs(lam), 1e-12))
+        # shortened, not clipped, to the box: it keeps its direction
+        step[(lo & (step < 0)) | (hi & (step > 0))] = 0
+        over = (u + step > _LOG_HI) | (u + step < _LOG_LO)
+        step *= np.divide(np.where(step > 0, _LOG_HI, _LOG_LO) - u, step,
+                          out=np.ones(2), where=over).min()
+        return step, np.max(np.abs(g[free]), initial=0.0) < 1e-6 and g @ step < 2e-11
+
+    u0 = u = np.asarray(init, dtype=np.float64)
+    f, g, H = objective(u)
+    if not (np.isfinite(f) and np.isfinite(g).all() and np.isfinite(H).all()):
         raise ValueError("objective is not finite at init")
-    # the last evaluated point and (f, g) there: serves L-BFGS-B's first
-    # call at x0 and the value at the returned point, evaluated last
-    last_x, last_fg = x0, (f0, g0)
+    f0, (step, done), it = f, newton(u, g, H), 0
+    while not done and it < 100:
+        for _ in range(60):
+            trial = np.clip(u + step, _LOG_LO, _LOG_HI)
+            ft, gt, Ht = objective(trial)
+            step_t, done = newton(trial, gt, Ht)
+            if ft > f or (done and ft >= f - 1e-10 * (1 + abs(f))):
+                break
+            step /= 2
+        else:
+            done = False
+            break
+        u, f, step, it = trial, ft, step_t, it + 1
+    if f < f0:
+        return BoxFit(argmax=u0, converged=False, iterations=it)
+    return BoxFit(argmax=u, converged=bool(done), iterations=it)
 
-    def evaluate(x):
-        nonlocal last_x, last_fg
-        if not np.array_equal(x, last_x):
-            last_x, last_fg = np.array(x, dtype=np.float64), objective(x)
-        return last_fg
 
-    def negated(x):
-        f, g = evaluate(x)
-        return -float(f), -np.asarray(g, dtype=np.float64)
-
-    res = minimize(negated, x0=x0, jac=True, method="L-BFGS-B",
-                   bounds=[(_LOG_LO, _LOG_HI)] * 2,
-                   options={"maxiter": 500, "gtol": 1e-6, "ftol": 1e-15})
-    x = np.clip(res.x, _LOG_LO, _LOG_HI)
-    if float(evaluate(x)[0]) < float(f0):
-        return BoxFit(argmax=x0, converged=False, iterations=int(res.nit))
-    converged = bool(res.success) or "CONVER" in str(res.message).upper()
-    return BoxFit(argmax=x, converged=converged, iterations=int(res.nit))
+# Prior sizes s = alpha + beta at which _fit_pair evaluates the marginal
+# at the pooled mean, for the pooling check and the Newton start.
+_START_S = np.logspace(-2, 4, 13)[:, None]
 
 
 def _fit_pair(x, m):
-    """Maximize the blockwise marginal over (alpha, beta) in log space."""
+    """Maximize the blockwise marginal over (alpha, beta); returns (alpha,
+    beta, converged, pooled).
+
+    As s = alpha + beta -> inf at the pooled mean mu = sum(x) / sum(m),
+    the marginal tends to the Binomial log-likelihood at mu plus C / s,
+    C = sum[x(x-1) / (2 mu) + y(y-1) / (2 (1 - mu)) - m(m-1) / 2] with
+    y = m - x (Tarone's score; its sign is taken from the integer
+    2 mu (1 - mu) sum(m)^2 C). C <= 0 makes that limit a local maximum,
+    and the fit unless the marginal at mu and some s in ``_START_S`` beats
+    it beyond rounding: then the fit is the box point at mean mu with its
+    larger coordinate HYPER_BOX_UPPER, flagged pooled ((LOWER, UPPER) or
+    its mirror when mu is 0 or 1). Otherwise it is :func:`maximize_box`
+    from the best of those points.
+    """
+    sx, sm = int(x.sum()), int(m.sum())
+    sy, y = sm - sx, m - x
+    score = (sm * (sy * int(np.sum(x * (x - 1))) + sx * int(np.sum(y * (y - 1))))
+             - sx * sy * int(np.sum(m * (m - 1))))
+    mu = sx / sm
+    a = np.maximum(mu * _START_S, HYPER_BOX_LOWER)
+    b = np.maximum((1 - mu) * _START_S, HYPER_BOX_LOWER)
+    near = np.sum(betaln(a + x, b + y), axis=1) - x.size * betaln(a, b)[:, 0]
+    k = int(np.argmax(near))
+    limit = float(np.sum(xlogy(x, mu) + xlogy(y, 1 - mu)))
+    if score <= 0 and near[k] <= limit + 1e-10 * (1 + abs(limit)):
+        top = max(sx, sy)
+        return (max(HYPER_BOX_UPPER * sx / top, HYPER_BOX_LOWER),
+                max(HYPER_BOX_UPPER * sy / top, HYPER_BOX_LOWER), True, True)
 
     def objective(u):
         a, b = np.exp(u)
         f, da, db = _marginal_and_grad(a, b, x, m)
-        return f, np.array([da * a, db * b])
+        # second derivatives in (a, b), via trigamma
+        dab = x.size * zeta(2, a + b) - np.sum(zeta(2, a + b + m))
+        daa = np.sum(zeta(2, a + x)) - x.size * zeta(2, a) + dab
+        dbb = np.sum(zeta(2, b + y)) - x.size * zeta(2, b) + dab
+        g = np.array([da * a, db * b])
+        return f, g, np.array([[daa * a * a + g[0], dab * a * b],
+                               [dab * a * b, dbb * b * b + g[1]]])
 
-    fit = maximize_box(objective, np.log(_moment_init(x, m)))
+    fit = maximize_box(objective, np.log([a[k, 0], b[k, 0]]))
     a, b = np.exp(fit.argmax)
-    return float(a), float(b), fit.converged
+    return float(a), float(b), fit.converged, False
 
 
 def fit_hyperparams(stats: BlockStats) -> HyperParams:
@@ -268,17 +306,18 @@ def fit_hyperparams(stats: BlockStats) -> HyperParams:
     xd, md = _family_blocks(stats, "diagonal")
     if xd.size == 0:
         raise ValueError("no diagonal block has any node pair; cannot fit hyperparameters")
-    a0, b0, conv0 = _fit_pair(xd, md)
+    a0, b0, conv0, pool0 = _fit_pair(xd, md)
 
     xo, mo = _family_blocks(stats, "offdiagonal")
     if xo.size:
-        a1, b1, conv1 = _fit_pair(xo, mo)
+        a1, b1, conv1, pool1 = _fit_pair(xo, mo)
         fitted = True
     else:
-        a1, b1, conv1, fitted = 1.0, 1.0, True, False
+        a1, b1, conv1, pool1, fitted = 1.0, 1.0, True, False, False
     return HyperParams(alpha0=a0, beta0=b0, alpha1=a1, beta1=b1,
                        offdiag_fitted=fitted, diag_converged=conv0,
-                       offdiag_converged=conv1)
+                       offdiag_converged=conv1, diag_pooled=pool0,
+                       offdiag_pooled=pool1)
 
 
 def _posterior_mean(stats: BlockStats, a0, b0, a1, b1):

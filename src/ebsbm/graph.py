@@ -57,8 +57,10 @@ class Graph:
         key = e[:, 0] * n
         key += e[:, 1]
         if not np.all(key[1:] > key[:-1]):
-            # not yet sorted and unique: sort the keys and split them back
-            key = np.unique(key)
+            # not yet sorted and unique: sort the keys, drop repeats (far
+            # faster than np.unique on int64) and split them back
+            key = np.sort(key)
+            key = key[np.concatenate(([True], key[1:] != key[:-1]))]
             e = np.column_stack((key // n, key % n))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", _freeze(e))

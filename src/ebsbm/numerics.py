@@ -2,10 +2,11 @@
 
 Thin wrappers around SciPy's gammaln/betaln/psi that reject arguments
 outside their domain, for callers outside the fitting loop. The
-Beta-Binomial marginal kernel and the hyperparameter fit live in
-``estimator`` and call SciPy directly, because their inputs are checked
-once at the API boundary rather than on every optimizer step. Every
-routine here is pure and re-entrant.
+Beta-Binomial marginal, its gradient and its trigamma Hessian, and the
+Newton hyperparameter fit, live in ``estimator`` and call
+``scipy.special`` directly, because their inputs are checked once at the
+API boundary rather than on every Newton step. Every routine here is
+pure and re-entrant.
 """
 
 from __future__ import annotations

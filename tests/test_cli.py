@@ -169,7 +169,7 @@ class TestSelect:
                    "--k-range", "2..6", "--seed", "3", "--out", str(out)])
         assert rc == 0
         digest = hashlib.sha256((out / "scores.csv").read_bytes()).hexdigest()
-        assert digest == "b5817cf0b10412c2b0a94af3d40a3f5b6451fa242d418e3df5e366c8b5924d32"
+        assert digest == "e8dd2eb5e240e800a70c5dfa59ca140ae9d76e149ccb01cde740fde7a454054e"
 
 
 class TestEstimate:
@@ -198,11 +198,11 @@ class TestEstimate:
                    "--out", str(out)])
         assert rc == 0
         pinned = {
-            "estimate_K02.json": "5b7fc1458deedc99e1cab7f798a087439e49081d707c03827d0f448dfba0b91f",
-            "estimate_K03.json": "08681d35a31c7684a9057ece5e407f57d1743eadf19dd03bae7baa9bbfdc425c",
-            "estimate_K04.json": "8e47e5a83cc27b173a63639ae00ccb6bd52a057d58713acb142defdc6f6a9998",
-            "estimate_K05.json": "c225d665e5fd02ba9adc7474bff9ca82c0767a87ddf49456b03c5cd6434e9bc8",
-            "estimate_K06.json": "eb63de8cd960b36759bfb572a098a5684bd3639a2766a226688e503e4779b411",
+            "estimate_K02.json": "846ce185581da02d72dbb47ede9b752a1aeee572e8a3a48c9c9078f1e9126f74",
+            "estimate_K03.json": "b6613bff28a29ce88c664cfc06cd8a7562a196593b9c7142c241622e61d23b97",
+            "estimate_K04.json": "ed65b60ac05da55e6567557ff707b354a6e0fce1d10b1c120eeb36ef670d1dd7",
+            "estimate_K05.json": "547336e06bd8110cb56daccf743b5a3ecc73c2c92b875185c49943f142bc50d9",
+            "estimate_K06.json": "4a9fdc526a215f74de4414f628a93d614783c1ce81cb638b5b787168b69b1196",
             "manifest.json": "54f781cd2abbef9f996b5cb69ef28a282a07ba3d6d959bc9e0da22453be6b5f5",
             "partition_K02.txt": "7e0fca3bb69293666c74f30b44384cb86643125b1e6b09fa76b18538ee2750f6",
             "partition_K03.txt": "8d0b9483c45a23de998c40ea68131b09a5d242567a3820e1b57da81702d168d9",

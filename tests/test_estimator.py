@@ -1,11 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
 
 from ebsbm.estimator import (
     HYPER_BOX_LOWER,
@@ -140,7 +140,7 @@ class TestGradient:
 class TestFitHyperparams:
     def test_identical_blocks_pool_fully(self):
         # every diagonal block has frequency 0.3: prior mean must match it
-        # and the concentration must climb to the box edge
+        # and the concentration sits at the box edge
         K = 6
         x = np.zeros((K, K), dtype=int)
         m = np.zeros((K, K), dtype=int)
@@ -150,8 +150,11 @@ class TestFitHyperparams:
         x[~np.eye(K, dtype=bool)] = 10
         s = stats_from(x, m)
         hp = fit_hyperparams(s)
-        assert hp.alpha0 / (hp.alpha0 + hp.beta0) == pytest.approx(0.3, abs=0.01)
-        assert max(hp.alpha0, hp.beta0) >= 0.99 * HYPER_BOX_UPPER
+        # the complete-pooling limit, in closed form: the pooled mean 0.3
+        # at the box edge, flagged, with no iteration
+        assert hp.diag_pooled and hp.diag_converged
+        assert hp.alpha0 / (hp.alpha0 + hp.beta0) == pytest.approx(0.3, rel=1e-12)
+        assert max(hp.alpha0, hp.beta0) == HYPER_BOX_UPPER
         # oracle: log-spaced grid search cannot beat the optimizer
         def obj(a, b):
             return marginal_loglik(s, a, b, "diagonal")
@@ -206,17 +209,113 @@ class TestFitHyperparams:
                 assert HYPER_BOX_LOWER * 0.999 <= v <= HYPER_BOX_UPPER * 1.001
 
 
+def exact_c(xs, ms):
+    """The 1/s coefficient C of the marginal at the pooled mean, exactly;
+    0 when the family has no edge or no non-edge."""
+    sx, sm = sum(xs), sum(ms)
+    if sx in (0, sm):
+        return Fraction(0)
+    mu = Fraction(sx, sm)
+    return sum(Fraction(x * (x - 1)) / (2 * mu) + Fraction((m - x) * (m - x - 1)) / (2 * (1 - mu))
+               - Fraction(m * (m - 1), 2) for x, m in zip(xs, ms))
+
+
+def diagonal_family(xs, ms):
+    """BlockStats whose diagonal family is (xs, ms) and whose off-diagonal
+    blocks have no pair."""
+    return stats_from(np.diag(xs), np.diag(ms))
+
+
+def binomial_limit(xs, ms):
+    """The marginal's limit as s -> inf at the pooled mean."""
+    sx, sm = sum(xs), sum(ms)
+    return ((sx * math.log(sx / sm) if sx else 0.0)
+            + ((sm - sx) * math.log(1 - sx / sm) if sm - sx else 0.0))
+
+
+@st.composite
+def families(draw):
+    ms = draw(st.lists(st.integers(1, 30), min_size=1, max_size=8))
+    xs = [draw(st.integers(0, m)) for m in ms]
+    return xs, ms
+
+
+class TestPooling:
+    @settings(max_examples=80, deadline=None)
+    @given(families())
+    def test_pooled_only_when_c_nonpositive(self, fam):
+        # C > 0: never pooled. C <= 0: pooled, unless the fit found a
+        # marginal above the complete-pooling (Binomial) limit at mu
+        xs, ms = fam
+        s = diagonal_family(xs, ms)
+        hp = fit_hyperparams(s)
+        c = exact_c(xs, ms)
+        if c > 0:
+            assert not hp.diag_pooled
+        elif not hp.diag_pooled:
+            got = marginal_loglik(s, hp.alpha0, hp.beta0, "diagonal")
+            assert got > binomial_limit(xs, ms)
+        assert hp.diag_converged
+        for v in (hp.alpha0, hp.beta0):
+            assert HYPER_BOX_LOWER <= v <= HYPER_BOX_UPPER
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(2, 12), st.lists(st.integers(1, 6), min_size=1,
+                                                             max_size=8))
+    def test_single_block_and_equal_frequency_pool(self, p, q, ks):
+        # every block at frequency p / q (or a single block): C < 0 and no
+        # Beta prior beats the point mass at the pooled mean
+        p = min(p, q - 1)
+        xs, ms = [p * k for k in ks], [q * k for k in ks]
+        assert exact_c(xs, ms) < 0
+        hp = fit_hyperparams(diagonal_family(xs, ms))
+        assert hp.diag_pooled and hp.diag_converged
+        assert max(hp.alpha0, hp.beta0) == HYPER_BOX_UPPER
+        assert hp.alpha0 / (hp.alpha0 + hp.beta0) == pytest.approx(p / q, rel=1e-12)
+
+    @pytest.mark.parametrize("full, want", [(False, (HYPER_BOX_LOWER, HYPER_BOX_UPPER)),
+                                            (True, (HYPER_BOX_UPPER, HYPER_BOX_LOWER))])
+    def test_empty_and_full_families(self, full, want):
+        ms = [3, 10, 6]
+        x, m = np.full((3, 3), 2), np.full((3, 3), 4)
+        np.fill_diagonal(x, ms if full else 0)
+        np.fill_diagonal(m, ms)
+        hp = fit_hyperparams(stats_from(x, m))
+        assert (hp.alpha0, hp.beta0) == want
+        assert hp.diag_pooled and hp.diag_converged
+
+    def test_local_pooling_loses_to_interior_maximum(self):
+        # C < 0 (the large block sits at the pooled mean) but the small
+        # blocks' spread gives an interior maximum 8.5 above the limit
+        xs = [5, 0, 13, 0, 10, 18, 0, 140, 17, 25]
+        ms = [5, 39, 42, 6, 195, 210, 30, 1638, 234, 252]
+        assert exact_c(xs, ms) < 0
+        s = diagonal_family(xs, ms)
+        hp = fit_hyperparams(s)
+        assert not hp.diag_pooled and hp.diag_converged
+        assert hp.alpha0 + hp.beta0 < 10
+        got = marginal_loglik(s, hp.alpha0, hp.beta0, "diagonal")
+        assert got > binomial_limit(xs, ms) + 8
+
+    def test_flags_serialized(self):
+        hp = fit_hyperparams(stats_from(np.where(np.eye(3, dtype=bool), 10, 4),
+                                        np.full((3, 3), 100)))
+        blob = hp.to_json_dict()
+        assert blob["diag_pooled"] is True and blob["offdiag_pooled"] is True
+        assert HyperParams(1.0, 1.0, 1.0, 1.0).to_json_dict()["diag_pooled"] is False
+
+
 LOG_LO = math.log(HYPER_BOX_LOWER)
 LOG_HI = math.log(HYPER_BOX_UPPER)
 
 
 def quad_obj(center, scale=1.0):
-    """-scale * |u - center|^2 and its gradient, in log space."""
+    """-scale * |u - center|^2 with its gradient and Hessian, in log space."""
     center = np.asarray(center, dtype=np.float64)
 
     def f(u):
         d = u - center
-        return -scale * float(d @ d), -2 * scale * d
+        return -scale * float(d @ d), -2 * scale * d, -2 * scale * np.eye(2)
     return f
 
 
@@ -231,29 +330,72 @@ class TestMaximizeBox:
         res = maximize_box(quad_obj([20.0, 1.0]), np.zeros(2))
         assert res.argmax[0] == pytest.approx(LOG_HI, abs=1e-8)
         assert res.argmax[1] == pytest.approx(1.0, abs=1e-6)
+        assert res.converged
 
     def test_2d_anisotropic(self):
         # oracle: the stationary point of -(u-1)^2 - 10(v-2)^2 is (1, 2)
         def f(u):
             v = -((u[0] - 1.0) ** 2) - 10.0 * (u[1] - 2.0) ** 2
             g = np.array([-2.0 * (u[0] - 1.0), -20.0 * (u[1] - 2.0)])
-            return v, g
+            return v, g, np.diag([-2.0, -20.0])
 
         res = maximize_box(f, np.array([0.5, 0.5]))
         assert np.allclose(res.argmax, [1.0, 2.0], atol=1e-6)
         assert f(res.argmax)[0] == pytest.approx(0.0, abs=1e-10)
 
+    def test_indefinite_hessian_start(self):
+        # -(u^2 - 1)^2 - (v - 2)^2 has Hessian diag(4, -2) at u = 0: a plain
+        # Newton step would climb down to the saddle; the flipped one ascends
+        # to the maximum at (1, 2)
+        def f(u):
+            v = -((u[0] ** 2 - 1.0) ** 2) - (u[1] - 2.0) ** 2
+            g = np.array([-4.0 * u[0] * (u[0] ** 2 - 1.0), -2.0 * (u[1] - 2.0)])
+            return v, g, np.diag([4.0 - 12.0 * u[0] ** 2, -2.0])
+
+        start = np.array([0.1, 0.0])
+        assert np.linalg.eigvalsh(f(start)[2]).max() > 0
+        res = maximize_box(f, start)
+        assert res.converged
+        assert np.allclose(res.argmax, [1.0, 2.0], atol=1e-6)
+
+    def test_overshooting_step_is_halved(self):
+        # -log cosh(u - c): from 2 away the Newton step, -sinh cosh, lands
+        # 11.6 past the optimum, lower; the halved steps reach it
+        def f(u):
+            d = u - np.array([1.0, -1.0])
+            return (-float(np.sum(np.log(np.cosh(d)))), -np.tanh(d),
+                    np.diag(-1.0 / np.cosh(d) ** 2))
+
+        calls = []
+        res = maximize_box(lambda u: calls.append(1) or f(u), np.array([3.0, -3.0]))
+        assert res.converged
+        assert np.allclose(res.argmax, [1.0, -1.0], atol=1e-6)
+        assert len(calls) > res.iterations + 1
+
+    def test_never_below_init(self):
+        # the one trial passes the gradient test 1e-11 below the value at
+        # init, within rounding, so it is taken; the fit still returns init
+        def f(u):
+            at_init = np.array_equal(u, np.zeros(2))
+            return (0.0 if at_init else -1e-11,
+                    np.full(2, 1e-3) if at_init else np.zeros(2), -np.eye(2))
+
+        res = maximize_box(f, np.zeros(2))
+        assert np.array_equal(res.argmax, np.zeros(2)) and not res.converged
+
     def test_nonfinite_init_rejected(self):
         def f(u):
-            return float("nan"), np.zeros(2)
+            return float("nan"), np.zeros(2), np.zeros((2, 2))
 
         with pytest.raises(ValueError, match="not finite at init"):
             maximize_box(f, np.zeros(2))
 
-    @pytest.mark.parametrize("center", [3.0, 20.0])
-    def test_objective_calls_equal_lbfgsb_evaluations(self, center):
-        # the init check serves L-BFGS-B's first evaluation and the last
-        # evaluation serves the returned value: no call outside the solver
+    @pytest.mark.parametrize("center, iterations", [(3.0, 1), (20.0, 2)])
+    def test_objective_calls_are_init_then_trials(self, center, iterations):
+        # one call at init, then one per line-search trial: on a quadratic
+        # every step is taken whole (beyond the box, shortened to the bound,
+        # then one with that coordinate held), and the value at the result
+        # is not evaluated again
         f = quad_obj([center, 1.0])
         calls = []
 
@@ -263,11 +405,9 @@ class TestMaximizeBox:
 
         init = np.array([1.0, -1.0])
         res = maximize_box(counted, init)
-        direct = minimize(lambda u: tuple(-v for v in f(u)), init, jac=True,
-                          method="L-BFGS-B", bounds=[(LOG_LO, LOG_HI)] * 2,
-                          options={"maxiter": 500, "gtol": 1e-6, "ftol": 1e-15})
-        assert len(calls) == direct.nfev
-        assert np.array_equal(res.argmax, direct.x)
+        assert res.converged and res.iterations == iterations
+        assert len(calls) == iterations + 1
+        assert np.array_equal(calls[0], init)
         assert np.array_equal(calls[-1], res.argmax)
 
     @settings(max_examples=30, deadline=None)
@@ -279,6 +419,7 @@ class TestMaximizeBox:
         res = maximize_box(f, np.array(start))
         assert np.all(res.argmax >= LOG_LO) and np.all(res.argmax <= LOG_HI)
         assert f(res.argmax)[0] >= f(np.array(start))[0] - 1e-12
+        assert res.converged
 
 
 class TestPinnedValues:
@@ -293,22 +434,25 @@ class TestPinnedValues:
 
     def test_fit_interior_optimum(self):
         hp = fit_hyperparams(stats_from(*self.INTERIOR))
-        assert (hp.alpha0, hp.beta0) == (7.755235804148489, 16.95056086983011)
-        assert (hp.alpha1, hp.beta1) == (3.5021597959031485, 62.46854804816297)
+        assert (hp.alpha0, hp.beta0) == (7.755235536115216, 16.950560374180245)
+        assert (hp.alpha1, hp.beta1) == (3.502159811331931, 62.46854850776447)
         assert hp.offdiag_fitted and hp.diag_converged and hp.offdiag_converged
+        assert not hp.diag_pooled and not hp.offdiag_pooled
 
     def test_fit_ends_at_box_edge(self):
         s = stats_from(np.where(np.eye(3, dtype=bool), 10, 4), np.full((3, 3), 100))
         hp = fit_hyperparams(s)
-        assert (hp.alpha0, hp.beta0) == (111111.61110872898, 999999.9999999995)
-        assert (hp.alpha1, hp.beta1) == (41666.625760965115, 999999.9999999995)
-        assert hp.diag_converged and not hp.offdiag_converged
+        assert (hp.alpha0, hp.beta0) == (111111.11111111111, 1000000.0)
+        assert (hp.alpha1, hp.beta1) == (41666.666666666664, 1000000.0)
+        assert hp.diag_converged and hp.offdiag_converged
+        assert hp.diag_pooled and hp.offdiag_pooled
 
     def test_fit_k1_offdiagonal_unfitted(self):
         hp = fit_hyperparams(stats_from([[7]], [[21]]))
-        assert (hp.alpha0, hp.beta0) == (247119.87985541605, 494239.26818437636)
+        assert (hp.alpha0, hp.beta0) == (500000.0, 1000000.0)
         assert (hp.alpha1, hp.beta1) == (1.0, 1.0)
         assert not hp.offdiag_fitted and hp.diag_converged
+        assert hp.diag_pooled and not hp.offdiag_pooled
 
     @pytest.mark.parametrize("alpha, beta, which, value, grad", [
         (0.7, 2.5, "diagonal", -89.65866556166714,

@@ -258,13 +258,13 @@ class TestRun:
 
 @pytest.mark.parametrize("model, extra, pinned", [
     ("sbm-affiliation", dict(k_star=4, lam=0.8, epsilon=0.1, rho=1.0, base_seed=100), {
-        "records.jsonl": "ea513888d6fbcf654c47a0573cd779e1052ed20b3917118fe4149f9b36a8632e",
-        "summary.csv": "3d10083cea8456c5b650e20b73d83ad11173e9ba9e1886d5adb232dd19788629",
+        "records.jsonl": "204bc9c951bcb06ba83e8cf42d9c1d2c253c170d8051820df4d107bfd775842e",
+        "summary.csv": "f51120be8a724afcf3104af3b5f5296d870a40369e83968356813ba6b087b4b0",
         "selection.csv": "4732c8ccfdb2bf54dd892c96b5b1b3691102965969c22a1a10da11e0364ae58b",
     }),
     ("graphon-powerlaw", dict(rho=0.2, lam=2.0, base_seed=200), {
-        "records.jsonl": "1ea3a0dc41e291c602ce8c869bc88512ef7c10cbce1f967eff83fd93dd5ecab4",
-        "summary.csv": "5bab5a512430d59a0c4d01ea47e6bf1cd253375cc45382fd304eb3a8c428952e",
+        "records.jsonl": "ff928b0afbbcbb38a7d209fb46c6ecf3b110d672b2078776ca7c7a5b21dd95b3",
+        "summary.csv": "01d0c8f88a5c53d5d2c13031c0435951cc09aa8afee5d7eb9926391c6214de97",
         # e_k_star does not apply to a graphon and is an empty cell
         "selection.csv": "0d84bb732f88559fa7161db82b4433c58902794b34aa1a5f6f9a20af82099b29",
     }),
@@ -311,4 +311,4 @@ def test_testlik_protocol_bytes_pinned():
                                    bundled_data_path("synthetic_labels.txt"))
     out = run_testlik_protocol(g, part, n_splits=20, fraction=0.7, base_seed=0)
     digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
-    assert digest == "df4aa6a148469baa70fc88f1bea520948ba478c98e9de2301133dff4e317112b"
+    assert digest == "1a44c03825e70f801b2da997462de5371d82f6add6b4c44ffbfcf5c3ac57063b"

@@ -75,6 +75,22 @@ class TestEdgeArray:
             assert g.edges.flags.c_contiguous and g.edges.dtype == np.int64
             assert g.edges.tobytes() == want.tobytes() and g.edges.shape == want.shape
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)),
+                                        max_size=120),
+           st.integers(0, 2**32 - 1))
+    def test_shuffled_duplicates_match_np_unique(self, n, raw, seed):
+        # oracle: np.unique of the keys i * n + j, split back into pairs
+        pairs = np.array([(min(i, j), max(i, j)) for i, j in raw
+                          if i != j and max(i, j) < n], dtype=np.int64).reshape(-1, 2)
+        rng = np.random.default_rng(seed)
+        edges = np.concatenate((pairs, pairs[rng.integers(0, 2, len(pairs)) == 1]))
+        edges = edges[rng.permutation(len(edges))]
+        key = np.unique(edges[:, 0] * n + edges[:, 1])
+        want = np.column_stack((key // n, key % n)).reshape(-1, 2)
+        g = Graph(n=n, edges=edges)
+        assert g.edges.tobytes() == want.tobytes() and g.edges.shape == want.shape
+
     def test_empty_edges(self):
         for edges in ([], frozenset(), np.zeros((0, 2), dtype=np.int64)):
             g = Graph(n=3, edges=edges)
