@@ -56,7 +56,7 @@ from .graph import (
     relabel_nodes,
 )
 from .graphon import build_step_graphon, mse_graphon, reorder_identifiable
-from .io import canonical_order, ingest_network, write_edge_list, write_label_file
+from .io import _write_rows, canonical_order, ingest_network, write_edge_list, write_label_file
 from .metrics import (
     ExperimentRecord,
     deviation_metrics,
@@ -155,24 +155,28 @@ def _restrict_truth(theta_full, raw_labels1, ids):
     return theta, compact_partition(labs)
 
 
-def _simulate_replicate(cfg: ExperimentConfig, r: int):
-    """Returns (canonical graph, truth dict, sidecars dict)."""
+def _draw_replicate(cfg: ExperimentConfig, r: int):
+    """Replicate r's model spec and its sidecars: the graph as drawn, with
+    its 1-based "labels" (block model) or its "latents" (graphon)."""
     seed = cfg.base_seed + r
     spec = _model_spec(cfg)
     if cfg.model == "sbm-affiliation":
         graph, z0 = _draw_sbm(spec, cfg.n, seed)
-        raw1 = z0 + 1
-        order = canonical_order(graph)
-        g = relabel_nodes(graph, order)
-        theta_t, part_t = _restrict_truth(spec.theta, raw1, order)
+        return spec, {"graph": graph, "labels": z0 + 1}
+    graph, latents = sample_graphon(spec, cfg.n, seed)
+    return spec, {"graph": graph, "latents": latents}
+
+
+def _simulate_replicate(cfg: ExperimentConfig, r: int):
+    """Returns (canonical graph, truth dict, sidecars dict)."""
+    spec, sidecars = _draw_replicate(cfg, r)
+    order = canonical_order(sidecars["graph"])
+    g = relabel_nodes(sidecars["graph"], order)
+    if "labels" in sidecars:
+        theta_t, part_t = _restrict_truth(spec.theta, sidecars["labels"], order)
         truth = {"kind": "sbm", "theta": theta_t, "partition": part_t}
-        sidecars = {"graph": graph, "labels": raw1}
     else:
-        graph, latents = sample_graphon(spec, cfg.n, seed)
-        order = canonical_order(graph)
-        g = relabel_nodes(graph, order)
         truth = {"kind": "graphon", "spec": spec}
-        sidecars = {"graph": graph, "latents": latents}
     return g, truth, sidecars
 
 
@@ -317,7 +321,7 @@ def simulate(cfg: ExperimentConfig, out_dir):
     """Write every replicate's simulated graph and truth sidecars under
     out_dir/replicates/ and a manifest to rerun them."""
     for r in range(cfg.replicates):
-        _write_sidecars(_simulate_replicate(cfg, r)[2], out_dir, r)
+        _write_sidecars(_draw_replicate(cfg, r)[1], out_dir, r)
     write_manifest(out_dir, "simulate", _rerun_payload(cfg))
 
 
@@ -350,9 +354,10 @@ def _write_sidecars(side, out_dir, r):
     if "labels" in side:
         write_label_file(side["labels"], os.path.join(sub, "labels.txt"))
     if "latents" in side:
-        with open(os.path.join(sub, "latents.txt"), "w") as fh:
-            for i, u in enumerate(side["latents"]):
-                fh.write(f"{i} {float(u)!r}\n")
+        # %r of a float is its shortest round-trip repr
+        latents = side["latents"]
+        _write_rows(os.path.join(sub, "latents.txt"), "%d %r\n",
+                    (np.arange(latents.size), latents))
 
 
 def _write_selection_csv(rows, path):

@@ -68,11 +68,31 @@ def read_edge_list(path):
     return graph, list(index), report
 
 
+# Lines per formatted chunk: about 1 MB of Python values and text at once,
+# whatever the number of lines written.
+_CHUNK_ROWS = 1 << 13
+
+
+def _write_rows(path, line, columns):
+    """Write line k as ``line % (columns[0][k], columns[1][k], ...)`` for
+    equal-length 1-D arrays ``columns``, as ASCII with '\\n' line ends.
+
+    Each chunk of _CHUNK_ROWS lines is one ``%`` format over the chunk's
+    values, written as bytes; no Python code runs per line.
+    """
+    width, rows = len(columns), len(columns[0])
+    with open(path, "wb") as fh:
+        for lo in range(0, rows, _CHUNK_ROWS):
+            values = [None] * (width * min(_CHUNK_ROWS, rows - lo))
+            for k, col in enumerate(columns):
+                values[k::width] = col[lo:lo + _CHUNK_ROWS].tolist()
+            fh.write((line * (len(values) // width) % tuple(values)).encode("ascii"))
+
+
 def write_edge_list(graph: Graph, path):
-    """Write edges sorted by index pair, one per line; byte-deterministic."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, j in graph.edges.tolist():
-            fh.write(f"{i} {j}\n")
+    """Write one "i j" line per edge, in the graph's sorted (i, j) order,
+    with '\\n' line ends on every platform; byte-deterministic."""
+    _write_rows(path, "%d %d\n", graph.edges.T)
 
 
 def read_label_file(path, node_ids):
@@ -102,13 +122,17 @@ def read_label_file(path, node_ids):
 
 
 def write_label_file(labels, path):
-    """Write one "node label" line per node, in index order. labels is a
-    Partition or a 1-based label array, which may leave labels unused."""
+    """Write one "node label" line per node, in index order, with '\\n'
+    line ends. labels is a Partition or a 1-D integer array of 1-based
+    labels, which may leave labels unused; any other array raises
+    ValueError rather than write or truncate a non-integer label."""
     if isinstance(labels, Partition):
         labels = labels.labels
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, lab in enumerate(labels):
-            fh.write(f"{i} {lab}\n")
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be a Partition or a 1-D integer array, "
+                         f"got {labels.ndim}-D {labels.dtype}")
+    _write_rows(path, "%d %d\n", (np.arange(labels.size), labels))
 
 
 def ingest_network(edges_path, labels_path=None):

@@ -6,8 +6,10 @@ Replicate r of an experiment draws from seed ``base_seed + r``.
 
 A sampler first draws the n node labels (or latents), then one uniform per
 pair i < j in ``np.triu_indices(n, 1)`` order: row by row, columns
-ascending. The pairs are visited a block of rows at a time, so memory is
-O(n + m + block) for m edges, never O(n^2); time is still O(n^2).
+ascending. The pairs are visited a block of rows at a time, each block's
+tile spanning at most 2^16 (row, column) entries (0.5 MB as float64) or
+one row, so memory is O(n + m) plus a few such tiles for m edges, never
+O(n^2); time is still O(n^2).
 """
 
 from __future__ import annotations
@@ -112,8 +114,10 @@ def affiliation_theta(K: int, lam: float, epsilon: float, rho: float) -> SbmSpec
 
 
 # A block's tile spans at most this many (row, column) entries, or one
-# row if that is longer: about 8 MB per float64 tile.
-_BLOCK_PAIRS = 1 << 20
+# row if that is longer: 0.5 MB per float64 tile. Smaller tiles cost more
+# numpy calls per pair, larger ones more memory; at n = 4000, 2^16 is the
+# smallest size that draws a block model as fast as any larger one.
+_BLOCK_PAIRS = 1 << 16
 
 
 def _sample_pairs(rng, n, tile):

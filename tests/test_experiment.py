@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 import ebsbm
+from ebsbm import experiment
 from ebsbm.experiment import (
     ExperimentConfig,
     analyze_graph,
     run_experiment,
     run_testlik_protocol,
+    simulate,
     _simulate_replicate,
     _write_sidecars,
 )
@@ -109,6 +111,28 @@ class TestSimulate:
         _, u = sample_graphon(powerlaw_graphon(0.1, 2.0), cfg.n, cfg.base_seed)
         assert [int(i) for i in nodes] == list(range(cfg.n))
         assert np.array_equal([float(x) for x in latents], u)
+
+    @pytest.mark.parametrize("over", [{}, {"model": "graphon-powerlaw", "rho": 0.1, "lam": 2.0}],
+                             ids=["sbm", "graphon"])
+    def test_simulate_writes_sidecars_without_relabelling(self, tmp_path, monkeypatch, over):
+        # simulate keeps only the sidecars, so it never puts a graph in
+        # canonical order, and it writes the files an experiment run writes
+        cfg = small_cfg(**over)
+        run_experiment(cfg, out_dir=str(tmp_path / "exp"))
+
+        def unused(*args):
+            raise AssertionError("simulate relabelled a graph")
+
+        monkeypatch.setattr(experiment, "canonical_order", unused)
+        monkeypatch.setattr(experiment, "relabel_nodes", unused)
+        simulate(cfg, str(tmp_path / "sim"))
+        for r in range(cfg.replicates):
+            exp_dir = tmp_path / "exp" / "replicates" / f"r{r:03d}"
+            sim_dir = tmp_path / "sim" / "replicates" / f"r{r:03d}"
+            names = sorted(os.listdir(exp_dir))
+            assert names == sorted(os.listdir(sim_dir)) and len(names) == 2
+            for name in names:
+                assert (sim_dir / name).read_bytes() == (exp_dir / name).read_bytes()
 
     def test_deterministic(self):
         cfg = small_cfg()

@@ -1,13 +1,17 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ebsbm import io
 from ebsbm.errors import DataError
-from ebsbm.graph import Graph, Partition, relabel_nodes
+from ebsbm.experiment import _write_sidecars
+from ebsbm.graph import Graph, Partition, compact_partition, relabel_nodes
 from ebsbm.io import (
     canonical_order,
     ingest_network,
@@ -113,6 +117,15 @@ class TestLabels:
         write_label_file(np.array([1, 3, 3, 1]), path)
         assert path.read_bytes() == b"0 1\n1 3\n2 3\n3 1\n"
 
+    @pytest.mark.parametrize("labels", [
+        np.array([1.0, 2.0]), np.array([1.5, 2.0]), np.array([True, False]),
+        np.array(["1", "2"]), np.array([[1, 2], [2, 1]]),
+    ], ids=["float", "fraction", "bool", "str", "2-d"])
+    def test_write_rejects_non_integer_labels(self, tmp_path, labels):
+        # a float label once wrote tokens such as 1.5; "%d" would truncate it
+        with pytest.raises(ValueError, match="integer array"):
+            write_label_file(labels, tmp_path / "labels.txt")
+
     def test_roundtrip(self, tmp_path):
         part = Partition.from_labels([1, 2, 1, 3])
         path = tmp_path / "labels.txt"
@@ -178,3 +191,70 @@ def test_canonical_relabel_matches_file_roundtrip(n, seed):
     assert order.dtype == np.int64
     assert order.tolist() == [int(t) for t in ids]
     assert relabel_nodes(g, order) == back
+
+
+def reference_edge_bytes(graph):
+    return "".join(f"{i} {j}\n" for i, j in graph.edges.tolist()).encode()
+
+
+def reference_label_bytes(labels):
+    return "".join(f"{i} {lab}\n" for i, lab in enumerate(labels)).encode()
+
+
+def reference_latent_bytes(latents):
+    return "".join(f"{i} {float(u)!r}\n" for i, u in enumerate(latents)).encode()
+
+
+def random_ids(rng, size, max_digits):
+    """Node ids whose decimal widths vary from 1 to max_digits digits."""
+    return rng.integers(0, 10 ** rng.integers(1, max_digits + 1, size=size), dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_writers_match_per_line_reference(data):
+    # the chunked writers give exactly the bytes of one f-string per line,
+    # for row counts on either side of a chunk boundary, the real one too
+    chunk = data.draw(st.sampled_from([1, 3, io._CHUNK_ROWS]), label="chunk")
+    rows = data.draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1]), label="rows")
+    digits = data.draw(st.integers(1, 9), label="digits")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # distinct offsets j - i make the pairs distinct
+    i = random_ids(rng, rows, digits)
+    j = i + 1 + rng.permutation(rows)
+    graph = Graph(n=int(j.max(initial=0)) + 1, edges=np.column_stack((i, j)))
+    dtype = data.draw(st.sampled_from(["int64", "int32", "uint8"]), label="dtype")
+    labels = rng.integers(1, min(10**digits, np.iinfo(dtype).max), size=rows,
+                          endpoint=True).astype(dtype)
+    head = data.draw(st.lists(st.floats(), max_size=min(rows, 8)), label="latents")
+    latents = rng.random(rows)
+    latents[:len(head)] = head
+    with mock.patch.object(io, "_CHUNK_ROWS", chunk), tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        write_edge_list(graph, d / "g.txt")
+        assert (d / "g.txt").read_bytes() == reference_edge_bytes(graph)
+        write_label_file(labels, d / "labels.txt")
+        assert (d / "labels.txt").read_bytes() == reference_label_bytes(labels)
+        if rows:
+            part = compact_partition(labels)
+            write_label_file(part, d / "part.txt")
+            assert (d / "part.txt").read_bytes() == reference_label_bytes(part.labels)
+        _write_sidecars({"graph": graph, "latents": latents}, d, 0)
+        assert (d / "replicates" / "r000" / "latents.txt").read_bytes() == \
+            reference_latent_bytes(latents)
+
+
+def test_write_edge_list_memory_is_one_chunk(tmp_path):
+    # 10^5 edges written a line at a time from one tolist() of every edge
+    # peaked near 13 MB; one chunk's values and text stay near 1 MB
+    rng = np.random.default_rng(0)
+    pairs = np.sort(rng.integers(0, 10**5, size=(110_000, 2)), axis=1)
+    g = Graph(n=10**5, edges=pairs[pairs[:, 0] < pairs[:, 1]][:100_000])
+    assert g.edge_count > 99_000
+    tracemalloc.start()
+    try:
+        write_edge_list(g, tmp_path / "g.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000, f"peak allocation {peak / 1e6:.1f} MB"
