@@ -20,6 +20,9 @@ per fit, and the expected logs and KL terms once per sweep.
 This is the only module that puts the graph in matrix form: a sparse CSR
 adjacency built from the edge array, which the EM multiplies with and the
 spectral map wraps in a matrix-free operator for a Lanczos eigensolve.
+The top-K eigenspace lies inside the top-K_max one, so a K range needs
+one eigensolve per graph: solved once at the largest K, its basis hands
+every K its top K columns.
 """
 
 from __future__ import annotations
@@ -211,7 +214,8 @@ def _top_eigvecs(graph: Graph, K: int) -> np.ndarray:
     return _sla.eigsh(op, k=K, which="LA", tol=1e-10, v0=v0)[1]
 
 
-def spectral_partition(graph: Graph, K: int, seed: int) -> DetectionResult:
+def spectral_partition(graph: Graph, K: int, seed: int,
+                       basis: np.ndarray | None = None) -> DetectionResult:
     """Cluster nodes via the top-K eigenvectors of the regularized
     normalized adjacency, row-normalized then k-means'd.
 
@@ -221,6 +225,11 @@ def spectral_partition(graph: Graph, K: int, seed: int) -> DetectionResult:
     given seed; the lowest within-cluster sum of squares wins, ties going
     to the earliest restart, and the result reports the winner's Lloyd
     iterations and convergence flag.
+
+    `basis`, when given, is a ``_top_eigvecs(graph, W)`` result for some
+    W >= K: its last K columns are the top-K eigenvectors, so no
+    eigensolve runs. One basis at the largest K thus serves a whole K
+    range. Without it the top-K eigenvectors are solved for here.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -230,7 +239,13 @@ def spectral_partition(graph: Graph, K: int, seed: int) -> DetectionResult:
         part = Partition(labels=np.ones(graph.n, dtype=np.int64), K=1)
         return DetectionResult(partition=part, responsibilities=None,
                                converged=True, iterations=0)
-    vecs = _top_eigvecs(graph, K)
+    if basis is None:
+        vecs = _top_eigvecs(graph, K)
+    elif basis.ndim != 2 or basis.shape[0] != graph.n or basis.shape[1] < K:
+        raise ValueError(f"basis of shape {basis.shape} does not hold {K} "
+                         f"eigenvectors of {graph.n} nodes")
+    else:
+        vecs = basis[:, -K:]
     row_norm = np.linalg.norm(vecs, axis=1)
     emb = vecs / np.maximum(row_norm, 1e-12)[:, None]
 
@@ -401,8 +416,11 @@ def variational_em(graph: Graph, K: int, init: DetectionResult,
 
 
 def detect_pipeline(graph: Graph, K: int, seed: int, max_iter: int = 100,
-                    tol: float = 1e-3):
+                    tol: float = 1e-3, basis: np.ndarray | None = None):
     """Spectral initialization refined by variational EM; the default
-    partition provider for estimation and selection runs."""
-    init = spectral_partition(graph, K, seed)
+    partition provider for estimation and selection runs.
+
+    `basis` is handed to :func:`spectral_partition`: a top-W eigenbasis
+    (W >= K) shared across a K range, or None to solve at K."""
+    init = spectral_partition(graph, K, seed, basis=basis)
     return variational_em(graph, K, init, max_iter=max_iter, tol=tol)

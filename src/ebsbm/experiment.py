@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .community import detect_pipeline
+from .community import _top_eigvecs, detect_pipeline
 from .estimator import (
     ConnectivityEstimate,
     eb_estimate,
@@ -194,6 +194,12 @@ def analyze_graph(graph: Graph, k_range, seed: int, truth=None,
                   replicate: int = 0, cfg: ExperimentConfig | None = None):
     """Run detection, estimation, scoring and selection over the K range.
 
+    One eigensolve serves the whole K range: the spectral basis is solved
+    once per graph at the largest K (capped at n), and each K's spectral
+    start takes its top K columns. K = 1 needs no eigensolve, and a range
+    with one K >= 2 has nothing to share: spectral_partition solves at
+    that K, and no basis outlives its spectral start.
+
     Returns (records, selection, estimates) where selection maps criterion
     name to the chosen (compacted) K and carries the error-minimizing
     reference K, and estimates holds each K's partition and estimates.
@@ -201,9 +207,11 @@ def analyze_graph(graph: Graph, k_range, seed: int, truth=None,
     cfg = cfg or ExperimentConfig(k_range=tuple(k_range))
     records = []
     estimates = []
+    solved = [K for K in k_range if K >= 2]
+    basis = _top_eigvecs(graph, min(max(solved), graph.n)) if len(solved) >= 2 else None
     for K in k_range:
-        det, theta_vb = detect_pipeline(graph, K, seed,
-                                        max_iter=cfg.vem_max_iter, tol=cfg.vem_tol)
+        det, theta_vb = detect_pipeline(graph, K, seed, max_iter=cfg.vem_max_iter,
+                                        tol=cfg.vem_tol, basis=basis)
         stats = block_stats(graph, det.partition)
         hyper = fit_hyperparams(stats)
         est_mle = mle_estimate(stats)

@@ -232,7 +232,8 @@ def relabel_nodes(graph: Graph, order) -> Graph:
     pos = np.full(graph.n, -1, dtype=np.int64)
     pos[order] = np.arange(order.size)
     mapped = pos[graph.edges]
-    mapped = mapped[(mapped >= 0).all(axis=1)]
+    if (mapped < 0).any():  # a renaming of every node drops no edge: no copy
+        mapped = mapped[(mapped >= 0).all(axis=1)]
     mapped.sort(axis=1)
     return Graph(n=order.size, edges=mapped)
 

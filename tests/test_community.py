@@ -11,7 +11,7 @@ from ebsbm.community import (DetectionResult, _kmeans_once, detect_pipeline, spe
                              variational_em)
 from ebsbm.graph import Graph, Partition, block_stats
 from ebsbm.io import bundled_data_path, ingest_network
-from ebsbm.samplers import affiliation_theta, sample_sbm
+from ebsbm.samplers import affiliation_theta, powerlaw_graphon, sample_graphon, sample_sbm
 from helpers import hungarian_agreement, two_cliques_graph
 
 
@@ -99,6 +99,39 @@ class TestSpectral:
         g = Graph(n=6, edges=[(0, 1), (1, 2), (0, 2), (3, 4)])
         res = spectral_partition(g, K=K, seed=0)
         assert res.partition.n == 6 and 1 <= res.partition.K <= K
+
+
+def _sbm_400(seed):
+    spec = affiliation_theta(K=10, lam=0.9, epsilon=0.1, rho=0.2)
+    return sample_sbm(spec, n=400, seed=seed)[0]
+
+
+def _graphon_400(seed):
+    return sample_graphon(powerlaw_graphon(0.2, 2.0), 400, seed)[0]
+
+
+class TestSharedBasis:
+    # one top-15 eigensolve stands in for the K = 2..15 solves it contains:
+    # the spectral start must not see the difference
+    @pytest.mark.parametrize("make, graph_seed", [
+        (_sbm_400, 2000), (_sbm_400, 2001), (_sbm_400, 2002), (_graphon_400, 200)])
+    def test_shared_eigenbasis_matches_standalone(self, make, graph_seed):
+        g = make(graph_seed)
+        basis = community._top_eigvecs(g, 15)
+        for K in range(2, 16):
+            shared = spectral_partition(g, K, seed=K, basis=basis)
+            alone = spectral_partition(g, K, seed=K)
+            assert shared.partition == alone.partition, K
+            assert (shared.iterations, shared.converged) == (alone.iterations, alone.converged)
+
+    def test_bad_inputs(self):
+        g, _ = cliques_graph(4)
+        basis = community._top_eigvecs(g, 4)
+        with pytest.raises(ValueError, match="K=9 exceeds node count 8"):
+            spectral_partition(g, K=9, seed=0, basis=basis)
+        for bad in (basis[:-1], basis[:, :2], basis[:, 0], np.vstack((basis, basis))):
+            with pytest.raises(ValueError, match="basis of shape"):
+                spectral_partition(g, K=3, seed=0, basis=bad)
 
 
 def _reference_kmeans_pp(X, K, rng):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import ebsbm
-from ebsbm import experiment
+from ebsbm import community, experiment
+from ebsbm.community import detect_pipeline
 from ebsbm.experiment import (
     ExperimentConfig,
     analyze_graph,
@@ -314,6 +315,42 @@ def test_analyze_graph_selects_two_cliques():
     by_k = {r.K_input: r for r in records}
     assert by_k[2].mse_eb < 0.01
     assert selection["k_tilde"] == 2
+
+
+class TestSharedEigenbasis:
+    @pytest.mark.parametrize("k_range, widths", [
+        ((7, 2, 12, 1, 5), [12]), ((1,), []), ((1, 5), [5])])
+    def test_one_eigensolve_per_graph(self, monkeypatch, k_range, widths):
+        spec = affiliation_theta(K=4, lam=0.8, epsilon=0.1, rho=1.0)
+        g, _ = sample_sbm(spec, n=60, seed=0)
+        # every eigensolve, shared or made inside spectral_partition
+        calls = []
+        real = community._top_eigvecs
+
+        def counted(graph, K):
+            calls.append(K)
+            return real(graph, K)
+
+        monkeypatch.setattr(experiment, "_top_eigvecs", counted)
+        monkeypatch.setattr(community, "_top_eigvecs", counted)
+        records, _, _ = analyze_graph(g, k_range, seed=0)
+        assert calls == widths
+        assert [rec.K_input for rec in records] == list(k_range)
+
+    def test_dense_range_matches_standalone(self):
+        # max(k_range) = n takes the dense eigh solve; its basis serves
+        # K = 2 as well, which alone would take ARPACK
+        g = Graph(n=6, edges=[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
+        _, _, estimates = analyze_graph(g, (2, 6), seed=0)
+        for est in estimates:
+            det, theta_vb = detect_pipeline(g, est["K"], seed=0)
+            assert est["partition"] == det.partition
+            assert np.array_equal(est["vbem"].theta, theta_vb)
+
+    def test_k_above_node_count_still_raises(self):
+        g = Graph(n=6, edges=[(0, 1), (1, 2), (0, 2), (3, 4)])
+        with pytest.raises(ValueError, match="K=7 exceeds node count 6"):
+            analyze_graph(g, (2, 7, 3), seed=0)
 
 
 def test_testlik_protocol_orders_methods():
