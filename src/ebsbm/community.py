@@ -14,12 +14,15 @@ The EM updates the nodes' assignments in blocks of consecutive nodes, each
 block jointly (the fixed-point update of Daudin, Picard & Robin 2008); a
 sweep that ends below the previous sweep's objective is redone one node at
 a time, which is coordinate ascent (Latouche, Birmele & Ambroise 2012), so
-the objective never decreases. The adjacency's row blocks are sliced once
-per fit, and the expected logs and KL terms once per sweep.
+the objective never decreases. The adjacency's row blocks are made once
+per fit, as views that copy none of it, and the expected logs and KL
+terms once per sweep.
 
 This is the only module that puts the graph in matrix form: a sparse CSR
-adjacency built from the edge array, which the EM multiplies with and the
-spectral map wraps in a matrix-free operator for a Lanczos eigensolve.
+adjacency built from the sorted edge array (its upper triangle) and that
+triangle's transpose, which the EM multiplies with and the spectral map
+wraps in a matrix-free operator for a Lanczos eigensolve. k-means holds
+its distances in chunks, so detection's scratch is O(n + m) at any n.
 The top-K eigenspace lies inside the top-K_max one, so a K range needs
 one eigensolve per graph: solved once at the largest K, its basis hands
 every K its top K columns.
@@ -73,6 +76,12 @@ class DetectionResult:
         object.__setattr__(self, "responsibilities", r)
 
 
+# Scratch entries per chunk, 0.5 MB in float64: k-means++ differences
+# and Lloyd distances are held a chunk at a time, whatever n, d and the
+# number of centres.
+_CHUNK = 1 << 16
+
+
 def _kmeans_pp(X, K, rngs):
     """k-means++ seeding (Arthur & Vassilvitskii 2007) of one restart per
     generator in `rngs`: (R, K, d) centres, each restart K rows of X, the
@@ -82,13 +91,24 @@ def _kmeans_pp(X, K, rngs):
     The restarts are seeded together on one (R, n) array of squared
     distances, and each draws from its own generator exactly what
     Generator.choice(n, p=d2 / total) would: the cumulative sum of p,
-    normalised by its last entry, searched for one uniform draw.
+    normalised by its last entry, searched for one uniform draw. A
+    restart's row of d2 is np.sum((X - c) ** 2, axis=1) for its centre c,
+    computed for as many restarts at once as keep the differences within
+    _CHUNK entries (at least one), so the (R, n, d) cube is never whole.
     """
     n, d = X.shape
     R = len(rngs)
+    group = max(1, _CHUNK // (n * d))
     centers = np.empty((R, K, d))
     centers[:, 0] = X[[int(rng.integers(n)) for rng in rngs]]
-    d2 = np.sum((X - centers[:, :1]) ** 2, axis=2)
+    d2 = np.full((R, n), np.inf)
+
+    def add_centre(k):  # d2 = min(d2, squared distance to centre k)
+        for g in range(0, R, group):
+            rows = d2[g:g + group]
+            np.minimum(rows, np.sum((X - centers[g:g + group, k, None]) ** 2, axis=2), out=rows)
+
+    add_centre(0)
     for k in range(1, K):
         total = d2.sum(axis=1)
         spread = total > 1e-12
@@ -100,7 +120,7 @@ def _kmeans_pp(X, K, rngs):
         for r in np.flatnonzero(~spread):  # every point sits on a centre
             idx[r] = rngs[r].integers(n)
         centers[:, k] = X[idx]
-        d2 = np.minimum(d2, np.sum((X - centers[:, k:k + 1]) ** 2, axis=2))
+        add_centre(k)
     return centers
 
 
@@ -109,27 +129,46 @@ def _nearest_centres(X, x2, centers):
     the (A, K, d) centres of A restarts; x2 holds the squared row norms.
 
     The squared distances are ||x||^2 - 2 x.c + ||c||^2, with the cross
-    terms of all restarts from one einsum. It sums over d in a fixed
-    order; OpenBLAS's threaded GEMM does not once there are about 200
-    centres, so its last digits would depend on the BLAS thread count.
+    terms of all restarts from one einsum per chunk of rows. It sums over
+    d in a fixed order; OpenBLAS's threaded GEMM does not once there are
+    about 200 centres, so its last digits would depend on the BLAS thread
+    count. A chunk holds at most _CHUNK distances (at least one row), so
+    the (n, A K) distances are never whole. A restart left with an empty
+    cluster is repaired from each point's own (nearest) distance, which
+    the chunks then compute again: the same sums, so the same bytes.
     """
     A, K, d = centers.shape
     n = X.shape[0]
-    dist = np.einsum("nd,dk->nk", X, np.ascontiguousarray(centers.reshape(-1, d).T))
-    dist *= -2.0
-    dist += x2[:, None]
-    dist += np.sum(centers * centers, axis=2).ravel()
-    dist = dist.reshape(n, A, K)
-    labels = np.argmin(dist, axis=2).T
-    counts = np.bincount((labels + np.arange(A)[:, None] * K).ravel(), minlength=A * K)
+    flat = np.ascontiguousarray(centers.reshape(-1, d).T)
+    c2 = np.sum(centers * centers, axis=2).ravel()
+    step = max(1, _CHUNK // (A * K))
+
+    def chunks():
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            dist = np.einsum("nd,dk->nk", X[rows], flat)
+            dist *= -2.0
+            dist += x2[rows, None]
+            dist += c2
+            yield rows, dist.reshape(-1, A, K)
+
+    labels = np.empty((n, A), dtype=np.int64)
+    for rows, dist in chunks():
+        np.argmin(dist, axis=2, out=labels[rows])
+    counts = np.bincount((labels + np.arange(A) * K).ravel(), minlength=A * K)
     counts = counts.reshape(A, K)
-    for a in np.flatnonzero(np.any(counts == 0, axis=1)):
+    empty = np.flatnonzero(np.any(counts == 0, axis=1))
+    if empty.size:
+        own = np.empty((n, A))
+        for rows, dist in chunks():
+            own[rows] = np.take_along_axis(dist, labels[rows, :, None], axis=2)[:, :, 0]
+    labels = labels.T
+    for a in empty:
         lab, cnt = labels[a], counts[a]
-        own = dist[np.arange(n), a, lab]
         for k in np.flatnonzero(cnt == 0):
             # the point farthest from its centre, taken from a cluster it
             # does not leave empty
-            far = int(np.argmax(np.where(cnt[lab] > 1, own, -1.0)))
+            far = int(np.argmax(np.where(cnt[lab] > 1, own[:, a], -1.0)))
             cnt[lab[far]] -= 1
             cnt[k] = 1
             lab[far] = k
@@ -143,11 +182,12 @@ def _kmeans_once(X, K, rngs, max_iter=300):
     The restarts are seeded together by k-means++ (:func:`_kmeans_pp`),
     each from its own generator, so each draws exactly what it would draw
     alone. The Lloyd steps of the restarts still running then share one
-    pass: one contraction for the distances (:func:`_nearest_centres`),
-    one bincount per column of X, weighted by that column repeated once
-    per restart, for the centre sums over the bins restart * K + label,
-    which add rows in index order as X[labels == k].mean(axis=0) does. A
-    restart drops out once its labels stop changing.
+    pass: the distances in row chunks (:func:`_nearest_centres`), then one
+    bincount per column of X, weighted by that column repeated once per
+    running restart, for the centre sums over the bins restart * K +
+    label, which add rows in index order as X[labels == k].mean(axis=0)
+    does. One (R, n) buffer holds the repeated column; no copy of X per
+    restart is made. A restart drops out once its labels stop changing.
 
     Returns (labels, inertia, total_iters, iters, converged): per restart
     the (R, n) 0-based labels, the within-cluster sums of squares, the
@@ -161,7 +201,8 @@ def _kmeans_once(X, K, rngs, max_iter=300):
     iters = np.full(R, max_iter, dtype=np.int64)
     converged = np.zeros(R, dtype=bool)
     x2 = np.sum(X * X, axis=1)
-    weights = np.tile(X.T, R)
+    columns = np.ascontiguousarray(X.T)
+    repeated = np.empty((R, n))
     active = np.arange(R)
     for it in range(1, max_iter + 1):
         new, counts = _nearest_centres(X, x2, centers[active])
@@ -173,18 +214,32 @@ def _kmeans_once(X, K, rngs, max_iter=300):
             break
         labels[active] = new
         index = (new + np.arange(active.size)[:, None] * K).ravel()
-        sums = [np.bincount(index, weights=w[:index.size], minlength=active.size * K)
-                for w in weights]
+        w = repeated[:active.size]
+        sums = []
+        for col in columns:
+            w[:] = col
+            sums.append(np.bincount(index, weights=w.ravel(), minlength=active.size * K))
         centers[active] = np.stack(sums, axis=1).reshape(active.size, K, d) / counts[:, :, None]
     inertia = np.array([np.sum((X - centers[r][labels[r]]) ** 2) for r in range(R)])
     return labels, inertia, int(iters.sum()), iters, converged
 
 
 def _csr_adjacency(graph: Graph):
-    """Symmetric 0/1 adjacency of the graph as a scipy CSR array."""
+    """Symmetric 0/1 adjacency of the graph as a scipy CSR array.
+
+    The sorted edge array is the upper triangle in CSR form as it stands:
+    row i holds the j of its edges (i, j), in order. The lower triangle is
+    that triangle's transpose, and the sum of the two interleaves them per
+    row (the lower entries first), so every row's columns are sorted. The
+    indices are int32 unless the 2m entries or n need int64, as scipy
+    picks them.
+    """
+    n, m = graph.n, graph.edge_count
+    index = np.int32 if max(2 * m, n) <= np.iinfo(np.int32).max else np.int64
     i, j = graph.edges.T
-    rows, cols = np.concatenate((i, j)), np.concatenate((j, i))
-    return _sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(graph.n, graph.n))
+    indptr = np.searchsorted(i, np.arange(n + 1)).astype(index)
+    upper = _sparse.csr_array((np.ones(m), j.astype(index), indptr), shape=(n, n))
+    return upper + upper.T.tocsr()
 
 
 def _top_eigvecs(graph: Graph, K: int) -> np.ndarray:
@@ -311,8 +366,19 @@ def _elbo(R, X, elog, kl, iu):
 
 def _row_blocks(X, size):
     """The rows of X in blocks of `size` consecutive nodes, as (row slice,
-    CSR rows) pairs."""
-    return [(slice(s, s + size), X[s:s + size]) for s in range(0, X.shape[0], size)]
+    CSR rows) pairs. Each block's CSR rows are views on slices of X's
+    indices and data, so the blocks copy none of the adjacency. The views
+    are assigned to an empty CSR array, because scipy's constructor copies
+    a view that is less than half of its base."""
+    n = X.shape[0]
+    blocks = []
+    for s in range(0, n, size):
+        ptr = X.indptr[s:s + size + 1]
+        lo, hi = ptr[0], ptr[-1]
+        Xb = _sparse.csr_array((ptr.size - 1, n))
+        Xb.indptr, Xb.indices, Xb.data = ptr - lo, X.indices[lo:hi], X.data[lo:hi]
+        blocks.append((slice(s, s + size), Xb))
+    return blocks
 
 
 def _e_step(R, blocks, colsum, elog_pi, elog_t, elog_1mt):
@@ -343,11 +409,11 @@ def variational_em(graph: Graph, K: int, init: DetectionResult,
     coordinate ascent, so the objective never decreases. Stops when the
     improvement falls below `tol` or after `max_iter` sweeps.
 
-    The adjacency's row blocks are sliced once per fit, the one-node
-    blocks only when a sweep is first redone. The expected logs and the
-    KL terms of the objective depend only on the posteriors set at the
-    start of a sweep, so they are computed once per sweep and a redo
-    reuses them.
+    The adjacency's row blocks (views, :func:`_row_blocks`) are made once
+    per fit, the one-node blocks only when a sweep is first redone. The
+    expected logs and the KL terms of the objective depend only on the
+    posteriors set at the start of a sweep, so they are computed once per
+    sweep and a redo reuses them.
 
     Returns (DetectionResult, theta_vb), where theta_vb holds the
     per-block posterior-mean connectivity for the compacted clusters. Pass
@@ -360,7 +426,7 @@ def variational_em(graph: Graph, K: int, init: DetectionResult,
     n = graph.n
     X = _csr_adjacency(graph)
     blocks = _row_blocks(X, _BLOCK)
-    nodes = None  # one-node blocks, sliced when a sweep is first redone
+    nodes = None  # one-node blocks, made when a sweep is first redone
     iu = np.triu_indices(K)
 
     if init.responsibilities is not None and init.responsibilities.shape[1] == K:

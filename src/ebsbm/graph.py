@@ -57,11 +57,16 @@ class Graph:
         key = e[:, 0] * n
         key += e[:, 1]
         if not np.all(key[1:] > key[:-1]):
-            # not yet sorted and unique: sort the keys, drop repeats (far
-            # faster than np.unique on int64) and split them back
-            key = np.sort(key)
-            key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-            e = np.column_stack((key // n, key % n))
+            # not yet sorted and unique: sort the keys in place, drop
+            # repeats (far faster than np.unique on int64) and split them
+            # back into e, the constructor's own copy, when none dropped
+            key.sort()
+            repeat = key[1:] == key[:-1]
+            if repeat.any():
+                key = key[np.concatenate(([True], ~repeat))]
+                e = np.empty((key.size, 2), dtype=np.int64)
+            np.floor_divide(key, n, out=e[:, 0])
+            np.remainder(key, n, out=e[:, 1])
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", _freeze(e))
 

@@ -162,6 +162,18 @@ def ingest_network(edges_path, labels_path=None):
 def canonical_order(graph: Graph) -> np.ndarray:
     """Node order produced by writing the edge list and reading it back:
     first appearance over index-sorted edges. Isolated nodes do not appear
-    in an edge list, so they are absent here too."""
-    nodes, first = np.unique(graph.edges.ravel(), return_index=True)
-    return nodes[np.argsort(first)]
+    in an edge list, so they are absent here too.
+
+    Endpoint k of edge e is position 2e + k of that list. The edges are
+    sorted by i, so a node's first edge as i is found by a search; its
+    first as j is a minimum over its edges. Scratch beyond the edges is
+    O(n) plus one O(m) position array.
+    """
+    n, m = graph.n, graph.edge_count
+    i, j = graph.edges.T
+    nodes = np.arange(n)
+    lo, hi = np.searchsorted(i, nodes), np.searchsorted(i, nodes, side="right")
+    first = np.where(hi > lo, 2 * lo, 2 * m)  # 2m: not (yet) seen
+    np.minimum.at(first, j, np.arange(1, 2 * m, 2))
+    seen = np.flatnonzero(first < 2 * m)
+    return seen[np.argsort(first[seen])]

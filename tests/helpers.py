@@ -148,3 +148,10 @@ def two_cliques_graph(size=10):
                 edges.add((base + i, base + j))
     labels = [1] * size + [2] * size
     return 2 * size, edges, labels
+
+
+def random_pairs(n, seed, density):
+    """Each pair i < j of n nodes, kept with probability `density`, in
+    (i, j) order: isolated nodes at low density, none at all at 0."""
+    rng = np.random.default_rng(seed)
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]

@@ -4,7 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import linalg, sparse
 
 from ebsbm import community
 from ebsbm.community import (DetectionResult, _kmeans_once, detect_pipeline, spectral_partition,
@@ -12,7 +14,7 @@ from ebsbm.community import (DetectionResult, _kmeans_once, detect_pipeline, spe
 from ebsbm.graph import Graph, Partition, block_stats
 from ebsbm.io import bundled_data_path, ingest_network
 from ebsbm.samplers import affiliation_theta, powerlaw_graphon, sample_graphon, sample_sbm
-from helpers import hungarian_agreement, two_cliques_graph
+from helpers import hungarian_agreement, random_pairs, two_cliques_graph
 
 
 def cliques_graph(size=10):
@@ -289,6 +291,84 @@ class TestKmeans:
             assert np.array_equal(labels[r], ref_labels) and inertia[r] == ref_inertia
             assert not ref_converged
 
+    @pytest.mark.parametrize("X, K", KMEANS_FIXTURES)
+    @pytest.mark.parametrize("chunk", ["one row", "seven rows"])
+    def test_chunked_assignment_matches_one_chunk(self, monkeypatch, X, K, chunk):
+        # every fixture fits one chunk by default. _CHUNK = 1 takes one
+        # row of distances (and one restart's k-means++ differences) at a
+        # time; 70 K takes seven rows while all ten restarts run. The
+        # duplicated points also take the empty-cluster repair each time.
+        want = _kmeans_once(X, K, _streams(K))
+        monkeypatch.setattr(community, "_CHUNK", 1 if chunk == "one row" else 70 * K)
+        got = _kmeans_once(X, K, _streams(K))
+        for w, g in zip(want, got):
+            assert np.array_equal(w, g) and np.asarray(w).dtype == np.asarray(g).dtype
+
+    def test_memory_is_linear_in_n(self):
+        # n=20000 points in d=10 with K=10: the ten restarts' k-means++
+        # differences, their tiled copy of X and the (n, 100) distances
+        # are 16 MB each when whole, and peaked near 40 MB. Held in chunks
+        # of 2^16 entries, a dozen (R, n) arrays of 1.6 MB remain: about
+        # 12 MB measured
+        X = np.random.default_rng(0).standard_normal((20_000, 10))
+        X /= np.linalg.norm(X, axis=1)[:, None]
+        tracemalloc.start()
+        try:
+            _kmeans_once(X, 10, _streams(10), max_iter=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14_000_000, f"peak allocation {peak / 1e6:.1f} MB"
+
+
+class TestAdjacency:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    @example(1, 0, 0.5)    # one node
+    @example(6, 0, 0.0)    # no edges
+    @example(12, 3, 0.05)  # isolated nodes
+    def test_csr_matches_coo_build(self, n, seed, density):
+        # oracle: both orientations of every edge through scipy's COO path
+        g = Graph(n=n, edges=random_pairs(n, seed, density))
+        i, j = g.edges.T
+        want = sparse.csr_array((np.ones(2 * g.edge_count),
+                                 (np.concatenate((i, j)), np.concatenate((j, i)))), shape=(n, n))
+        got = community._csr_adjacency(g)
+        assert got.shape == (n, n) and got.data.dtype == np.float64
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_row_blocks_are_views_of_the_slices(self, size):
+        g = Graph(n=150, edges=random_pairs(150, 4, 0.01))
+        X = community._csr_adjacency(g)
+        assert np.any(np.diff(X.indptr) == 0)  # empty rows too
+        blocks = community._row_blocks(X, size)
+        assert [rows for rows, _ in blocks] == [slice(s, s + size) for s in range(0, 150, size)]
+        R = np.random.default_rng(0).dirichlet(np.ones(4), size=150)
+        for rows, Xb in blocks:
+            want = X[rows]
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(Xb, name), getattr(want, name)), name
+            assert Xb.shape == want.shape and np.array_equal(Xb @ R, want @ R)
+            if Xb.nnz:
+                assert np.shares_memory(Xb.data, X.data)
+                assert np.shares_memory(Xb.indices, X.indices)
+
+    def test_csr_memory(self):
+        # 72k edges: the result's 144k int32 indices and float64 entries
+        # are 1.7 MB, and the upper triangle and its transpose as much
+        # again (3.5 MB measured). Built through COO, the int64 row and
+        # column copies and their sort peaked near 5.8 MB
+        g, _ = sample_sbm(affiliation_theta(10, 0.9, 0.1, 0.05), n=4000, seed=1)
+        tracemalloc.start()
+        try:
+            community._csr_adjacency(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_000_000, f"peak allocation {peak / 1e6:.1f} MB"
+
 
 def _random_init(n, K, seed):
     r = np.random.default_rng(seed).dirichlet(np.ones(K), size=n)
@@ -496,10 +576,11 @@ class TestDetectPipeline:
 
     def test_allocates_no_node_by_node_array(self):
         # at n=3000 one n x n array is 72 MB in float64 and 9 MB even at one
-        # byte an entry; detection needs O(m + nK^2) memory (the sparse
-        # adjacency, n x K assignments, the Lanczos basis and k-means'
-        # distances, n x 10K for its ten restarts), about 4.4 MB here, so
-        # 8 MB leaves headroom yet admits no n x n array of any dtype
+        # byte an entry; detection needs O(m + nR) memory (the sparse
+        # adjacency, n x K assignments, the Lanczos basis, k-means' (R, n)
+        # labels for its R = 10 restarts and 2^16-entry distance chunks),
+        # about 3.1 MB measured, so 4 MB admits no n x n array of any
+        # dtype, nor k-means' n x R K distances whole beside the rest
         spec = affiliation_theta(K=10, lam=0.9, epsilon=0.1, rho=0.02)
         g, _ = sample_sbm(spec, n=3000, seed=0)
         tracemalloc.start()
@@ -508,7 +589,7 @@ class TestDetectPipeline:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8_000_000, f"peak allocation {peak / 1e6:.1f} MB"
+        assert peak < 4_000_000, f"peak allocation {peak / 1e6:.1f} MB"
 
 
 def test_detection_result_validation():

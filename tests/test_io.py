@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ebsbm import io
@@ -20,6 +20,8 @@ from ebsbm.io import (
     write_edge_list,
     write_label_file,
 )
+from ebsbm.samplers import affiliation_theta, sample_sbm
+from helpers import random_pairs
 
 
 def write(tmp_path, name, text):
@@ -191,6 +193,41 @@ def test_canonical_relabel_matches_file_roundtrip(n, seed):
     assert order.dtype == np.int64
     assert order.tolist() == [int(t) for t in ids]
     assert relabel_nodes(g, order) == back
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@example(1, 0, 0.5)    # one node
+@example(6, 0, 0.0)    # no edges
+@example(12, 3, 0.05)  # isolated nodes
+def test_canonical_order_matches_first_index_over_endpoints(n, seed, density):
+    # oracle: np.unique over all 2m endpoints, ordered by first index
+    g = Graph(n=n, edges=random_pairs(n, seed, density))
+    nodes, first = np.unique(g.edges.ravel(), return_index=True)
+    want = nodes[np.argsort(first)]
+    got = canonical_order(g)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_canonical_relabel_memory():
+    # 72k edges (a 1.15 MB array): the first-appearance search holds one
+    # m-sized position array (0.7 MB measured for canonical_order), and
+    # the relabel its mapped pairs, the constructor's copy and one key
+    # (3.1 MB measured). np.unique over the endpoints, a sorted copy of
+    # the keys and column_stack peaked at 3.7 and 5.3 MB
+    g, _ = sample_sbm(affiliation_theta(10, 0.9, 0.1, 0.05), n=4000, seed=1)
+    tracemalloc.start()
+    try:
+        order = canonical_order(g)
+        order_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        relabel_nodes(g, order)
+        relabel_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert order_peak <= 1_500_000, f"canonical_order peak {order_peak / 1e6:.1f} MB"
+    assert relabel_peak <= 4_000_000, f"relabel_nodes peak {relabel_peak / 1e6:.1f} MB"
 
 
 def reference_edge_bytes(graph):
