@@ -52,7 +52,13 @@ from .graphon import (
     mse_graphon,
     reorder_identifiable,
 )
-from .community import DetectionResult, detect_pipeline, spectral_partition, variational_em
+from .community import (
+    DetectionResult,
+    detect_pipeline,
+    detect_range,
+    spectral_partition,
+    variational_em,
+)
 from .metrics import (
     ExperimentRecord,
     deviation_metrics,

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg, sparse
+from scipy.special import xlogy
 
 from ebsbm import community
-from ebsbm.community import (DetectionResult, _kmeans_once, detect_pipeline, spectral_partition,
-                             variational_em)
-from ebsbm.graph import Graph, Partition, block_stats
+from ebsbm.community import (DetectionResult, _kmeans_once, detect_pipeline, detect_range,
+                             spectral_partition, variational_em)
+from ebsbm.graph import Graph, Partition, block_stats, compact_partition
 from ebsbm.io import bundled_data_path, ingest_network
 from ebsbm.samplers import affiliation_theta, powerlaw_graphon, sample_graphon, sample_sbm
 from helpers import hungarian_agreement, random_pairs, two_cliques_graph
@@ -134,6 +135,40 @@ class TestSharedBasis:
         for bad in (basis[:-1], basis[:, :2], basis[:, 0], np.vstack((basis, basis))):
             with pytest.raises(ValueError, match="basis of shape"):
                 spectral_partition(g, K=3, seed=0, basis=bad)
+
+
+class TestEigensolveBlasThreads:
+    # ARPACK runs with scipy's OpenBLAS at one thread, and the caller's
+    # thread count comes back after the solve, also when it raises
+    def test_one_thread_and_restored(self, monkeypatch):
+        calls = community._scipy_blas_threads()
+        if calls is None:
+            pytest.skip("scipy does not bundle its OpenBLAS here")
+        get, set_ = calls
+        before = get()
+        g = _sbm_400(2000)
+        eigsh, seen = community._sla.eigsh, []
+
+        def recorded(*args, **kwargs):
+            seen.append(get())
+            return eigsh(*args, **kwargs)
+
+        def failing(*args, **kwargs):
+            seen.append(get())
+            raise RuntimeError("no convergence")
+
+        try:
+            set_(2)
+            monkeypatch.setattr(community._sla, "eigsh", recorded)
+            assert community._top_eigvecs(g, 5).shape == (400, 5)
+            assert get() == 2
+            monkeypatch.setattr(community._sla, "eigsh", failing)
+            with pytest.raises(RuntimeError, match="no convergence"):
+                community._top_eigvecs(g, 5)
+            assert get() == 2
+            assert seen == [1, 1]
+        finally:
+            set_(before)
 
 
 def _reference_kmeans_pp(X, K, rng):
@@ -479,7 +514,7 @@ class TestVariationalEm:
 
         def objective(*args):
             out = elbo(*args)
-            values.append(out[0])
+            values.append(out[0][0])  # the one K's objective
             return out
 
         monkeypatch.setattr(community, "_e_step", step)
@@ -557,6 +592,246 @@ class TestVariationalEm:
         det, _ = detect_pipeline(g, K=4, seed=0, max_iter=3)
         assert det.converged is False
         assert det.iterations == 3
+
+
+def _reference_counts(X, R):
+    # expected edge and pair counts of one K's (n, K) responsibilities alone
+    colsum = R.sum(axis=0)
+    C = R.T @ (X @ R)
+    Q = R.T @ R
+    pairs = np.outer(colsum, colsum) - Q
+    edges = C.copy()
+    np.fill_diagonal(pairs, (colsum**2 - np.diag(Q)) / 2.0)
+    np.fill_diagonal(edges, np.diag(C) / 2.0)
+    return edges, pairs, colsum
+
+
+def _reference_vem(g, K, init, max_iter=100, tol=1e-3, trace=None):
+    # the per-K sweep loop that the lockstep engine replaced, one K alone:
+    # the engine must give every K exactly these bytes
+    from scipy.special import gammaln, psi, xlogy
+
+    tau, a0, b0 = 0.5, 0.5, 0.5
+    X = community._csr_adjacency(g)
+    blocks, nodes = community._row_blocks(X, 64), community._row_blocks(X, 1)
+    iu = np.triu_indices(K)
+
+    def counts_of(R):
+        return _reference_counts(X, R)
+
+    def e_step(R, blocks, colsum, elog_pi, elog_t, elog_1mt):
+        for b, Xb in blocks:
+            S = Xb @ R
+            T = np.maximum(colsum - R[b] - S, 0.0)
+            L = elog_pi + S @ elog_t + T @ elog_1mt
+            L -= L.max(axis=1, keepdims=True)
+            P = np.exp(L)
+            P /= P.sum(axis=1, keepdims=True)
+            colsum += (P - R[b]).sum(axis=0)
+            R[b] = P
+
+    def objective(R, elog, kl):
+        counts = counts_of(R)
+        edges, pairs, colsum = counts
+        e_loglik = float(np.sum(edges[iu] * elog[1][iu] + (pairs - edges)[iu] * elog[2][iu]))
+        entropy = -float(np.sum(xlogy(R, R)))
+        return e_loglik + float(colsum @ elog[0]) + entropy - kl[0] - kl[1], counts
+
+    if init.responsibilities is not None and init.responsibilities.shape[1] == K:
+        R = init.responsibilities.copy()
+    else:
+        R = np.zeros((g.n, K))
+        R[np.arange(g.n), init.partition.labels - 1] = 1.0
+    prev, converged, counts = -np.inf, False, counts_of(R)
+    for sweeps in range(1, max_iter + 1):
+        edges, pairs, colsum = counts
+        gamma, zeta = tau + colsum, a0 + edges
+        xi = b0 + np.maximum(pairs - edges, 0.0)
+        psi_sum = psi(zeta + xi)
+        elog = (psi(gamma) - psi(gamma.sum()), psi(zeta) - psi_sum, psi(xi) - psi_sum)
+        kl_pi = float(gammaln(gamma.sum()) - np.sum(gammaln(gamma)) - gammaln(K * tau)
+                      + K * gammaln(tau) + np.sum((gamma - tau) * elog[0]))
+        z, x = zeta[iu], xi[iu]
+        kl_theta = float(np.sum(
+            gammaln(z + x) - gammaln(z) - gammaln(x) - gammaln(a0 + b0) + gammaln(a0)
+            + gammaln(b0) + (z - a0) * psi(z) + (x - b0) * psi(x)
+            - (z + x - a0 - b0) * psi(z + x)))
+        start = R.copy(), colsum.copy()
+        e_step(R, blocks, colsum, *elog)
+        value, counts = objective(R, elog, (kl_pi, kl_theta))
+        if value < prev:
+            R, colsum = start
+            e_step(R, nodes, colsum, *elog)
+            value, counts = objective(R, elog, (kl_pi, kl_theta))
+        if trace is not None:
+            trace.append(value)
+        if value - prev < tol and np.isfinite(prev):
+            converged = True
+            break
+        prev = value
+    labels0 = np.argmax(R, axis=1)
+    Rc = R[:, np.unique(labels0)]
+    Rc /= Rc.sum(axis=1, keepdims=True)
+    edges, pairs, _ = counts_of(Rc)
+    theta_vb = (a0 + edges) / (a0 + b0 + pairs)
+    return labels0, Rc, (theta_vb + theta_vb.T) / 2.0, sweeps, converged
+
+
+def _assert_fits_match_reference(g, ks, inits, **kwargs):
+    # every K of one _fit_range call against the reference fit of that K
+    traces = [[] for _ in ks]
+    fits = community._fit_range(community._csr_adjacency(g), list(ks), inits,
+                                kwargs.get("max_iter", 100), kwargs.get("tol", 1e-3), traces)
+    assert len(fits) == len(ks)
+    for K, init, (det, theta_vb), trace in zip(ks, inits, fits, traces):
+        want_trace = []
+        labels0, Rc, theta, sweeps, converged = _reference_vem(g, K, init, trace=want_trace,
+                                                               **kwargs)
+        assert (det.iterations, det.converged) == (sweeps, converged), K
+        assert np.array_equal(det.partition.labels, compact_partition(labels0 + 1).labels), K
+        assert det.responsibilities.tobytes() == np.ascontiguousarray(Rc).tobytes(), K
+        assert theta_vb.tobytes() == theta.tobytes(), K
+        assert [v.hex() for v in trace] == [v.hex() for v in want_trace], K
+    return fits
+
+
+def _spectral_starts(g, ks, seed):
+    basis = community._top_eigvecs(g, max(ks))
+    return [spectral_partition(g, K, seed, basis=basis) for K in ks]
+
+
+class TestLockstep:
+    # the K range's EMs in lockstep must give each K the bytes of its fit
+    # alone (the reference loop), whatever K share a group and whenever
+    # each K leaves
+    def test_sweep_graph_over_k_5_to_15(self):
+        g = _sbm_400(1000)
+        ks = tuple(range(5, 16))
+        fits = _assert_fits_match_reference(g, ks, _spectral_starts(g, ks, 1000))
+        # the K leave at different sweeps, so the group is compacted
+        assert len({det.iterations for det, _ in fits}) > 1
+
+    @pytest.mark.parametrize("max_iter", [100, 3])
+    def test_unsorted_gapped_range_with_k1(self, max_iter):
+        g = sample_sbm(affiliation_theta(K=10, lam=0.9, epsilon=0.1, rho=0.2), n=300,
+                       seed=7)[0]
+        ks = (12, 3, 1, 7)
+        fits = _assert_fits_match_reference(g, ks, _spectral_starts(g, ks, 7),
+                                            max_iter=max_iter)
+        if max_iter == 3:  # every K but K = 1 stops at the cap
+            assert [(det.iterations, det.converged) for det, _ in fits] == [
+                (3, False), (3, False), (2, True), (3, False)]
+
+    def test_redone_sweep_inside_a_group(self, monkeypatch):
+        # the n=40 graph whose K = 3 fit from random init redoes a sweep
+        # (test_batched_sweep_below_previous_is_redone), run beside two
+        # fits that do not redo, each of which must keep its own bytes
+        g, _ = sample_sbm(affiliation_theta(K=3, lam=0.8, epsilon=0.1, rho=1.0), n=40, seed=13)
+        redone = []
+        e_step = community._e_step
+
+        def step(R, blocks, colsum, elog, lay):
+            if _block_width(blocks) == 1:
+                redone.append(tuple(lay.ks))
+            e_step(R, blocks, colsum, elog, lay)
+
+        monkeypatch.setattr(community, "_e_step", step)
+        ks = (2, 3, 5)
+        inits = [_random_init(g.n, 2, 1), _random_init(g.n, 3, 13), _random_init(g.n, 5, 2)]
+        _assert_fits_match_reference(g, ks, inits)
+        assert redone == [(3,)]
+
+    def test_start_with_fewer_clusters_than_k(self):
+        g = _sbm_400(2001)
+        few = spectral_partition(g, 3, seed=1)
+        inits = [few, few, spectral_partition(g, 6, seed=1)]
+        _assert_fits_match_reference(g, (3, 5, 6), inits)
+
+    @pytest.mark.parametrize("wide, groups", [
+        (1, [(K,) for K in range(5, 16)]),
+        (400 * 30, [(5, 6, 7, 8), (9, 10, 11), (12, 13), (14, 15)])])
+    def test_groups_under_the_width_budget(self, monkeypatch, wide, groups):
+        # consecutive K share a group while n x (sum of K) <= _WIDE, and a K
+        # wider than the budget runs alone
+        monkeypatch.setattr(community, "_WIDE", wide)
+        seen = []
+        fit_group = community._fit_group
+
+        def recorded(X, ks, *args):
+            seen.append(tuple(ks))
+            return fit_group(X, ks, *args)
+
+        monkeypatch.setattr(community, "_fit_group", recorded)
+        g = _sbm_400(1001)
+        ks = tuple(range(5, 16))
+        _assert_fits_match_reference(g, ks, _spectral_starts(g, ks, 1001))
+        assert seen == groups
+
+    def test_group_counts_are_each_k_alone(self):
+        # each K's counts and entropy from its columns of a wide R, as from
+        # its own array (K = 1's column is all ones, as in every fit)
+        X = community._csr_adjacency(_sbm_400(1000))
+        ks = (3, 1, 12, 2)
+        lay = community._layout(ks)
+        rng = np.random.default_rng(5)
+        R = np.concatenate([rng.dirichlet(np.ones(K), size=400) for K in ks], axis=1)
+        (edges, pairs, colsum), entropy = community._group_counts(R, X, lay)
+        for i, (K, c, m) in enumerate(zip(ks, lay.cols, lay.mats)):
+            Rk = R[:, c].copy()
+            want = _reference_counts(X, Rk)
+            assert edges[m].tobytes() == want[0].tobytes(), K
+            assert pairs[m].tobytes() == want[1].tobytes(), K
+            assert colsum[c].tobytes() == want[2].tobytes(), K
+            assert entropy[i] == -float(np.sum(xlogy(Rk, Rk))), K
+
+    def test_compaction_keeps_responsibilities_c_ordered(self, monkeypatch):
+        seen = []
+        e_step = community._e_step
+
+        def step(R, *args):
+            seen.append((R.shape[1], R.flags.c_contiguous))
+            e_step(R, *args)
+
+        monkeypatch.setattr(community, "_e_step", step)
+        g = _sbm_400(1000)
+        ks = tuple(range(5, 16))
+        community._fit_range(community._csr_adjacency(g), list(ks),
+                             _spectral_starts(g, ks, 1000), 100, 1e-3)
+        widths = [w for w, _ in seen]
+        assert widths[0] == sum(ks) and len(set(widths)) > 2
+        assert all(contiguous for _, contiguous in seen)
+
+    def test_detect_range_is_each_k_alone(self):
+        g = _sbm_400(2002)
+        ks = (9, 4, 6)
+        for K, (det, theta_vb) in zip(ks, detect_range(g, ks, seed=3)):
+            alone, theta = detect_pipeline(g, K, seed=3)
+            assert det.partition == alone.partition
+            assert (det.iterations, det.converged) == (alone.iterations, alone.converged)
+            assert theta_vb.tobytes() == theta.tobytes()
+
+    @pytest.mark.parametrize("k_range, builds", [((9, 4, 1, 6), 2), ((1,), 1)])
+    def test_adjacency_built_for_the_solve_and_for_the_em(self, monkeypatch, k_range, builds):
+        # not once per K; and not held across the spectral starts, where
+        # it would sit beside k-means' scratch
+        calls = []
+        csr = community._csr_adjacency
+
+        def counted(graph):
+            calls.append(graph.n)
+            return csr(graph)
+
+        monkeypatch.setattr(community, "_csr_adjacency", counted)
+        detect_range(_sbm_400(2002), k_range, seed=3)
+        assert calls == [400] * builds
+
+    def test_detect_range_checks_every_k_first(self, monkeypatch):
+        g, _ = cliques_graph(4)
+        monkeypatch.setattr(community, "_top_eigvecs", None)  # no solve is made
+        with pytest.raises(ValueError, match="K=9 exceeds node count 8"):
+            detect_range(g, (2, 9), seed=0)
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            detect_range(g, (2, 0), seed=0)
 
 
 class TestDetectPipeline:

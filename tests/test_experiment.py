@@ -331,7 +331,6 @@ class TestSharedEigenbasis:
             calls.append(K)
             return real(graph, K)
 
-        monkeypatch.setattr(experiment, "_top_eigvecs", counted)
         monkeypatch.setattr(community, "_top_eigvecs", counted)
         records, _, _ = analyze_graph(g, k_range, seed=0)
         assert calls == widths
