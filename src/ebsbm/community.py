@@ -32,7 +32,9 @@ sparse product for all of them, and the elementwise work of a block and
 of a sweep runs once for all K. Only the small products with each K's
 expected logs, its row sums and its Gram products are per K, each in the
 order it would have alone, so every K's result is the one it gets alone,
-to the byte. A K leaves the loop when it stops.
+to the byte. A K leaves the loop when it stops. The range runs in groups
+of at most 2^20 responsibilities, and detect_range hands each group's
+results out before it fits the next.
 """
 
 from __future__ import annotations
@@ -582,6 +584,8 @@ def _fit_group(X, ks, inits, max_iter, tol, traces):
             R[:, c] = init.responsibilities
         else:
             R[np.arange(n), c.start + init.partition.labels - 1] = 1.0
+    if max_iter < 1:  # no sweep: each K's start, finished
+        return [_finish(np.ascontiguousarray(R[:, c]), X, False, 0) for c in lay.cols]
     blocks = _row_blocks(X, _BLOCK)
     nodes = None  # one-node blocks, made when a sweep is first redone
     live = list(range(len(ks)))
@@ -638,11 +642,15 @@ def _fit_group(X, ks, inits, max_iter, tol, traces):
 
 def _fit_range(X, ks, inits, max_iter, tol, traces=None):
     """Variational EM of each K in `ks` from its start in `inits`, on the
-    CSR adjacency X; (DetectionResult, theta_vb) per K, in order.
+    CSR adjacency X; yields (DetectionResult, theta_vb) per K, in order.
 
     Consecutive K run in lockstep groups (:func:`_fit_group`) whose n x
     (sum of K) responsibilities hold at most _WIDE entries, at least one K
-    each. Every K's sweeps are those it would make alone, to the byte."""
+    each. A group is fitted when its first K is asked for, and its results
+    are dropped once all are handed out, so a consumer that keeps only what it
+    needs of each K holds one group's responsibilities at a time, and no
+    adjacency once the last group is fitted. Every K's sweeps are those it
+    would make alone, to the byte."""
     traces = traces or [None] * len(ks)
     groups, width = [[]], 0
     for i, K in enumerate(ks):
@@ -651,9 +659,13 @@ def _fit_range(X, ks, inits, max_iter, tol, traces=None):
             width = 0
         groups[-1].append(i)
         width += K
-    return [fit for group in groups
-            for fit in _fit_group(X, [ks[i] for i in group], [inits[i] for i in group],
-                                  max_iter, tol, [traces[i] for i in group])]
+    last = len(groups) - 1
+    for g, group in enumerate(groups):
+        fits = _fit_group(X, [ks[i] for i in group], [inits[i] for i in group],
+                          max_iter, tol, [traces[i] for i in group])
+        if g == last:  # whoever consumes the last fits needs neither
+            del X, inits
+        yield from fits
 
 
 def variational_em(graph: Graph, K: int, init: DetectionResult,
@@ -666,7 +678,9 @@ def variational_em(graph: Graph, K: int, init: DetectionResult,
     fixed-point update). If that sweep ends below the previous sweep's
     objective, it is redone from its start one node at a time, which is
     coordinate ascent, so the objective never decreases. Stops when the
-    improvement falls below `tol` or after `max_iter` sweeps.
+    improvement falls below `tol` or after `max_iter` sweeps; with
+    `max_iter` < 1 no sweep runs, and the start comes back finished,
+    unconverged, after 0 sweeps.
 
     This is the one-K call of the engine :func:`detect_range` runs a K
     range with. The adjacency's row blocks (views, :func:`_row_blocks`)
@@ -683,19 +697,20 @@ def variational_em(graph: Graph, K: int, init: DetectionResult,
         raise ValueError("init partition does not cover this graph")
     if init.partition.K > K:
         raise ValueError(f"init has {init.partition.K} clusters but K={K}")
-    return _fit_range(_csr_adjacency(graph), [K], [init], max_iter, tol, [trace])[0]
+    return next(_fit_range(_csr_adjacency(graph), [K], [init], max_iter, tol, [trace]))
 
 
 def detect_range(graph: Graph, k_range, seed: int, max_iter: int = 100, tol: float = 1e-3):
     """Spectral initialization refined by variational EM at every K of
     `k_range`: the default partition provider for estimation and
-    selection runs. Returns (DetectionResult, theta_vb) per K, in
-    `k_range` order.
+    selection runs. Returns an iterator of (DetectionResult, theta_vb) per
+    K, in `k_range` order.
 
-    One eigensolve at the largest K serves every spectral start
-    (:func:`spectral_partition` with `basis`), and the basis is dropped
-    before the EM, which runs the whole range in lockstep
-    (:func:`_fit_range`). Each K's result is the one it gets alone.
+    Every K is checked, and one eigensolve at the largest K serves every
+    spectral start (:func:`spectral_partition` with `basis`), before this
+    returns; the basis is then dropped, and the EM runs the range in
+    lockstep (:func:`_fit_range`) as the iterator is consumed, a group of
+    K at a time. Each K's result is the one it gets alone.
 
     The CSR adjacency is built twice, for the eigensolve and for the EM,
     and is not held across the spectral starts: beside k-means' scratch
@@ -714,11 +729,9 @@ def detect_range(graph: Graph, k_range, seed: int, max_iter: int = 100, tol: flo
 
 def detect_pipeline(graph: Graph, K: int, seed: int, max_iter: int = 100,
                     tol: float = 1e-3, basis: np.ndarray | None = None):
-    """:func:`detect_range` at one K.
+    """Spectral initialization refined by variational EM at one K.
 
-    `basis`, when given, is handed to :func:`spectral_partition` in place
-    of the eigensolve: a top-W eigenbasis (W >= K)."""
-    if basis is None:
-        return detect_range(graph, (K,), seed, max_iter=max_iter, tol=tol)[0]
+    `basis` is handed to :func:`spectral_partition`: a top-W eigenbasis
+    (W >= K) shared across a K range, or None to solve at K."""
     init = spectral_partition(graph, K, seed, basis=basis)
     return variational_em(graph, K, init, max_iter=max_iter, tol=tol)

@@ -1,6 +1,7 @@
 import hashlib
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -642,7 +643,7 @@ def _reference_vem(g, K, init, max_iter=100, tol=1e-3, trace=None):
     else:
         R = np.zeros((g.n, K))
         R[np.arange(g.n), init.partition.labels - 1] = 1.0
-    prev, converged, counts = -np.inf, False, counts_of(R)
+    prev, converged, counts, sweeps = -np.inf, False, counts_of(R), 0
     for sweeps in range(1, max_iter + 1):
         edges, pairs, colsum = counts
         gamma, zeta = tau + colsum, a0 + edges
@@ -680,8 +681,9 @@ def _reference_vem(g, K, init, max_iter=100, tol=1e-3, trace=None):
 def _assert_fits_match_reference(g, ks, inits, **kwargs):
     # every K of one _fit_range call against the reference fit of that K
     traces = [[] for _ in ks]
-    fits = community._fit_range(community._csr_adjacency(g), list(ks), inits,
-                                kwargs.get("max_iter", 100), kwargs.get("tol", 1e-3), traces)
+    fits = list(community._fit_range(community._csr_adjacency(g), list(ks), inits,
+                                     kwargs.get("max_iter", 100), kwargs.get("tol", 1e-3),
+                                     traces))
     assert len(fits) == len(ks)
     for K, init, (det, theta_vb), trace in zip(ks, inits, fits, traces):
         want_trace = []
@@ -711,7 +713,7 @@ class TestLockstep:
         # the K leave at different sweeps, so the group is compacted
         assert len({det.iterations for det, _ in fits}) > 1
 
-    @pytest.mark.parametrize("max_iter", [100, 3])
+    @pytest.mark.parametrize("max_iter", [100, 3, 0])
     def test_unsorted_gapped_range_with_k1(self, max_iter):
         g = sample_sbm(affiliation_theta(K=10, lam=0.9, epsilon=0.1, rho=0.2), n=300,
                        seed=7)[0]
@@ -721,6 +723,8 @@ class TestLockstep:
         if max_iter == 3:  # every K but K = 1 stops at the cap
             assert [(det.iterations, det.converged) for det, _ in fits] == [
                 (3, False), (3, False), (2, True), (3, False)]
+        if max_iter == 0:  # no sweep: every start comes back finished
+            assert [(det.iterations, det.converged) for det, _ in fits] == [(0, False)] * 4
 
     def test_redone_sweep_inside_a_group(self, monkeypatch):
         # the n=40 graph whose K = 3 fit from random init redoes a sweep
@@ -795,8 +799,8 @@ class TestLockstep:
         monkeypatch.setattr(community, "_e_step", step)
         g = _sbm_400(1000)
         ks = tuple(range(5, 16))
-        community._fit_range(community._csr_adjacency(g), list(ks),
-                             _spectral_starts(g, ks, 1000), 100, 1e-3)
+        list(community._fit_range(community._csr_adjacency(g), list(ks),
+                                  _spectral_starts(g, ks, 1000), 100, 1e-3))
         widths = [w for w, _ in seen]
         assert widths[0] == sum(ks) and len(set(widths)) > 2
         assert all(contiguous for _, contiguous in seen)
@@ -822,8 +826,49 @@ class TestLockstep:
             return csr(graph)
 
         monkeypatch.setattr(community, "_csr_adjacency", counted)
-        detect_range(_sbm_400(2002), k_range, seed=3)
+        list(detect_range(_sbm_400(2002), k_range, seed=3))
         assert calls == [400] * builds
+
+    def test_holds_one_group_of_results_at_a_time(self, monkeypatch):
+        # detect_range hands each group's fits out before it fits the next,
+        # so a consumer that keeps only what it needs of each K, as
+        # analyze_graph does, never holds the whole range's responsibilities
+        n, ks = 500, tuple(range(2, 42))
+        g = sample_sbm(affiliation_theta(K=10, lam=0.9, epsilon=0.1, rho=0.2), n=n,
+                       seed=3)[0]
+        monkeypatch.setattr(community, "_WIDE", n * max(ks))  # at most 41 columns a group
+        tracemalloc.start()
+        try:
+            fits = detect_range(g, ks, seed=3, max_iter=2)
+            tracemalloc.reset_peak()  # past the spectral starts' k-means scratch
+            found = [det.partition.K for det, _ in fits]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found) == len(ks)
+        # the range's responsibilities are 8 n (sum of K) = 3.4 MB; the
+        # adjacency, the starts and a group's R, sweep-start copy, products
+        # and results were 1.3 MB
+        assert peak < 8 * n * sum(ks) / 2, f"peak allocation {peak / 1e6:.1f} MB"
+
+    def test_adjacency_dropped_before_the_last_fits_are_consumed(self, monkeypatch):
+        # analyze_graph estimates and scores each K while the iterator is
+        # suspended; from the last group on it must not hold the adjacency
+        built = []
+        csr = community._csr_adjacency
+
+        def recorded(graph):
+            X = csr(graph)
+            built.append(weakref.ref(X))
+            return X
+
+        monkeypatch.setattr(community, "_csr_adjacency", recorded)
+        monkeypatch.setattr(community, "_WIDE", 400 * 9)  # groups (9, 4), (6,)
+        fits = detect_range(_sbm_400(2002), (9, 4, 6), seed=3)
+        next(fits), next(fits)
+        assert built[-1]() is not None  # the group (6,) is still to come
+        next(fits)
+        assert all(ref() is None for ref in built)
 
     def test_detect_range_checks_every_k_first(self, monkeypatch):
         g, _ = cliques_graph(4)
