@@ -15,14 +15,21 @@ block jointly (the fixed-point update of Daudin, Picard & Robin 2008); a
 sweep that ends below the previous sweep's objective is redone one node at
 a time, which is coordinate ascent (Latouche, Birmele & Ambroise 2012), so
 the objective never decreases. The adjacency's row blocks are made once
-per fit, as views that copy none of it, and the expected logs and KL
-terms once per sweep.
+per fit, as views that copy none of it, a redo's one-node blocks one at
+a time, and the expected logs and KL terms once per sweep.
 
 This is the only module that puts the graph in matrix form: a sparse CSR
 adjacency built from the sorted edge array (its upper triangle) and that
 triangle's transpose, which the EM multiplies with and the spectral map
-wraps in a matrix-free operator for a Lanczos eigensolve. k-means holds
-its distances in chunks, so detection's scratch is O(n + m) at any n.
+wraps in a matrix-free operator for a Lanczos eigensolve. k-means takes
+its squared distances as ||x||^2 - 2 x.c + ||c||^2, the cross terms from
+GEMMs, and holds them in chunks, so detection's scratch is O(n + m) at
+any n.
+
+The eigensolve, k-means and the EM run with numpy's and scipy's bundled
+OpenBLAS on one thread, the caller's count restored after: a GEMM's
+bytes depend on the thread count, so at one thread every result is the
+same whatever the machine's setting.
 
 detect_range detects a whole K range. The top-K eigenspace lies inside
 the top-K_max one, so one eigensolve at the largest K hands every K its
@@ -40,6 +47,7 @@ results out before it fits the next.
 from __future__ import annotations
 
 import contextlib
+import copy
 import ctypes
 import functools
 import glob
@@ -91,13 +99,56 @@ class DetectionResult:
         object.__setattr__(self, "responsibilities", r)
 
 
-# Scratch entries per chunk, 0.5 MB in float64: k-means++ differences
-# and Lloyd distances are held a chunk at a time, whatever n, d and the
-# number of centres.
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count calls of each OpenBLAS that numpy and
+    scipy bundle in their wheels: numpy's ILP64 build in numpy.libs, whose
+    calls end in 64_, and scipy's in scipy.libs, whose LAPACK ARPACK
+    calls. Looked up on first use; empty for other builds."""
+    calls = []
+    for package in (np, scipy):
+        libs = os.path.dirname(os.path.abspath(package.__file__)) + ".libs"
+        for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+            lib = ctypes.CDLL(path)
+            for suffix in ("", "64_"):
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+                set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    calls.append((get, set_))
+    return calls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every bundled OpenBLAS (:func:`_openblas_threads`) at one thread,
+    each caller's count restored on exit, also on an exception.
+
+    A GEMM's bytes depend on OpenBLAS's thread count: at n = 1000 with
+    K = 50, VEM's block counts differ in their last digits between one
+    thread and two. At one thread they do not depend on the caller's
+    setting. And at two threads, ARPACK's Ritz-vector step (dseupd) took
+    about ten times as long in some processes, for their whole life
+    (n = 400, K = 15, 2 vCPUs); at one it never did."""
+    calls = _openblas_threads()
+    before = [get() for get, _ in calls]
+    for _, set_ in calls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(calls, before):
+            set_(count)
+
+
+# Scratch entries per chunk, 0.5 MB in float64: k-means++ and Lloyd
+# distances are held a chunk at a time, whatever n, d and the number of
+# centres.
 _CHUNK = 1 << 16
 
 
-def _kmeans_pp(X, K, rngs):
+def _kmeans_pp(X, K, rngs, x2=None, columns=None):
     """k-means++ seeding (Arthur & Vassilvitskii 2007) of one restart per
     generator in `rngs`: (R, K, d) centres, each restart K rows of X, the
     first uniform, each next with probability proportional to its squared
@@ -106,24 +157,33 @@ def _kmeans_pp(X, K, rngs):
     The restarts are seeded together on one (R, n) array of squared
     distances, and each draws from its own generator exactly what
     Generator.choice(n, p=d2 / total) would: the cumulative sum of p,
-    normalised by its last entry, searched for one uniform draw. A
-    restart's row of d2 is np.sum((X - c) ** 2, axis=1) for its centre c,
-    computed for as many restarts at once as keep the differences within
-    _CHUNK entries (at least one), so the (R, n, d) cube is never whole.
+    normalised by its last entry, searched for one uniform draw. A new
+    centre c's squared distances are ||x||^2 - 2 x.c + ||c||^2, clamped
+    at 0, with c's own point at exactly 0; the cross terms come from one
+    GEMM with X's columns for as many restarts at once as keep them
+    within _CHUNK entries (at least one). x2, X's squared row norms, and
+    columns, X.T in C order, are computed here unless given.
     """
     n, d = X.shape
     R = len(rngs)
-    group = max(1, _CHUNK // (n * d))
+    x2 = np.sum(X * X, axis=1) if x2 is None else x2
+    columns = np.ascontiguousarray(X.T) if columns is None else columns
+    group = max(1, _CHUNK // n)
     centers = np.empty((R, K, d))
-    centers[:, 0] = X[[int(rng.integers(n)) for rng in rngs]]
     d2 = np.full((R, n), np.inf)
 
-    def add_centre(k):  # d2 = min(d2, squared distance to centre k)
+    def add_centre(k, idx):  # d2 = min(d2, squared distance to the points idx)
+        centers[:, k] = X[idx]
         for g in range(0, R, group):
-            rows = d2[g:g + group]
-            np.minimum(rows, np.sum((X - centers[g:g + group, k, None]) ** 2, axis=2), out=rows)
+            at = idx[g:g + group]
+            dist = (-2.0 * centers[g:g + group, k]) @ columns
+            dist += x2
+            dist += x2[at, None]
+            np.maximum(dist, 0.0, out=dist)
+            dist[np.arange(at.size), at] = 0.0
+            np.minimum(d2[g:g + group], dist, out=d2[g:g + group])
 
-    add_centre(0)
+    add_centre(0, np.array([int(rng.integers(n)) for rng in rngs], dtype=np.int64))
     for k in range(1, K):
         total = d2.sum(axis=1)
         spread = total > 1e-12
@@ -134,8 +194,7 @@ def _kmeans_pp(X, K, rngs):
             idx[r] = row.searchsorted(rngs[r].random(), side="right")
         for r in np.flatnonzero(~spread):  # every point sits on a centre
             idx[r] = rngs[r].integers(n)
-        centers[:, k] = X[idx]
-        add_centre(k)
+        add_centre(k, idx)
     return centers
 
 
@@ -144,25 +203,23 @@ def _nearest_centres(X, x2, centers):
     the (A, K, d) centres of A restarts; x2 holds the squared row norms.
 
     The squared distances are ||x||^2 - 2 x.c + ||c||^2, with the cross
-    terms of all restarts from one einsum per chunk of rows. It sums over
-    d in a fixed order; OpenBLAS's threaded GEMM does not once there are
-    about 200 centres, so its last digits would depend on the BLAS thread
-    count. A chunk holds at most _CHUNK distances (at least one row), so
-    the (n, A K) distances are never whole. A restart left with an empty
-    cluster is repaired from each point's own (nearest) distance, which
-    the chunks then compute again: the same sums, so the same bytes.
+    terms of all restarts from one GEMM per chunk of rows, -2 folded into
+    the centres (exact, a power of two). A chunk holds at most _CHUNK
+    distances (at least one row), so the (n, A K) distances are never
+    whole. A restart left with an empty cluster is repaired from each
+    point's own (nearest) distance, which the chunks then compute again:
+    the same products, so the same bytes.
     """
     A, K, d = centers.shape
     n = X.shape[0]
-    flat = np.ascontiguousarray(centers.reshape(-1, d).T)
+    flat = -2.0 * np.ascontiguousarray(centers.reshape(-1, d).T)
     c2 = np.sum(centers * centers, axis=2).ravel()
     step = max(1, _CHUNK // (A * K))
 
     def chunks():
         for lo in range(0, n, step):
             rows = slice(lo, lo + step)
-            dist = np.einsum("nd,dk->nk", X[rows], flat)
-            dist *= -2.0
+            dist = X[rows] @ flat
             dist += x2[rows, None]
             dist += c2
             yield rows, dist.reshape(-1, A, K)
@@ -190,19 +247,24 @@ def _nearest_centres(X, x2, centers):
     return labels, counts
 
 
+@_one_blas_thread()
 def _kmeans_once(X, K, rngs, max_iter=300):
     """Lloyd's k-means (Lloyd 1982), one restart per generator in `rngs`,
-    all restarts iterated together.
+    all restarts iterated together, with the bundled OpenBLAS on one
+    thread (:func:`_one_blas_thread`), so that the distance GEMMs' bytes
+    do not depend on the caller's thread count.
 
     The restarts are seeded together by k-means++ (:func:`_kmeans_pp`),
     each from its own generator, so each draws exactly what it would draw
-    alone. The Lloyd steps of the restarts still running then share one
-    pass: the distances in row chunks (:func:`_nearest_centres`), then one
-    bincount per column of X, weighted by that column repeated once per
-    running restart, for the centre sums over the bins restart * K +
-    label, which add rows in index order as X[labels == k].mean(axis=0)
-    does. One (R, n) buffer holds the repeated column; no copy of X per
-    restart is made. A restart drops out once its labels stop changing.
+    alone; the seeding shares X's squared row norms and its C-ordered
+    columns with the Lloyd steps. The Lloyd steps of the restarts still
+    running then share one pass: the distances in row chunks
+    (:func:`_nearest_centres`), then one bincount per column of X,
+    weighted by that column repeated once per running restart, for the
+    centre sums over the bins restart * K + label, which add rows in index
+    order as X[labels == k].mean(axis=0) does. One (R, n) buffer holds the
+    repeated column; no copy of X per restart is made. A restart drops out
+    once its labels stop changing.
 
     Returns (labels, inertia, total_iters, iters, converged): per restart
     the (R, n) 0-based labels, the within-cluster sums of squares, the
@@ -211,12 +273,12 @@ def _kmeans_once(X, K, rngs, max_iter=300):
     """
     n, d = X.shape
     R = len(rngs)
-    centers = _kmeans_pp(X, K, rngs)
+    x2 = np.sum(X * X, axis=1)
+    columns = np.ascontiguousarray(X.T)
+    centers = _kmeans_pp(X, K, rngs, x2, columns)
     labels = np.full((R, n), -1, dtype=np.int64)
     iters = np.full(R, max_iter, dtype=np.int64)
     converged = np.zeros(R, dtype=bool)
-    x2 = np.sum(X * X, axis=1)
-    columns = np.ascontiguousarray(X.T)
     repeated = np.empty((R, n))
     active = np.arange(R)
     for it in range(1, max_iter + 1):
@@ -255,44 +317,6 @@ def _csr_adjacency(graph: Graph):
     indptr = np.searchsorted(i, np.arange(n + 1)).astype(index)
     upper = _sparse.csr_array((np.ones(m), j.astype(index), indptr), shape=(n, n))
     return upper + upper.T.tocsr()
-
-
-@functools.cache
-def _scipy_blas_threads():
-    """The (get, set) thread-count calls of the OpenBLAS that scipy bundles
-    in its wheel, whose LAPACK ARPACK calls; None for any other build."""
-    libs = os.path.dirname(os.path.abspath(scipy.__file__)) + ".libs"
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
-        lib = ctypes.CDLL(path)
-        try:
-            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """scipy's OpenBLAS at one thread, its previous count restored on exit.
-
-    At two threads, ARPACK's Ritz-vector step (dseupd) took about ten
-    times as long in some processes, for their whole life (n = 400,
-    K = 15, 2 vCPUs); at one it never did. The thread count does not
-    change the result's bytes."""
-    calls = _scipy_blas_threads()
-    if calls is None:
-        yield
-        return
-    get, set_ = calls
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
 
 
 def _top_eigvecs(graph: Graph, K: int) -> np.ndarray:
@@ -499,26 +523,39 @@ def _elbo(R, X, elog, kl, lay):
     return e_loglik + e_logpz + entropy - kl_pi - kl_theta, counts
 
 
-def _row_blocks(X, size):
-    """The rows of X in blocks of `size` consecutive nodes, as (row slice,
-    CSR rows) pairs. Each block's CSR rows are views on slices of X's
-    indices and data, so the blocks copy none of the adjacency. The views
-    are assigned to an empty CSR array, because scipy's constructor copies
-    a view that is less than half of its base."""
-    n = X.shape[0]
-    blocks = []
-    for s in range(0, n, size):
-        ptr = X.indptr[s:s + size + 1]
+class _row_blocks:
+    """The rows of X in blocks of `size` consecutive nodes, as a sequence
+    of (row slice, CSR rows) pairs that, like range, makes each when it is
+    asked for: a pass over the one-node blocks of a redo holds one node's
+    rows at a time, not a CSR array per node. Each block's CSR rows are
+    views on slices of X's indices and data, so the blocks copy none of
+    the adjacency. The views are assigned to a copy of an empty CSR array
+    of the block's shape, because scipy's constructor copies a view that
+    is less than half of its base, and takes ten times as long as the copy
+    (37 against 3 us per block on a 2-vCPU VM)."""
+
+    def __init__(self, X, size):
+        self.X, self.size = X, size
+        self.empty = _sparse.csr_array((size, X.shape[0]))
+
+    def __len__(self):
+        return -(-self.X.shape[0] // self.size)
+
+    def __getitem__(self, i):
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        X, s = self.X, i * self.size
+        ptr = X.indptr[s:s + self.size + 1]
         lo, hi = ptr[0], ptr[-1]
-        Xb = _sparse.csr_array((ptr.size - 1, n))
+        full = ptr.size - 1 == self.size
+        Xb = copy.copy(self.empty) if full else _sparse.csr_array((ptr.size - 1, X.shape[0]))
         Xb.indptr, Xb.indices, Xb.data = ptr - lo, X.indices[lo:hi], X.data[lo:hi]
-        blocks.append((slice(s, s + size), Xb))
-    return blocks
+        return slice(s, s + self.size), Xb
 
 
 def _e_step(R, blocks, colsum, elog, lay):
     """Update the soft assignments of every K of the group in place, one
-    block of `blocks` (:func:`_row_blocks`) at a time: each block's rows
+    block of `blocks` (:class:`_row_blocks`) at a time: each block's rows
     are set jointly from the rows of all other nodes as they stand, and
     `colsum` follows. One-node blocks are exact sequential coordinate
     ascent.
@@ -571,11 +608,15 @@ def _finish(R, X, converged, sweeps):
     return det, theta_vb
 
 
+@_one_blas_thread()
 def _fit_group(X, ks, inits, max_iter, tol, traces):
     """Variational EM of every K in `ks` in lockstep (:func:`_fit_range`):
     one sweep loop over the (n, sum of K) responsibilities of the K still
     running. A K leaves when it converges or reaches `max_iter`, and its
-    columns are dropped."""
+    columns are dropped. The bundled OpenBLAS runs on one thread
+    (:func:`_one_blas_thread`), so that the Gram products' bytes do not
+    depend on the caller's thread count. The row blocks are made once;
+    a redo makes its one-node blocks as it goes."""
     n = X.shape[0]
     lay = _layout(ks)
     R = np.zeros((n, int(lay.ks.sum())))
@@ -586,8 +627,7 @@ def _fit_group(X, ks, inits, max_iter, tol, traces):
             R[np.arange(n), c.start + init.partition.labels - 1] = 1.0
     if max_iter < 1:  # no sweep: each K's start, finished
         return [_finish(np.ascontiguousarray(R[:, c]), X, False, 0) for c in lay.cols]
-    blocks = _row_blocks(X, _BLOCK)
-    nodes = None  # one-node blocks, made when a sweep is first redone
+    blocks = list(_row_blocks(X, _BLOCK))
     live = list(range(len(ks)))
     results = [None] * len(ks)
     prev = np.full(len(ks), -np.inf)
@@ -600,14 +640,12 @@ def _fit_group(X, ks, inits, max_iter, tol, traces):
         values, counts = _elbo(R, X, elog, kl, lay)
         for i in np.flatnonzero(values < prev):
             # redo this K's sweep from its start, one node at a time
-            if nodes is None:
-                nodes = _row_blocks(X, 1)
             c, m = lay.cols[i], lay.mats[i]
             one = _layout(lay.ks[i:i + 1])
             elog_k = (elog[0][c], elog[1][m], elog[2][m])
             kl_k = (kl[0][i:i + 1], kl[1][i:i + 1])
             Rk = np.ascontiguousarray(start[0][:, c])
-            _e_step(Rk, nodes, start[1][c], elog_k, one)
+            _e_step(Rk, _row_blocks(X, 1), start[1][c], elog_k, one)
             value, (edges, pairs, colsum) = _elbo(Rk, X, elog_k, kl_k, one)
             values[i] = value[0]
             counts[0][m], counts[1][m], counts[2][c] = edges, pairs, colsum
@@ -650,7 +688,9 @@ def _fit_range(X, ks, inits, max_iter, tol, traces=None):
     are dropped once all are handed out, so a consumer that keeps only what it
     needs of each K holds one group's responsibilities at a time, and no
     adjacency once the last group is fitted. Every K's sweeps are those it
-    would make alone, to the byte."""
+    would make alone, to the byte. A group's fit holds OpenBLAS at one
+    thread and the hand-out does not, so whoever consumes the fits runs at
+    its own thread count."""
     traces = traces or [None] * len(ks)
     groups, width = [[]], 0
     for i, K in enumerate(ks):
@@ -683,9 +723,9 @@ def variational_em(graph: Graph, K: int, init: DetectionResult,
     unconverged, after 0 sweeps.
 
     This is the one-K call of the engine :func:`detect_range` runs a K
-    range with. The adjacency's row blocks (views, :func:`_row_blocks`)
-    are made once per fit, the one-node blocks only when a sweep is first
-    redone. The expected logs and the KL terms of the objective depend
+    range with. The adjacency's row blocks (views, :class:`_row_blocks`)
+    are made once per fit, a redo's one-node blocks one at a time as it
+    goes. The expected logs and the KL terms of the objective depend
     only on the posteriors set at the start of a sweep, so they are
     computed once per sweep and a redo reuses them.
 

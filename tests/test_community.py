@@ -1,10 +1,13 @@
+import glob
 import hashlib
+import os
 import tracemalloc
 import warnings
 import weakref
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg, sparse
@@ -138,38 +141,108 @@ class TestSharedBasis:
                 spectral_partition(g, K=3, seed=0, basis=bad)
 
 
+@pytest.fixture
+def openblas():
+    # the (get, set) thread-count calls of each bundled OpenBLAS; every
+    # count the test sets is put back after it
+    calls = community._openblas_threads()
+    if not calls:
+        pytest.skip("neither numpy nor scipy bundles its OpenBLAS here")
+    before = _counts(calls)
+    yield calls
+    _set_threads(calls, before)
+
+
+def _counts(calls):
+    return [get() for get, _ in calls]
+
+
+def _set_threads(calls, counts):
+    for (_, set_), count in zip(calls, counts):
+        set_(count)
+
+
 class TestEigensolveBlasThreads:
-    # ARPACK runs with scipy's OpenBLAS at one thread, and the caller's
-    # thread count comes back after the solve, also when it raises
-    def test_one_thread_and_restored(self, monkeypatch):
-        calls = community._scipy_blas_threads()
-        if calls is None:
-            pytest.skip("scipy does not bundle its OpenBLAS here")
-        get, set_ = calls
-        before = get()
+    # ARPACK, k-means and the EM run with numpy's and scipy's OpenBLAS at
+    # one thread, and the caller's thread counts come back after the call,
+    # also when it raises
+    def test_one_thread_and_restored(self, monkeypatch, openblas):
         g = _sbm_400(2000)
         eigsh, seen = community._sla.eigsh, []
 
         def recorded(*args, **kwargs):
-            seen.append(get())
+            seen.append(_counts(openblas))
             return eigsh(*args, **kwargs)
 
         def failing(*args, **kwargs):
-            seen.append(get())
+            seen.append(_counts(openblas))
             raise RuntimeError("no convergence")
 
-        try:
-            set_(2)
-            monkeypatch.setattr(community._sla, "eigsh", recorded)
-            assert community._top_eigvecs(g, 5).shape == (400, 5)
-            assert get() == 2
-            monkeypatch.setattr(community._sla, "eigsh", failing)
-            with pytest.raises(RuntimeError, match="no convergence"):
-                community._top_eigvecs(g, 5)
-            assert get() == 2
-            assert seen == [1, 1]
-        finally:
-            set_(before)
+        two, one = [2] * len(openblas), [1] * len(openblas)
+        _set_threads(openblas, two)
+        monkeypatch.setattr(community._sla, "eigsh", recorded)
+        assert community._top_eigvecs(g, 5).shape == (400, 5)
+        assert _counts(openblas) == two
+        monkeypatch.setattr(community._sla, "eigsh", failing)
+        with pytest.raises(RuntimeError, match="no convergence"):
+            community._top_eigvecs(g, 5)
+        assert _counts(openblas) == two
+        assert seen == [one, one]
+
+    def test_finds_numpy_and_scipy_builds(self, openblas):
+        # two libraries, each with its own count: numpy's ILP64 build
+        # (calls suffixed 64_) and scipy's, where both wheels bundle one
+        bundled = [glob.glob(os.path.join(os.path.dirname(os.path.abspath(m.__file__)) + ".libs",
+                                          "libscipy_openblas*")) for m in (np, scipy)]
+        if not all(bundled):
+            pytest.skip("numpy and scipy do not both bundle their OpenBLAS here")
+        assert len(openblas) == 2
+        _set_threads(openblas, [1, 2])
+        assert _counts(openblas) == [1, 2]
+        with community._one_blas_thread():
+            assert _counts(openblas) == [1, 1]
+        assert _counts(openblas) == [1, 2]
+
+    @pytest.mark.parametrize("layer", ["_nearest_centres", "_e_step"])
+    def test_kmeans_and_em_on_one_thread(self, monkeypatch, openblas, layer):
+        # every k-means distance pass and every EM block update runs at one
+        # thread; the caller's counts come back, also after a failure
+        g = _sbm_400(2000)
+        real, seen = getattr(community, layer), []
+
+        def recorded(*args):
+            seen.append(tuple(_counts(openblas)))
+            return real(*args)
+
+        def failing(*args):
+            raise RuntimeError("spoiled")
+
+        two = [2] * len(openblas)
+        _set_threads(openblas, two)
+        monkeypatch.setattr(community, layer, recorded)
+        detect_pipeline(g, K=5, seed=0, max_iter=5)
+        assert seen and set(seen) == {(1,) * len(openblas)}
+        assert _counts(openblas) == two
+        monkeypatch.setattr(community, layer, failing)
+        with pytest.raises(RuntimeError, match="spoiled"):
+            detect_pipeline(g, K=5, seed=0, max_iter=5)
+        assert _counts(openblas) == two
+
+    def test_kmeans_independent_of_the_callers_threads(self, openblas):
+        # 500 centres (n = 1000, K = 50, ten restarts), where OpenBLAS's
+        # threaded GEMM rounds otherwise than its one-thread GEMM. Points
+        # on a lattice of step 0.1 tie in exact arithmetic between many
+        # centres, so the rounding picks their labels: with k-means at the
+        # caller's count, two threads moved 73 of the restarts' labels here
+        X = np.random.default_rng(4).integers(0, 3, (1000, 50)) * 0.1
+        got = []
+        for count in (1, 2):
+            _set_threads(openblas, [count] * len(openblas))
+            got.append(_kmeans_once(X, 50, _streams(50)))
+            assert _counts(openblas) == [count] * len(openblas)
+        (labels, inertia, _, iters, _), (labels2, inertia2, _, iters2, _) = got
+        assert np.array_equal(labels, labels2) and np.array_equal(iters, iters2)
+        assert inertia.tobytes() == inertia2.tobytes()
 
 
 def _reference_kmeans_pp(X, K, rng):
@@ -341,11 +414,12 @@ class TestKmeans:
             assert np.array_equal(w, g) and np.asarray(w).dtype == np.asarray(g).dtype
 
     def test_memory_is_linear_in_n(self):
-        # n=20000 points in d=10 with K=10: the ten restarts' k-means++
-        # differences, their tiled copy of X and the (n, 100) distances
-        # are 16 MB each when whole, and peaked near 40 MB. Held in chunks
-        # of 2^16 entries, a dozen (R, n) arrays of 1.6 MB remain: about
-        # 12 MB measured
+        # n=20000 points in d=10 with K=10: the (n, 100) Lloyd distances,
+        # or the ten restarts' k-means++ distances of one new centre as a
+        # cube of differences, are 16 MB each when whole. Both come from
+        # GEMMs into chunks of 2^16 entries, so a dozen (R, n) arrays of
+        # 1.6 MB remain, the seeding's d2 and X's columns among them:
+        # about 12 MB measured
         X = np.random.default_rng(0).standard_normal((20_000, 10))
         X /= np.linalg.norm(X, axis=1)[:, None]
         tracemalloc.start()
@@ -561,6 +635,33 @@ class TestVariationalEm:
         assert spoiled.converged and spoiled.iterations >= 3
         assert trace == want
         assert np.all(np.diff(trace) >= 0)
+
+    def test_redo_makes_one_node_block_at_a_time(self, monkeypatch):
+        # a spoiled sweep on a 20,000-node path is redone node by node. Its
+        # one-node blocks are a CSR array each, about 600 bytes: held as a
+        # list they took the fit's traced peak to 17.5 MB. Made one at a
+        # time, the fit peaks at 2.8 MB: R, its sweep start, the adjacency
+        # and the 64-node blocks
+        n = 20_000
+        i = np.arange(n - 1)
+        g = Graph(n=n, edges=np.column_stack((i, i + 1)))
+        e_step, widths = community._e_step, []
+
+        def step(R, blocks, colsum, *args):
+            widths.append(_block_width(blocks))
+            e_step(R, blocks, colsum, *args)
+            if widths == [64, 64]:
+                R[:] = np.eye(2)[np.argmin(R, axis=1)]
+
+        monkeypatch.setattr(community, "_e_step", step)
+        tracemalloc.start()
+        try:
+            variational_em(g, K=2, init=_random_init(n, 2, 0), max_iter=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert widths == [64, 64, 1]
+        assert peak <= 5_000_000, f"peak allocation {peak / 1e6:.1f} MB"
 
     def test_responsibilities_consistent(self):
         spec = affiliation_theta(K=3, lam=0.8, epsilon=0.05, rho=1.0)

@@ -177,14 +177,15 @@ class TestRun:
         assert (tmp_path / "s" / "records.jsonl").read_bytes() == \
             (tmp_path / "p" / "records.jsonl").read_bytes()
 
-    def test_records_independent_of_blas_threads(self, tmp_path):
-        # one replicate of the criterion-5 configuration; a manifest-driven
-        # rerun on a machine with another core count must give the same bytes
+    @staticmethod
+    def _records_at_threads(tmp_path, n, rho, k_range):
+        # records.jsonl of one replicate (K* = 10, base seed 2000) run in a
+        # fresh process under OPENBLAS_NUM_THREADS=1 and =2
         script = (
             "import sys\n"
             "from ebsbm.experiment import ExperimentConfig, run_experiment\n"
-            "cfg = ExperimentConfig(model='sbm-affiliation', n=400, k_star=10, lam=0.9,\n"
-            "                       epsilon=0.1, rho=0.2, k_range=tuple(range(5, 16)),\n"
+            f"cfg = ExperimentConfig(model='sbm-affiliation', n={n}, k_star=10, lam=0.9,\n"
+            f"                       epsilon=0.1, rho={rho}, k_range={tuple(k_range)},\n"
             "                       replicates=1, base_seed=2000, workers=1,\n"
             "                       write_replicates=False)\n"
             "run_experiment(cfg, out_dir=sys.argv[1])\n"
@@ -198,8 +199,24 @@ class TestRun:
             subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True,
                            timeout=300)
             records.append((out / "records.jsonl").read_bytes())
-        assert records[0].count(b"\n") == 11
+        assert records[0].count(b"\n") == len(k_range)
+        return records
+
+    def test_records_independent_of_blas_threads(self, tmp_path):
+        # one replicate of the criterion-5 configuration; a manifest-driven
+        # rerun on a machine with another core count must give the same bytes
+        records = self._records_at_threads(tmp_path, 400, 0.2, range(5, 16))
         assert records[0] == records[1]
+
+    def test_wide_k_records_independent_of_blas_threads(self, tmp_path):
+        # at K 45 and 50 on 1,000 nodes, VEM's Gram products round otherwise
+        # at two OpenBLAS threads than at one: mse_vbem moved in its last
+        # digits at both K unless the EM runs at one thread. The digest is
+        # the records' at one thread
+        records = self._records_at_threads(tmp_path, 1000, 0.2, (45, 50))
+        assert records[0] == records[1]
+        assert hashlib.sha256(records[0]).hexdigest() == \
+            "1361b917da0b58d967a718a446df4ea1d16424934c96bece25da6ee7b4baae8a"
 
     def test_selection_summary_shape(self):
         res = run_experiment(small_cfg(write_replicates=False))
