@@ -54,7 +54,6 @@ from .graphon import (
 )
 from .community import (
     DetectionResult,
-    detect_pipeline,
     detect_range,
     spectral_partition,
     variational_em,

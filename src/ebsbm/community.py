@@ -148,7 +148,7 @@ def _one_blas_thread():
 _CHUNK = 1 << 16
 
 
-def _kmeans_pp(X, K, rngs, x2=None, columns=None):
+def _kmeans_pp(X, K, rngs, x2, columns):
     """k-means++ seeding (Arthur & Vassilvitskii 2007) of one restart per
     generator in `rngs`: (R, K, d) centres, each restart K rows of X, the
     first uniform, each next with probability proportional to its squared
@@ -161,13 +161,11 @@ def _kmeans_pp(X, K, rngs, x2=None, columns=None):
     centre c's squared distances are ||x||^2 - 2 x.c + ||c||^2, clamped
     at 0, with c's own point at exactly 0; the cross terms come from one
     GEMM with X's columns for as many restarts at once as keep them
-    within _CHUNK entries (at least one). x2, X's squared row norms, and
-    columns, X.T in C order, are computed here unless given.
+    within _CHUNK entries (at least one). x2 holds X's squared row norms
+    and columns is X.T in C order.
     """
     n, d = X.shape
     R = len(rngs)
-    x2 = np.sum(X * X, axis=1) if x2 is None else x2
-    columns = np.ascontiguousarray(X.T) if columns is None else columns
     group = max(1, _CHUNK // n)
     centers = np.empty((R, K, d))
     d2 = np.full((R, n), np.inf)
@@ -407,7 +405,10 @@ def _beta_kl(zeta, xi, psi_zeta, psi_xi, psi_sum, a0, b0):
 
 
 # Entries of a lockstep group's (n, sum of K) responsibilities, 8 MB in
-# float64: a K range wider than this runs as several groups.
+# float64: a K range wider than this runs as several groups. A group's
+# traced peak is about 3.8 times its responsibilities (R, its sweep-start
+# copy, X @ R and the flat K x K arrays; 13.0 MB against 3.4 MB at
+# n = 500, K 2..41), so about 32 MB at this bound.
 _WIDE = 1 << 20
 
 
@@ -470,15 +471,15 @@ def _group_counts(R, X, lay):
     """The block counts (:func:`_block_counts`) and the entropy
     -sum R log R of every K of the group, with one sparse product and one
     column sum for all of them: a column's sum adds its rows in order
-    whatever the width, except at K = 1, whose column is all ones. Each
-    K's columns are copied, one K at a time, so that its Gram products and
-    entropy run on the array they would have alone: numpy sums a strided
-    (n, 1) column in another order."""
+    whatever the width. Each K's Gram products and entropy run on views of
+    its columns, which give the bytes of its own array: BLAS packs a
+    strided block as it packs a contiguous one, K = 1's column of ones
+    sums exactly in any order, and xlogy writes a new contiguous array."""
     XR = X @ R
     edges, gram, entropy = [], [], []
     for c in lay.cols:
-        Rk, XRk = np.ascontiguousarray(R[:, c]), np.ascontiguousarray(XR[:, c])
-        edges.append((Rk.T @ XRk).ravel())
+        Rk = R[:, c]
+        edges.append((Rk.T @ XR[:, c]).ravel())
         gram.append((Rk.T @ Rk).ravel())
         entropy.append(-float(np.sum(_xlogy(Rk, Rk))))
     counts = _block_counts(R.sum(axis=0), np.concatenate(edges), np.concatenate(gram), lay)
@@ -592,15 +593,14 @@ def _e_step(R, blocks, colsum, elog, lay):
 
 def _finish(R, X, converged, sweeps):
     """One K's (DetectionResult, theta_vb) from its final (n, K)
-    responsibilities, C-ordered."""
+    responsibilities."""
     labels0 = np.argmax(R, axis=1)
     used = np.unique(labels0)
     Rc = R[:, used]
     Rc /= Rc.sum(axis=1, keepdims=True)
     part = compact_partition(labels0 + 1)
     K = used.size
-    edges, pairs, _ = _block_counts(Rc.sum(axis=0), (Rc.T @ (X @ Rc)).ravel(), (Rc.T @ Rc).ravel(),
-                                    _layout([K]))
+    edges, pairs, _ = _group_counts(Rc, X, _layout([K]))[0]
     theta_vb = ((_A0 + edges) / (_A0 + _B0 + pairs)).reshape(K, K)
     theta_vb = (theta_vb + theta_vb.T) / 2.0
     det = DetectionResult(partition=part, responsibilities=Rc,
@@ -626,7 +626,7 @@ def _fit_group(X, ks, inits, max_iter, tol, traces):
         else:
             R[np.arange(n), c.start + init.partition.labels - 1] = 1.0
     if max_iter < 1:  # no sweep: each K's start, finished
-        return [_finish(np.ascontiguousarray(R[:, c]), X, False, 0) for c in lay.cols]
+        return [_finish(R[:, c], X, False, 0) for c in lay.cols]
     blocks = list(_row_blocks(X, _BLOCK))
     live = list(range(len(ks)))
     results = [None] * len(ks)
@@ -663,8 +663,7 @@ def _fit_group(X, ks, inits, max_iter, tol, traces):
         converged = (values - prev < tol) & known
         leaving = converged | (sweeps == max_iter)
         for i in np.flatnonzero(leaving):
-            results[live[i]] = _finish(np.ascontiguousarray(R[:, lay.cols[i]]), X,
-                                       bool(converged[i]), sweeps)
+            results[live[i]] = _finish(R[:, lay.cols[i]], X, bool(converged[i]), sweeps)
         keep = np.flatnonzero(~leaving)
         if keep.size == 0:
             break
@@ -742,15 +741,16 @@ def variational_em(graph: Graph, K: int, init: DetectionResult,
 
 def detect_range(graph: Graph, k_range, seed: int, max_iter: int = 100, tol: float = 1e-3):
     """Spectral initialization refined by variational EM at every K of
-    `k_range`: the default partition provider for estimation and
-    selection runs. Returns an iterator of (DetectionResult, theta_vb) per
-    K, in `k_range` order.
+    `k_range`: the one detection entry, for estimation and selection
+    runs; one K is the range (K,). Returns an iterator of
+    (DetectionResult, theta_vb) per K, in `k_range` order.
 
-    Every K is checked, and one eigensolve at the largest K serves every
-    spectral start (:func:`spectral_partition` with `basis`), before this
-    returns; the basis is then dropped, and the EM runs the range in
-    lockstep (:func:`_fit_range`) as the iterator is consumed, a group of
-    K at a time. Each K's result is the one it gets alone.
+    The range must be nonempty. Every K is checked, and one eigensolve
+    at the largest K serves every spectral start
+    (:func:`spectral_partition` with `basis`), before this returns; the
+    basis is then dropped, and the EM runs the range in lockstep
+    (:func:`_fit_range`) as the iterator is consumed, a group of K at a
+    time. Each K's result is the one it gets alone.
 
     The CSR adjacency is built twice, for the eigensolve and for the EM,
     and is not held across the spectral starts: beside k-means' scratch
@@ -758,6 +758,8 @@ def detect_range(graph: Graph, k_range, seed: int, max_iter: int = 100, tol: flo
     n = 4000 with 71,752 edges).
     """
     ks = [int(K) for K in k_range]
+    if not ks:
+        raise ValueError("k_range must be nonempty")
     for K in ks:
         _check_k(graph, K)
     solved = [K for K in ks if K >= 2]
@@ -765,13 +767,3 @@ def detect_range(graph: Graph, k_range, seed: int, max_iter: int = 100, tol: flo
     inits = [spectral_partition(graph, K, seed, basis=basis) for K in ks]
     del basis
     return _fit_range(_csr_adjacency(graph), ks, inits, max_iter, tol)
-
-
-def detect_pipeline(graph: Graph, K: int, seed: int, max_iter: int = 100,
-                    tol: float = 1e-3, basis: np.ndarray | None = None):
-    """Spectral initialization refined by variational EM at one K.
-
-    `basis` is handed to :func:`spectral_partition`: a top-W eigenbasis
-    (W >= K) shared across a K range, or None to solve at K."""
-    init = spectral_partition(graph, K, seed, basis=basis)
-    return variational_em(graph, K, init, max_iter=max_iter, tol=tol)

@@ -204,7 +204,8 @@ def analyze_graph(graph: Graph, k_range, seed: int, truth=None,
     name to the chosen (compacted) K and carries the error-minimizing
     reference K, and estimates holds each K's partition and estimates.
     """
-    cfg = cfg or ExperimentConfig(k_range=tuple(k_range))
+    k_range = check_k_range(k_range)
+    cfg = cfg or ExperimentConfig(k_range=k_range)
     records = []
     estimates = []
     detections = detect_range(graph, k_range, seed, max_iter=cfg.vem_max_iter, tol=cfg.vem_tol)

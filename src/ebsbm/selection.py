@@ -111,9 +111,11 @@ def score_partition(graph: Graph, partition: Partition, stats=None,
 def pick_best(scores, criterion: str) -> int:
     """Index of the winning score row. criterion="EB" maximizes total =
     j_z - penalty; criterion="CVRP" minimizes the cvrp column. Exact ties
-    go to the smaller K, then to input order."""
+    go to the smaller K, then to input order. Raises on no rows."""
     if criterion not in ("EB", "CVRP"):
         raise ValueError(f"criterion must be 'EB' or 'CVRP', got {criterion!r}")
+    if not scores:
+        raise ValueError("no score rows to pick from")
     best_idx = 0
     for i in range(1, len(scores)):
         cur, best = scores[i], scores[best_idx]

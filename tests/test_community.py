@@ -14,8 +14,8 @@ from scipy import linalg, sparse
 from scipy.special import xlogy
 
 from ebsbm import community
-from ebsbm.community import (DetectionResult, _kmeans_once, detect_pipeline, detect_range,
-                             spectral_partition, variational_em)
+from ebsbm.community import (DetectionResult, _kmeans_once, detect_range, spectral_partition,
+                             variational_em)
 from ebsbm.graph import Graph, Partition, block_stats, compact_partition
 from ebsbm.io import bundled_data_path, ingest_network
 from ebsbm.samplers import affiliation_theta, powerlaw_graphon, sample_graphon, sample_sbm
@@ -220,12 +220,12 @@ class TestEigensolveBlasThreads:
         two = [2] * len(openblas)
         _set_threads(openblas, two)
         monkeypatch.setattr(community, layer, recorded)
-        detect_pipeline(g, K=5, seed=0, max_iter=5)
+        list(detect_range(g, (5,), seed=0, max_iter=5))
         assert seen and set(seen) == {(1,) * len(openblas)}
         assert _counts(openblas) == two
         monkeypatch.setattr(community, layer, failing)
         with pytest.raises(RuntimeError, match="spoiled"):
-            detect_pipeline(g, K=5, seed=0, max_iter=5)
+            list(detect_range(g, (5,), seed=0, max_iter=5))
         assert _counts(openblas) == two
 
     def test_kmeans_independent_of_the_callers_threads(self, openblas):
@@ -368,7 +368,8 @@ class TestKmeans:
         # centres come from the uniform fallback; no 0/0 may warn there
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            centers = community._kmeans_pp(X, K, _streams(K))
+            centers = community._kmeans_pp(X, K, _streams(K), np.sum(X * X, axis=1),
+                                           np.ascontiguousarray(X.T))
         assert centers.shape == (10, K, X.shape[1])
         for r, rng in enumerate(_streams(K)):
             assert np.array_equal(centers[r], _reference_kmeans_pp(X, K, rng)), f"restart {r}"
@@ -691,7 +692,7 @@ class TestVariationalEm:
         # this one converges after 77)
         g, _ = sample_sbm(affiliation_theta(K=1, lam=0.05, epsilon=0.0, rho=1.0), n=300,
                           seed=0)
-        det, _ = detect_pipeline(g, K=4, seed=0, max_iter=3)
+        det, _ = next(detect_range(g, (4,), seed=0, max_iter=3))
         assert det.converged is False
         assert det.iterations == 3
 
@@ -907,10 +908,11 @@ class TestLockstep:
         assert all(contiguous for _, contiguous in seen)
 
     def test_detect_range_is_each_k_alone(self):
+        # against the one-K building blocks, each K with its own eigensolve
         g = _sbm_400(2002)
         ks = (9, 4, 6)
         for K, (det, theta_vb) in zip(ks, detect_range(g, ks, seed=3)):
-            alone, theta = detect_pipeline(g, K, seed=3)
+            alone, theta = variational_em(g, K, spectral_partition(g, K, seed=3))
             assert det.partition == alone.partition
             assert (det.iterations, det.converged) == (alone.iterations, alone.converged)
             assert theta_vb.tobytes() == theta.tobytes()
@@ -978,21 +980,23 @@ class TestLockstep:
             detect_range(g, (2, 9), seed=0)
         with pytest.raises(ValueError, match="K must be >= 1"):
             detect_range(g, (2, 0), seed=0)
+        with pytest.raises(ValueError, match="k_range must be nonempty"):
+            detect_range(g, [], seed=0)
 
 
-class TestDetectPipeline:
+class TestDetectOneK:
     def test_shapes_and_determinism(self):
         spec = affiliation_theta(K=4, lam=0.8, epsilon=0.1, rho=1.0)
         g, _ = sample_sbm(spec, n=60, seed=0)
-        det1, th1 = detect_pipeline(g, K=4, seed=7)
-        det2, th2 = detect_pipeline(g, K=4, seed=7)
+        det1, th1 = next(detect_range(g, (4,), seed=7))
+        det2, th2 = next(detect_range(g, (4,), seed=7))
         assert det1.partition == det2.partition
         assert np.array_equal(th1, th2)
         assert th1.shape == (det1.partition.K, det1.partition.K)
 
     def test_recovers_cliques(self):
         g, labels = cliques_graph(10)
-        det, theta_vb = detect_pipeline(g, K=2, seed=0)
+        det, theta_vb = next(detect_range(g, (2,), seed=0))
         assert hungarian_agreement(det.partition.labels, labels) == 1.0
 
     def test_allocates_no_node_by_node_array(self):
@@ -1006,7 +1010,7 @@ class TestDetectPipeline:
         g, _ = sample_sbm(spec, n=3000, seed=0)
         tracemalloc.start()
         try:
-            detect_pipeline(g, K=10, seed=0)
+            list(detect_range(g, (10,), seed=0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -10,7 +10,7 @@ import pytest
 
 import ebsbm
 from ebsbm import community, experiment
-from ebsbm.community import detect_pipeline
+from ebsbm.community import detect_range
 from ebsbm.experiment import (
     ExperimentConfig,
     analyze_graph,
@@ -334,6 +334,17 @@ def test_analyze_graph_selects_two_cliques():
     assert selection["k_tilde"] == 2
 
 
+def test_analyze_graph_reads_a_one_shot_k_range():
+    # the range is read once, so a generator reaches detection and the
+    # records as it would as a tuple
+    g = Graph(n=6, edges=[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
+    records, selection, _ = analyze_graph(g, (k for k in (2, 3)), seed=0)
+    assert [rec.K_input for rec in records] == [2, 3]
+    want, want_selection, _ = analyze_graph(g, (2, 3), seed=0)
+    assert [rec.scores for rec in records] == [rec.scores for rec in want]
+    assert selection == want_selection
+
+
 class TestSharedEigenbasis:
     @pytest.mark.parametrize("k_range, widths", [
         ((7, 2, 12, 1, 5), [12]), ((1,), []), ((1, 5), [5])])
@@ -359,7 +370,7 @@ class TestSharedEigenbasis:
         g = Graph(n=6, edges=[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
         _, _, estimates = analyze_graph(g, (2, 6), seed=0)
         for est in estimates:
-            det, theta_vb = detect_pipeline(g, est["K"], seed=0)
+            det, theta_vb = next(detect_range(g, (est["K"],), seed=0))
             assert est["partition"] == det.partition
             assert np.array_equal(est["vbem"].theta, theta_vb)
 

@@ -192,6 +192,12 @@ class TestSelectPartition:
         with pytest.raises(ValueError):
             pick_best(tied, "eb")
 
+    @pytest.mark.parametrize("criterion", ["EB", "CVRP"])
+    def test_no_rows_raise(self, criterion):
+        # index 0 of no rows would send every caller to an empty list
+        with pytest.raises(ValueError, match="no score rows"):
+            pick_best([], criterion)
+
 
 def test_score_partition_reuses_precomputed_stats():
     n, edges, labels = two_cliques_graph(size=4)
