@@ -36,12 +36,15 @@ the top-K_max one, so one eigensolve at the largest K hands every K its
 top K columns. The EMs of the range then run in lockstep: their
 responsibilities sit side by side in one array, each row block takes one
 sparse product for all of them, and the elementwise work of a block and
-of a sweep runs once for all K. Only the small products with each K's
-expected logs, its row sums and its Gram products are per K, each in the
-order it would have alone, so every K's result is the one it gets alone,
-to the byte. A K leaves the loop when it stops. The range runs in groups
-of at most 2^20 responsibilities, and detect_range hands each group's
-results out before it fits the next.
+of a sweep runs once for all K. Every per-K sum (a block's row sums, the
+objective's terms) is one np.add.reduceat over the K's segments, which
+sums each segment as it sums that segment alone, and the entropy
+-sum R log R is added up in the E-step from each block's log P. Only a
+block's two small products with each K's expected logs and each K's Gram
+products are per K, each in the order it would have alone, so every K's
+result is the one it gets alone, to the byte. A K leaves the loop when
+it stops. The range runs in groups of at most 2^20 responsibilities, and
+detect_range hands each group's results out before it fits the next.
 """
 
 from __future__ import annotations
@@ -59,16 +62,19 @@ import scipy
 from scipy import linalg as _la
 from scipy import sparse as _sparse
 from scipy.sparse import linalg as _sla
+from scipy.special import entr as _entr
 from scipy.special import gammaln as _gammaln
 from scipy.special import psi as _psi
-from scipy.special import xlogy as _xlogy
 
 from .errors import NumericalError
 from .graph import Graph, Partition, compact_partition
 
 _TAU = 0.5       # Dirichlet prior weight on memberships
 _A0 = _B0 = 0.5  # Beta prior on block probabilities
-_BLOCK = 64      # nodes per jointly updated block in a VEM sweep
+# Nodes per jointly updated block in a VEM sweep: 96, 128 and 192 took 2.43,
+# 2.32 and 2.44 s of lockstep VEM on the `sweep` benchmark's graphs (n = 400,
+# K 5..15, seeds 1-4, best of 7); larger blocks take more sweeps.
+_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,9 +412,10 @@ def _beta_kl(zeta, xi, psi_zeta, psi_xi, psi_sum, a0, b0):
 
 # Entries of a lockstep group's (n, sum of K) responsibilities, 8 MB in
 # float64: a K range wider than this runs as several groups. A group's
-# traced peak is about 3.8 times its responsibilities (R, its sweep-start
-# copy, X @ R and the flat K x K arrays; 13.0 MB against 3.4 MB at
-# n = 500, K 2..41), so about 32 MB at this bound.
+# traced peak is about 3.9 times its responsibilities (R, its sweep-start
+# copy, X @ R and the flat K x K arrays; 13.4 MB against 3.4 MB at
+# n = 500, K 2..41, where the E-step's three 128-row buffers are 2.6 MB),
+# so about 31 MB at this bound.
 _WIDE = 1 << 20
 
 
@@ -418,15 +425,15 @@ class _Layout:
     the responsibilities and its entries of the column sums, `starts` the
     first of them and `seg` each column's K. `mats` holds its K x K block
     of the blocks laid end to end, in which `iu` indexes the upper
-    triangles (each K's at `tris`) and `diag` the diagonals; `row` and
-    `col` give each entry's two column sums."""
+    triangles (each K's from `tri_starts` on) and `diag` the diagonals;
+    `row` and `col` give each entry's two column sums."""
 
     ks: np.ndarray
     cols: list
     starts: np.ndarray
     seg: np.ndarray
     mats: list
-    tris: list
+    tri_starts: np.ndarray
     iu: np.ndarray
     diag: np.ndarray
     row: np.ndarray
@@ -440,19 +447,14 @@ def _layout(ks) -> _Layout:
 
     ks = np.asarray(ks, dtype=np.int64)
     first = np.cumsum(ks) - ks
+    tri = ks * (ks + 1) // 2
     # each entry of the K x K blocks laid end to end: its K, row and column
     which = np.repeat(np.arange(ks.size), ks * ks)
     entry = np.arange(which.size) - (np.cumsum(ks * ks) - ks * ks)[which]
     i, j = np.divmod(entry, ks[which])
     return _Layout(ks, runs(ks), first, np.repeat(np.arange(ks.size), ks), runs(ks * ks),
-                   runs(ks * (ks + 1) // 2), np.flatnonzero(i <= j), np.flatnonzero(i == j),
+                   np.cumsum(tri) - tri, np.flatnonzero(i <= j), np.flatnonzero(i == j),
                    first[which] + i, first[which] + j)
-
-
-def _sums(x, runs):
-    # each run's sum as ndarray.sum adds it alone; np.add.reduceat adds
-    # runs of 3 or more in another order
-    return np.array([x[r].sum() for r in runs])
 
 
 def _block_counts(colsum, edges, gram, lay):
@@ -468,22 +470,19 @@ def _block_counts(colsum, edges, gram, lay):
 
 
 def _group_counts(R, X, lay):
-    """The block counts (:func:`_block_counts`) and the entropy
-    -sum R log R of every K of the group, with one sparse product and one
-    column sum for all of them: a column's sum adds its rows in order
-    whatever the width. Each K's Gram products and entropy run on views of
-    its columns, which give the bytes of its own array: BLAS packs a
-    strided block as it packs a contiguous one, K = 1's column of ones
-    sums exactly in any order, and xlogy writes a new contiguous array."""
+    """The block counts (:func:`_block_counts`) of every K of the group,
+    with one sparse product and one column sum for all of them: a column's
+    sum adds its rows in order whatever the width. Each K's Gram products
+    run on views of its columns, which give the bytes of its own array:
+    BLAS packs a strided block as it packs a contiguous one, and K = 1's
+    column of ones sums exactly in any order."""
     XR = X @ R
-    edges, gram, entropy = [], [], []
+    edges, gram = [], []
     for c in lay.cols:
         Rk = R[:, c]
         edges.append((Rk.T @ XR[:, c]).ravel())
         gram.append((Rk.T @ Rk).ravel())
-        entropy.append(-float(np.sum(_xlogy(Rk, Rk))))
-    counts = _block_counts(R.sum(axis=0), np.concatenate(edges), np.concatenate(gram), lay)
-    return counts, np.array(entropy)
+    return _block_counts(R.sum(axis=0), np.concatenate(edges), np.concatenate(gram), lay)
 
 
 def _sweep_terms(counts, lay):
@@ -497,31 +496,33 @@ def _sweep_terms(counts, lay):
     zeta = _A0 + edges
     xi = _B0 + np.maximum(pairs - edges, 0.0)
     psi_zeta, psi_xi, psi_sum = _psi(zeta), _psi(xi), _psi(zeta + xi)
-    total = _sums(gamma, lay.cols)
+    total = np.add.reduceat(gamma, lay.starts)
     elog_pi = _psi(gamma) - np.repeat(_psi(total), lay.ks)
     elog = (elog_pi, psi_zeta - psi_sum, psi_xi - psi_sum)
-    kl_pi = (_gammaln(total) - _sums(_gammaln(gamma), lay.cols)
+    kl_pi = (_gammaln(total) - np.add.reduceat(_gammaln(gamma), lay.starts)
              - _gammaln(lay.ks * _TAU) + lay.ks * _gammaln(_TAU)
-             + _sums((gamma - _TAU) * elog_pi, lay.cols))
+             + np.add.reduceat((gamma - _TAU) * elog_pi, lay.starts))
     iu = lay.iu
-    kl_theta = _sums(_beta_kl(zeta[iu], xi[iu], psi_zeta[iu], psi_xi[iu], psi_sum[iu],
-                              _A0, _B0), lay.tris)
+    kl_theta = np.add.reduceat(_beta_kl(zeta[iu], xi[iu], psi_zeta[iu], psi_xi[iu],
+                                        psi_sum[iu], _A0, _B0), lay.tri_starts)
     return elog, (kl_pi, kl_theta)
 
 
-def _elbo(R, X, elog, kl, lay):
+def _elbo(R, X, elog, kl, entropy, lay):
     """Each K's objective, and the block counts of R it was computed from.
 
     elog and kl are the sweep's expected logs and KL terms
-    (:func:`_sweep_terms`)."""
+    (:func:`_sweep_terms`), and entropy holds -sum R log R of each column
+    of R."""
     elog_pi, elog_t, elog_1mt = elog
     kl_pi, kl_theta = kl
-    counts, entropy = _group_counts(R, X, lay)
+    counts = _group_counts(R, X, lay)
     edges, pairs, colsum = counts
     iu = lay.iu
-    e_loglik = _sums(edges[iu] * elog_t[iu] + (pairs - edges)[iu] * elog_1mt[iu], lay.tris)
-    e_logpz = np.array([colsum[c] @ elog_pi[c] for c in lay.cols])
-    return e_loglik + e_logpz + entropy - kl_pi - kl_theta, counts
+    e_loglik = np.add.reduceat(edges[iu] * elog_t[iu] + (pairs - edges)[iu] * elog_1mt[iu],
+                               lay.tri_starts)
+    e_logpz = np.add.reduceat(colsum * elog_pi, lay.starts)
+    return e_loglik + e_logpz + np.add.reduceat(entropy, lay.starts) - kl_pi - kl_theta, counts
 
 
 class _row_blocks:
@@ -554,40 +555,43 @@ class _row_blocks:
         return slice(s, s + self.size), Xb
 
 
-def _e_step(R, blocks, colsum, elog, lay):
+def _e_step(R, blocks, colsum, elog, lay, entropy=None):
     """Update the soft assignments of every K of the group in place, one
     block of `blocks` (:class:`_row_blocks`) at a time: each block's rows
     are set jointly from the rows of all other nodes as they stand, and
     `colsum` follows. One-node blocks are exact sequential coordinate
-    ascent.
+    ascent. Each block subtracts sum P log P of its new rows P, log P being
+    (L - max) - log(row sum), from the per-column `entropy` when given.
 
     A block takes one sparse product for all K, and its elementwise steps
-    run once on its full width, in two block-sized buffers. Only the
-    products with each K's expected logs and each K's row sums are per
-    K."""
+    and its row sums (one np.add.reduceat) run once on its full width, in
+    three block-sized buffers. Only the products with each K's expected
+    logs are per K."""
     elog_pi, elog_t, elog_1mt = elog
     Et = [elog_t[m].reshape(K, K) for K, m in zip(lay.ks, lay.mats)]
     E1 = [elog_1mt[m].reshape(K, K) for K, m in zip(lay.ks, lay.mats)]
     size = (blocks[0][1].shape[0], R.shape[1])
-    L_, D_ = np.empty(size), np.empty(size)
+    L_, P_, T_ = np.empty(size), np.empty(size), np.empty(size)
     for b, Xb in blocks:
         S = Xb @ R
-        L, D = L_[:S.shape[0]], D_[:S.shape[0]]
+        L, P, T = L_[:S.shape[0]], P_[:S.shape[0]], T_[:S.shape[0]]
         for c, e in zip(lay.cols, Et):
             np.matmul(S[:, c], e, out=L[:, c])
         L += elog_pi
-        np.subtract(colsum, R[b], out=D)
-        D -= S
-        np.maximum(D, 0.0, out=D)
+        np.subtract(colsum, R[b], out=T)
+        T -= S
+        np.maximum(T, 0.0, out=T)
         for c, e in zip(lay.cols, E1):
-            L[:, c] += D[:, c] @ e
-        np.take(np.maximum.reduceat(L, lay.starts, axis=1), lay.seg, axis=1, out=D)
-        P = np.exp(np.subtract(L, D, out=L), out=L)
-        sums = np.empty((P.shape[0], len(lay.cols)))
-        for i, c in enumerate(lay.cols):
-            np.add.reduce(P[:, c], axis=1, out=sums[:, i])
-        P /= np.take(sums, lay.seg, axis=1, out=D)
-        colsum += np.subtract(P, R[b], out=D).sum(axis=0)
+            np.matmul(T[:, c], e, out=P[:, c])
+        L += P
+        L -= np.maximum.reduceat(L, lay.starts, axis=1)[:, lay.seg]
+        np.exp(L, out=P)
+        sums = np.add.reduceat(P, lay.starts, axis=1)
+        P /= sums[:, lay.seg]
+        if entropy is not None:
+            L -= np.log(sums)[:, lay.seg]
+            entropy -= np.multiply(P, L, out=L).sum(axis=0)
+        colsum += np.subtract(P, R[b], out=T).sum(axis=0)
         R[b] = P
 
 
@@ -600,7 +604,7 @@ def _finish(R, X, converged, sweeps):
     Rc /= Rc.sum(axis=1, keepdims=True)
     part = compact_partition(labels0 + 1)
     K = used.size
-    edges, pairs, _ = _group_counts(Rc, X, _layout([K]))[0]
+    edges, pairs, _ = _group_counts(Rc, X, _layout([K]))
     theta_vb = ((_A0 + edges) / (_A0 + _B0 + pairs)).reshape(K, K)
     theta_vb = (theta_vb + theta_vb.T) / 2.0
     det = DetectionResult(partition=part, responsibilities=Rc,
@@ -631,22 +635,25 @@ def _fit_group(X, ks, inits, max_iter, tol, traces):
     live = list(range(len(ks)))
     results = [None] * len(ks)
     prev = np.full(len(ks), -np.inf)
-    counts = _group_counts(R, X, lay)[0]
+    counts = _group_counts(R, X, lay)
     for sweeps in range(1, max_iter + 1):
         elog, kl = _sweep_terms(counts, lay)
         colsum = counts[2]
         start = R.copy(), colsum.copy()
-        _e_step(R, blocks, colsum, elog, lay)
-        values, counts = _elbo(R, X, elog, kl, lay)
+        entropy = np.zeros(R.shape[1])
+        _e_step(R, blocks, colsum, elog, lay, entropy)
+        values, counts = _elbo(R, X, elog, kl, entropy, lay)
         for i in np.flatnonzero(values < prev):
-            # redo this K's sweep from its start, one node at a time
+            # redo this K's sweep from its start, one node at a time, and
+            # take its entropy once from the result, not node by node
             c, m = lay.cols[i], lay.mats[i]
             one = _layout(lay.ks[i:i + 1])
             elog_k = (elog[0][c], elog[1][m], elog[2][m])
             kl_k = (kl[0][i:i + 1], kl[1][i:i + 1])
             Rk = np.ascontiguousarray(start[0][:, c])
             _e_step(Rk, _row_blocks(X, 1), start[1][c], elog_k, one)
-            value, (edges, pairs, colsum) = _elbo(Rk, X, elog_k, kl_k, one)
+            value, (edges, pairs, colsum) = _elbo(Rk, X, elog_k, kl_k, _entr(Rk).sum(axis=0),
+                                                  one)
             values[i] = value[0]
             counts[0][m], counts[1][m], counts[2][c] = edges, pairs, colsum
             R[:, c] = Rk

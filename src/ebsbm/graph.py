@@ -178,15 +178,14 @@ class BlockStats:
         object.__setattr__(self, "edge_counts", _freeze(x))
         object.__setattr__(self, "pair_counts", _freeze(m))
 
+    # the sums over a <= b of the symmetric counts, (sum + trace) / 2 exactly
     @property
     def total_edges(self) -> int:
-        iu = np.triu_indices(self.K)
-        return int(self.edge_counts[iu].sum())
+        return (int(self.edge_counts.sum()) + int(np.trace(self.edge_counts))) // 2
 
     @property
     def total_pairs(self) -> int:
-        iu = np.triu_indices(self.K)
-        return int(self.pair_counts[iu].sum())
+        return (int(self.pair_counts.sum()) + int(np.trace(self.pair_counts))) // 2
 
     def diagonal_counts(self):
         """(edges, pairs) vectors over the K diagonal blocks."""

@@ -190,7 +190,8 @@ class TestEstimate:
     def test_bundled_output_bytes_pinned(self, tmp_path, capsys):
         # sha256 of every file, computed before estimate ran through
         # analyze_graph (K05 and K06 since VEM multiplies by a sparse
-        # adjacency, which moves the VBEM theta's last digit); the
+        # adjacency, K03 to K05 since VEM's 128-node blocks and segmented
+        # sums, each of which moves the VBEM theta's last digits); the
         # manifest's absolute graph path is masked
         graph = bundled_data_path("synthetic_edges.txt")
         out = tmp_path / "est"
@@ -199,9 +200,9 @@ class TestEstimate:
         assert rc == 0
         pinned = {
             "estimate_K02.json": "846ce185581da02d72dbb47ede9b752a1aeee572e8a3a48c9c9078f1e9126f74",
-            "estimate_K03.json": "b6613bff28a29ce88c664cfc06cd8a7562a196593b9c7142c241622e61d23b97",
-            "estimate_K04.json": "ed65b60ac05da55e6567557ff707b354a6e0fce1d10b1c120eeb36ef670d1dd7",
-            "estimate_K05.json": "547336e06bd8110cb56daccf743b5a3ecc73c2c92b875185c49943f142bc50d9",
+            "estimate_K03.json": "5de93a39e65ef96c475c2dddfdd736a3ef07365b0b7f3596fcc229dd32aeb519",
+            "estimate_K04.json": "4ea6663a6ba529186d93e6151cf5f3604bf4b439b0a68df6e3cb1b36e3150bc6",
+            "estimate_K05.json": "2b3ca8ab01647f950cbd1362588d132930780c063411dd145ffde94c27984b5e",
             "estimate_K06.json": "4a9fdc526a215f74de4414f628a93d614783c1ce81cb638b5b787168b69b1196",
             "manifest.json": "54f781cd2abbef9f996b5cb69ef28a282a07ba3d6d959bc9e0da22453be6b5f5",
             "partition_K02.txt": "7e0fca3bb69293666c74f30b44384cb86643125b1e6b09fa76b18538ee2750f6",

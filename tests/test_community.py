@@ -11,7 +11,7 @@ import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg, sparse
-from scipy.special import xlogy
+from scipy.special import entr, xlogy
 
 from ebsbm import community
 from ebsbm.community import (DetectionResult, _kmeans_once, detect_range, spectral_partition,
@@ -504,30 +504,33 @@ def _sha(data):
 
 
 # sha256 of the objective trace (float.hex, comma-joined), theta_vb and the
-# responsibilities (little-endian float64), recorded before the E-step took
-# pre-sliced row blocks: (graph, K, init, init seed, sweeps, digests).
-# The first case redoes one sweep node by node.
+# responsibilities (little-endian float64), recorded with 128-node E-step
+# blocks, every per-K sum taken by np.add.reduceat and the entropy from the
+# E-step: (graph, K, init, init seed, sweeps, digests). The first case
+# redoes one sweep node by node.
 VEM_PINS = [
     ((3, 0.8, 1.0, 40, 13), 3, "random", 13, 20,
-     "2c5f639aa9a16dd856e324c637e8ad7e41b9cac9b05a3cd209c6413030c723b2",
+     "8c52867dede1b20cb5d98b6076de18542a12270c6a4920c8dfd2bbed9394f25d",
      "44cc623faef78137648d3eddf0670a31903b11811f239ff24d3185242537605b",
-     "13dcada5c8c244bb7285a190fb86817062b4ece5220c46071c30db1be68dee3c"),
-    ((5, 0.8, 0.5, 150, 4), 6, "spectral", 4, 40,
-     "decce786377591ad63fba969e5d71ca4cce9672a3b57c2f8cf8056a62c06ac27",
-     "01ebe0e000f0cdbed5fd2df0e440d7314195a8936c4f46cfb154cf3996871c88",
-     "5ad89cbad1dd765431f426184f86bbc93a8500c12b16c2d82c42398c4fceb317"),
+     "d81c90cf23fea12193f0cf1488d8766bc7a0fdff15990665932be2e420de995a"),
+    ((5, 0.8, 0.5, 150, 4), 6, "spectral", 4, 39,
+     "1a43f42e8816246bb1ba9383cc5863905cfc0145981394f2845330be3ead8ce6",
+     "1033e85335229efd20af201c5b6e1952cb7e14070b286075d24f689163b19a77",
+     "781fe2a42732bc6240309c4d37c58f1bff18bbdbdd159174dcf4f0db1b7e228b"),
     ((10, 0.9, 0.2, 400, 2000), 12, "spectral", 2000, 23,
-     "26bc7d615055df35b6420e72511f614db25f1ab7d2e6890d67a0bbaf146af9a6",
-     "4e79bcf7d933212f20974b852851d98c461a06285cc44afa6abd7a79bd581ccc",
-     "e8ace9b4d8651a3a3589e197e53572648eb90b3cb4150572782d81b20cecede6"),
+     "2877a01eb5d76d80f39dcfe3c93825d3f8fa6d91be4d08f06002232923268335",
+     "ec6a0f12ad6f4acfd7a415d8504ab7d9b62128405b6de2db5fe79a48632944df",
+     "de4393165173e41c5fa965ba25a64a2853c747c2f964db654ea9d08b3c8de754"),
     (None, 10, "spectral", 0, 2,
-     "b3164842255abf6d22c174dc737eb32c6d1f2073e06d40fc10e4bd89f669852d",
+     "b81206f5de7fd07c9631db9b35e8979e62120df7ac6aaff0f9844b7e8c9b20fc",
      "a60783a7841f33dd710aa0e8d3238b2a805ad8acc65505586cf55e3d171372c3",
-     "e71795c491d632b3a80d14ceb3445f521c2278cce0734e0dfa588c62673dd9c9"),
+     "f04b4a60b74b42be1ab7ccd61f6cbcce7ab8d1a5dec33d087b5dc8be00464c73"),
 ]
 
 
-@pytest.mark.parametrize("sbm, K, init, seed, sweeps, trace_sha, theta_sha, resp_sha", VEM_PINS)
+@pytest.mark.parametrize("sbm, K, init, seed, sweeps, trace_sha, theta_sha, resp_sha", VEM_PINS,
+                         ids=["n40-K3-random", "n150-K6-spectral", "n400-K12-spectral",
+                              "bundled-K10-spectral"])
 def test_variational_em_pinned(sbm, K, init, seed, sweeps, trace_sha, theta_sha, resp_sha):
     # sbm is (K*, lambda, rho, n, graph seed) of an affiliation SBM with
     # epsilon 0.1; None is the bundled network
@@ -607,7 +610,8 @@ class TestVariationalEm:
     def test_redo_restores_the_sweep_start(self, monkeypatch):
         # spoil every batched sweep after the first: each is undone and
         # redone node by node, which must give exactly the trace of a run
-        # whose later sweeps are node by node in the first place
+        # whose later sweeps are node by node in the first place, each with
+        # its entropy taken once from its result, as a redo takes it
         spec = affiliation_theta(K=3, lam=0.7, epsilon=0.1, rho=1.0)
         g, _ = sample_sbm(spec, n=90, seed=2)
         init = _random_init(g.n, 3, 2)
@@ -616,15 +620,19 @@ class TestVariationalEm:
         def run(spoil):
             batched = []
 
-            def step(R, blocks, colsum, *args):
-                block = _block_width(blocks)
-                if block > 1:
-                    batched.append(block)
-                    if len(batched) > 1 and not spoil:
-                        blocks, block = _one_node_blocks(blocks), 1
-                e_step(R, blocks, colsum, *args)
-                if block > 1 and len(batched) > 1:
+            def step(R, blocks, colsum, elog, lay, entropy=None):
+                if _block_width(blocks) == 1:  # a redo
+                    return e_step(R, blocks, colsum, elog, lay)
+                batched.append(_block_width(blocks))
+                if len(batched) == 1:
+                    return e_step(R, blocks, colsum, elog, lay, entropy)
+                if spoil:
+                    e_step(R, blocks, colsum, elog, lay, entropy)
                     R[:] = np.eye(3)[np.argmin(R, axis=1)]
+                    entropy[:] = 0.0
+                else:
+                    e_step(R, _one_node_blocks(blocks), colsum, elog, lay)
+                    entropy[:] = entr(R).sum(axis=0)
 
             monkeypatch.setattr(community, "_e_step", step)
             trace = []
@@ -642,17 +650,18 @@ class TestVariationalEm:
         # one-node blocks are a CSR array each, about 600 bytes: held as a
         # list they took the fit's traced peak to 17.5 MB. Made one at a
         # time, the fit peaks at 2.8 MB: R, its sweep start, the adjacency
-        # and the 64-node blocks
+        # and the _BLOCK-node blocks
         n = 20_000
         i = np.arange(n - 1)
         g = Graph(n=n, edges=np.column_stack((i, i + 1)))
-        e_step, widths = community._e_step, []
+        e_step, widths, block = community._e_step, [], community._BLOCK
 
         def step(R, blocks, colsum, *args):
             widths.append(_block_width(blocks))
             e_step(R, blocks, colsum, *args)
-            if widths == [64, 64]:
+            if widths == [block, block]:  # one-hot rows: entropy 0
                 R[:] = np.eye(2)[np.argmin(R, axis=1)]
+                args[-1][:] = 0.0
 
         monkeypatch.setattr(community, "_e_step", step)
         tracemalloc.start()
@@ -661,7 +670,7 @@ class TestVariationalEm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert widths == [64, 64, 1]
+        assert widths == [block, block, 1]
         assert peak <= 5_000_000, f"peak allocation {peak / 1e6:.1f} MB"
 
     def test_responsibilities_consistent(self):
@@ -710,35 +719,44 @@ def _reference_counts(X, R):
 
 
 def _reference_vem(g, K, init, max_iter=100, tol=1e-3, trace=None):
-    # the per-K sweep loop that the lockstep engine replaced, one K alone:
-    # the engine must give every K exactly these bytes
-    from scipy.special import gammaln, psi, xlogy
+    # the per-K sweep loop that the lockstep engine replaced, one K alone,
+    # in the engine's arithmetic: every sum over K entries is np.add.reduceat
+    # of its one segment, and a sweep's entropy is summed per column from
+    # each block's log P, a redo's once from its result. The engine must
+    # give every K exactly these bytes
+    from scipy.special import entr, gammaln, psi
 
     tau, a0, b0 = 0.5, 0.5, 0.5
     X = community._csr_adjacency(g)
-    blocks, nodes = community._row_blocks(X, 64), community._row_blocks(X, 1)
+    blocks, nodes = community._row_blocks(X, community._BLOCK), community._row_blocks(X, 1)
     iu = np.triu_indices(K)
+
+    def total(x, axis=0):
+        return np.add.reduceat(x, [0], axis=axis)
 
     def counts_of(R):
         return _reference_counts(X, R)
 
-    def e_step(R, blocks, colsum, elog_pi, elog_t, elog_1mt):
+    def e_step(R, blocks, colsum, elog_pi, elog_t, elog_1mt, entropy=None):
         for b, Xb in blocks:
             S = Xb @ R
             T = np.maximum(colsum - R[b] - S, 0.0)
             L = elog_pi + S @ elog_t + T @ elog_1mt
             L -= L.max(axis=1, keepdims=True)
             P = np.exp(L)
-            P /= P.sum(axis=1, keepdims=True)
+            sums = total(P, axis=1)
+            P /= sums
+            if entropy is not None:
+                entropy -= (P * (L - np.log(sums))).sum(axis=0)
             colsum += (P - R[b]).sum(axis=0)
             R[b] = P
 
-    def objective(R, elog, kl):
+    def objective(R, elog, kl, entropy):
         counts = counts_of(R)
         edges, pairs, colsum = counts
-        e_loglik = float(np.sum(edges[iu] * elog[1][iu] + (pairs - edges)[iu] * elog[2][iu]))
-        entropy = -float(np.sum(xlogy(R, R)))
-        return e_loglik + float(colsum @ elog[0]) + entropy - kl[0] - kl[1], counts
+        e_loglik = total(edges[iu] * elog[1][iu] + (pairs - edges)[iu] * elog[2][iu])
+        value = e_loglik + total(colsum * elog[0]) + total(entropy) - kl[0] - kl[1]
+        return float(value[0]), counts
 
     if init.responsibilities is not None and init.responsibilities.shape[1] == K:
         R = init.responsibilities.copy()
@@ -751,21 +769,22 @@ def _reference_vem(g, K, init, max_iter=100, tol=1e-3, trace=None):
         gamma, zeta = tau + colsum, a0 + edges
         xi = b0 + np.maximum(pairs - edges, 0.0)
         psi_sum = psi(zeta + xi)
-        elog = (psi(gamma) - psi(gamma.sum()), psi(zeta) - psi_sum, psi(xi) - psi_sum)
-        kl_pi = float(gammaln(gamma.sum()) - np.sum(gammaln(gamma)) - gammaln(K * tau)
-                      + K * gammaln(tau) + np.sum((gamma - tau) * elog[0]))
+        elog = (psi(gamma) - psi(total(gamma)), psi(zeta) - psi_sum, psi(xi) - psi_sum)
+        kl_pi = (gammaln(total(gamma)) - total(gammaln(gamma)) - gammaln(K * tau)
+                 + K * gammaln(tau) + total((gamma - tau) * elog[0]))
         z, x = zeta[iu], xi[iu]
-        kl_theta = float(np.sum(
+        kl_theta = total(
             gammaln(z + x) - gammaln(z) - gammaln(x) - gammaln(a0 + b0) + gammaln(a0)
             + gammaln(b0) + (z - a0) * psi(z) + (x - b0) * psi(x)
-            - (z + x - a0 - b0) * psi(z + x)))
+            - (z + x - a0 - b0) * psi(z + x))
         start = R.copy(), colsum.copy()
-        e_step(R, blocks, colsum, *elog)
-        value, counts = objective(R, elog, (kl_pi, kl_theta))
+        entropy = np.zeros(K)
+        e_step(R, blocks, colsum, *elog, entropy)
+        value, counts = objective(R, elog, (kl_pi, kl_theta), entropy)
         if value < prev:
             R, colsum = start
             e_step(R, nodes, colsum, *elog)
-            value, counts = objective(R, elog, (kl_pi, kl_theta))
+            value, counts = objective(R, elog, (kl_pi, kl_theta), entr(R).sum(axis=0))
         if trace is not None:
             trace.append(value)
         if value - prev < tol and np.isfinite(prev):
@@ -836,10 +855,10 @@ class TestLockstep:
         redone = []
         e_step = community._e_step
 
-        def step(R, blocks, colsum, elog, lay):
+        def step(R, blocks, colsum, elog, lay, *entropy):
             if _block_width(blocks) == 1:
                 redone.append(tuple(lay.ks))
-            e_step(R, blocks, colsum, elog, lay)
+            e_step(R, blocks, colsum, elog, lay, *entropy)
 
         monkeypatch.setattr(community, "_e_step", step)
         ks = (2, 3, 5)
@@ -874,21 +893,82 @@ class TestLockstep:
         assert seen == groups
 
     def test_group_counts_are_each_k_alone(self):
-        # each K's counts and entropy from its columns of a wide R, as from
-        # its own array (K = 1's column is all ones, as in every fit)
+        # each K's counts from its columns of a wide R, as from its own
+        # array (K = 1's column is all ones, as in every fit)
         X = community._csr_adjacency(_sbm_400(1000))
         ks = (3, 1, 12, 2)
         lay = community._layout(ks)
         rng = np.random.default_rng(5)
         R = np.concatenate([rng.dirichlet(np.ones(K), size=400) for K in ks], axis=1)
-        (edges, pairs, colsum), entropy = community._group_counts(R, X, lay)
-        for i, (K, c, m) in enumerate(zip(ks, lay.cols, lay.mats)):
-            Rk = R[:, c].copy()
-            want = _reference_counts(X, Rk)
+        edges, pairs, colsum = community._group_counts(R, X, lay)
+        for K, c, m in zip(ks, lay.cols, lay.mats):
+            want = _reference_counts(X, R[:, c].copy())
             assert edges[m].tobytes() == want[0].tobytes(), K
             assert pairs[m].tobytes() == want[1].tobytes(), K
             assert colsum[c].tobytes() == want[2].tobytes(), K
-            assert entropy[i] == -float(np.sum(xlogy(Rk, Rk))), K
+
+    def test_e_step_is_each_k_alone(self):
+        # one sweep of a wide R: each K's new rows (normalised by its row
+        # sums), column sums and entropy are the bytes of its sweep alone
+        g = _sbm_400(1000)
+        X = community._csr_adjacency(g)
+        ks = (3, 1, 12, 2)
+        lay = community._layout(ks)
+        rng = np.random.default_rng(5)
+        R = np.concatenate([rng.dirichlet(np.ones(K), size=400) for K in ks], axis=1)
+        blocks = list(community._row_blocks(X, community._BLOCK))
+
+        def sweep(R, lay):
+            counts = community._group_counts(R, X, lay)
+            elog, _ = community._sweep_terms(counts, lay)
+            colsum, entropy = counts[2], np.zeros(R.shape[1])
+            community._e_step(R, blocks, colsum, elog, lay, entropy)
+            return colsum, np.add.reduceat(entropy, lay.starts)
+
+        alone = [np.ascontiguousarray(R[:, c]) for c in lay.cols]
+        colsum, entropy = sweep(R, lay)
+        for i, (K, c, Rk) in enumerate(zip(ks, lay.cols, alone)):
+            colsum_k, entropy_k = sweep(Rk, community._layout([K]))
+            assert R[:, c].tobytes() == Rk.tobytes(), K
+            assert colsum[c].tobytes() == colsum_k.tobytes(), K
+            assert entropy[i:i + 1].tobytes() == entropy_k.tobytes(), K
+
+    @pytest.mark.parametrize("case", ["sweep graph", "redone sweep"])
+    def test_entropy_is_minus_sum_r_log_r(self, monkeypatch, case):
+        # every objective's entropy, from a full-width sweep's E-step or
+        # once from a one-node redo's result, is -sum R log R of the R it
+        # scores, to 1e-12 relative; a near-hard R's entropy (7e-7 on the
+        # n=40 graph) is allowed the rounding of r log r at an r near 1,
+        # one unit of 1's last place per entry, in either computation
+        if case == "sweep graph":
+            g = _sbm_400(1000)
+            ks = tuple(range(5, 16))
+            inits = _spectral_starts(g, ks, 1000)
+        else:  # the fits of test_redone_sweep_inside_a_group
+            g, _ = sample_sbm(affiliation_theta(K=3, lam=0.8, epsilon=0.1, rho=1.0), n=40,
+                              seed=13)
+            ks = (2, 3, 5)
+            inits = [_random_init(g.n, 2, 1), _random_init(g.n, 3, 13), _random_init(g.n, 5, 2)]
+        seen, redo = [], []
+        e_step, elbo = community._e_step, community._elbo
+
+        def step(R, blocks, *args):
+            redo.append(_block_width(blocks) == 1)
+            e_step(R, blocks, *args)
+
+        def recorded(R, X, elog, kl, entropy, lay):
+            for K, c, value in zip(lay.ks, lay.cols, np.add.reduceat(entropy, lay.starts)):
+                seen.append((int(K), redo[-1], value, -np.sum(xlogy(R[:, c], R[:, c])),
+                             R.shape[0] * K * np.finfo(float).eps))
+            return elbo(R, X, elog, kl, entropy, lay)
+
+        monkeypatch.setattr(community, "_e_step", step)
+        monkeypatch.setattr(community, "_elbo", recorded)
+        list(community._fit_range(community._csr_adjacency(g), list(ks), inits, 100, 1e-3))
+        assert {K for K, *_ in seen} == set(ks)
+        assert [K for K, redone, *_ in seen if redone] == ([3] if case == "redone sweep" else [])
+        for K, _, value, want, ulps in seen:
+            assert abs(value - want) <= 1e-12 * abs(want) + ulps, K
 
     def test_compaction_keeps_responsibilities_c_ordered(self, monkeypatch):
         seen = []

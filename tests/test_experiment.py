@@ -216,7 +216,7 @@ class TestRun:
         records = self._records_at_threads(tmp_path, 1000, 0.2, (45, 50))
         assert records[0] == records[1]
         assert hashlib.sha256(records[0]).hexdigest() == \
-            "1361b917da0b58d967a718a446df4ea1d16424934c96bece25da6ee7b4baae8a"
+            "d161c9836e4a42e0e5d4eed6827392e29842cb6125e13e46e7074b84a3f17af6"
 
     def test_selection_summary_shape(self):
         res = run_experiment(small_cfg(write_replicates=False))
@@ -300,13 +300,13 @@ class TestRun:
 
 @pytest.mark.parametrize("model, extra, pinned", [
     ("sbm-affiliation", dict(k_star=4, lam=0.8, epsilon=0.1, rho=1.0, base_seed=100), {
-        "records.jsonl": "204bc9c951bcb06ba83e8cf42d9c1d2c253c170d8051820df4d107bfd775842e",
-        "summary.csv": "f51120be8a724afcf3104af3b5f5296d870a40369e83968356813ba6b087b4b0",
+        "records.jsonl": "fcfcf965cb01bd0ef27563b47e96b14e24f0dc3212000f5baa73d49ab085ae0e",
+        "summary.csv": "c0c6d2690747a923dce04f1b234b633c38200dc7db6970c62be8f6021951fa6d",
         "selection.csv": "4732c8ccfdb2bf54dd892c96b5b1b3691102965969c22a1a10da11e0364ae58b",
     }),
     ("graphon-powerlaw", dict(rho=0.2, lam=2.0, base_seed=200), {
-        "records.jsonl": "ff928b0afbbcbb38a7d209fb46c6ecf3b110d672b2078776ca7c7a5b21dd95b3",
-        "summary.csv": "01d0c8f88a5c53d5d2c13031c0435951cc09aa8afee5d7eb9926391c6214de97",
+        "records.jsonl": "61df337125b9cd0dd3305a027dc58c5ec7ed00835aee1b8ac0a2389455d892c4",
+        "summary.csv": "a84f914fa05971d8527805a6cd6a70ee21931b157ca2b0a8ba60774d3da29382",
         # e_k_star does not apply to a graphon and is an empty cell
         "selection.csv": "0d84bb732f88559fa7161db82b4433c58902794b34aa1a5f6f9a20af82099b29",
     }),

@@ -204,6 +204,19 @@ class TestBlockStats:
         assert np.array_equal(s.edge_counts, ox)
         assert np.array_equal(s.pair_counts, om)
 
+    @pytest.mark.parametrize("K", range(1, 13))
+    def test_totals_are_upper_triangle_sums(self, K):
+        rng = np.random.default_rng(K)
+        m = rng.integers(0, 10**9, size=(K, K))
+        m = m + m.T
+        x = rng.integers(0, m + 1)
+        x = np.triu(x) + np.triu(x, 1).T
+        s = BlockStats(K=K, edge_counts=x, pair_counts=m)
+        iu = np.triu_indices(K)
+        assert s.total_edges == int(x[iu].sum())
+        assert s.total_pairs == int(m[iu].sum())
+        assert type(s.total_edges) is int and type(s.total_pairs) is int
+
     def test_relabel_within_cluster_invariant(self):
         rng = np.random.default_rng(5)
         n = 12
