@@ -41,12 +41,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_k_range(text):
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        k_range = tuple(range(int(lo), int(hi) + 1))
-    else:
-        k_range = tuple(int(t) for t in text.split(","))
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            k_range = tuple(range(int(lo), int(hi) + 1))
+        else:
+            k_range = tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise DataError(f"--k-range {text!r} is not LO..HI, a comma list such as 2,4,8, "
+                        "or one K") from None
     return check_k_range(k_range)
 
 

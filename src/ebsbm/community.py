@@ -43,8 +43,9 @@ sums each segment as it sums that segment alone, and the entropy
 block's two small products with each K's expected logs and each K's Gram
 products are per K, each in the order it would have alone, so every K's
 result is the one it gets alone, to the byte. A K leaves the loop when
-it stops. The range runs in groups of at most 2^20 responsibilities, and
-detect_range hands each group's results out before it fits the next.
+it stops, and only its partition, its flags and theta_vb leave the fit.
+The range runs in groups of at most 2^20 responsibilities, which bound
+the fit's working set.
 """
 
 from __future__ import annotations
@@ -79,30 +80,11 @@ _BLOCK = 128
 
 @dataclass(frozen=True, eq=False)
 class DetectionResult:
-    """A clustering plus provider diagnostics.
-
-    responsibilities, when present, is an n x K soft assignment whose
-    row-wise argmax reproduces the hard partition.
-    """
+    """A clustering plus provider diagnostics."""
 
     partition: Partition
-    responsibilities: np.ndarray | None
     converged: bool
     iterations: int
-
-    def __post_init__(self):
-        r = self.responsibilities
-        if r is None:
-            return
-        r = np.asarray(r, dtype=np.float64).copy()
-        if r.shape != (self.partition.n, self.partition.K):
-            raise ValueError("responsibilities must be n x K")
-        if not np.allclose(r.sum(axis=1), 1.0, atol=1e-8):
-            raise ValueError("responsibility rows must sum to 1")
-        if not np.array_equal(np.argmax(r, axis=1) + 1, self.partition.labels):
-            raise ValueError("partition must be the row-wise argmax of responsibilities")
-        r.flags.writeable = False
-        object.__setattr__(self, "responsibilities", r)
 
 
 @functools.cache
@@ -379,8 +361,7 @@ def spectral_partition(graph: Graph, K: int, seed: int,
     _check_k(graph, K)
     if K == 1:
         part = Partition(labels=np.ones(graph.n, dtype=np.int64), K=1)
-        return DetectionResult(partition=part, responsibilities=None,
-                               converged=True, iterations=0)
+        return DetectionResult(partition=part, converged=True, iterations=0)
     if basis is None:
         vecs = _top_eigvecs(graph, K)
     elif basis.ndim != 2 or basis.shape[0] != graph.n or basis.shape[1] < K:
@@ -395,8 +376,8 @@ def spectral_partition(graph: Graph, K: int, seed: int,
     labels, inertia, _, iters, conv = _kmeans_once(emb, K, rngs)
     best = int(np.argmin(inertia))
     part = compact_partition(labels[best] + 1)
-    return DetectionResult(partition=part, responsibilities=None,
-                           converged=bool(conv[best]), iterations=int(iters[best]))
+    return DetectionResult(partition=part, converged=bool(conv[best]),
+                           iterations=int(iters[best]))
 
 
 def _beta_kl(zeta, xi, psi_zeta, psi_xi, psi_sum, a0, b0):
@@ -607,9 +588,7 @@ def _finish(R, X, converged, sweeps):
     edges, pairs, _ = _group_counts(Rc, X, _layout([K]))
     theta_vb = ((_A0 + edges) / (_A0 + _B0 + pairs)).reshape(K, K)
     theta_vb = (theta_vb + theta_vb.T) / 2.0
-    det = DetectionResult(partition=part, responsibilities=Rc,
-                          converged=converged, iterations=sweeps)
-    return det, theta_vb
+    return DetectionResult(partition=part, converged=converged, iterations=sweeps), theta_vb
 
 
 @_one_blas_thread()
@@ -624,9 +603,9 @@ def _fit_group(X, ks, inits, max_iter, tol, traces):
     n = X.shape[0]
     lay = _layout(ks)
     R = np.zeros((n, int(lay.ks.sum())))
-    for K, c, init in zip(ks, lay.cols, inits):
-        if init.responsibilities is not None and init.responsibilities.shape[1] == K:
-            R[:, c] = init.responsibilities
+    for c, init in zip(lay.cols, inits):
+        if isinstance(init, np.ndarray):  # a soft start
+            R[:, c] = init
         else:
             R[np.arange(n), c.start + init.partition.labels - 1] = 1.0
     if max_iter < 1:  # no sweep: each K's start, finished
@@ -685,18 +664,14 @@ def _fit_group(X, ks, inits, max_iter, tol, traces):
 
 
 def _fit_range(X, ks, inits, max_iter, tol, traces=None):
-    """Variational EM of each K in `ks` from its start in `inits`, on the
-    CSR adjacency X; yields (DetectionResult, theta_vb) per K, in order.
+    """Variational EM of each K in `ks` from its start in `inits` (a
+    DetectionResult, or an (n, K) soft start), on the CSR adjacency X; a
+    list of (DetectionResult, theta_vb) per K, in order.
 
     Consecutive K run in lockstep groups (:func:`_fit_group`) whose n x
     (sum of K) responsibilities hold at most _WIDE entries, at least one K
-    each. A group is fitted when its first K is asked for, and its results
-    are dropped once all are handed out, so a consumer that keeps only what it
-    needs of each K holds one group's responsibilities at a time, and no
-    adjacency once the last group is fitted. Every K's sweeps are those it
-    would make alone, to the byte. A group's fit holds OpenBLAS at one
-    thread and the hand-out does not, so whoever consumes the fits runs at
-    its own thread count."""
+    each, so the fit holds one group's responsibilities at a time. Every
+    K's sweeps are those it would make alone, to the byte."""
     traces = traces or [None] * len(ks)
     groups, width = [[]], 0
     for i, K in enumerate(ks):
@@ -705,17 +680,15 @@ def _fit_range(X, ks, inits, max_iter, tol, traces=None):
             width = 0
         groups[-1].append(i)
         width += K
-    last = len(groups) - 1
-    for g, group in enumerate(groups):
-        fits = _fit_group(X, [ks[i] for i in group], [inits[i] for i in group],
-                          max_iter, tol, [traces[i] for i in group])
-        if g == last:  # whoever consumes the last fits needs neither
-            del X, inits
-        yield from fits
+    fits = []
+    for group in groups:
+        fits += _fit_group(X, [ks[i] for i in group], [inits[i] for i in group],
+                           max_iter, tol, [traces[i] for i in group])
+    return fits
 
 
-def variational_em(graph: Graph, K: int, init: DetectionResult,
-                   max_iter: int = 100, tol: float = 1e-3, trace=None):
+def variational_em(graph: Graph, K: int, init, max_iter: int = 100, tol: float = 1e-3,
+                   trace=None):
     """Mean-field EM for the Bernoulli block model.
 
     Each sweep updates the membership posterior and the block-probability
@@ -728,6 +701,10 @@ def variational_em(graph: Graph, K: int, init: DetectionResult,
     `max_iter` < 1 no sweep runs, and the start comes back finished,
     unconverged, after 0 sweeps.
 
+    `init` is a DetectionResult, whose partition (at most K clusters)
+    starts the EM one-hot, or an (n, K) array of soft assignments, each
+    row nonnegative with sum 1.
+
     This is the one-K call of the engine :func:`detect_range` runs a K
     range with. The adjacency's row blocks (views, :class:`_row_blocks`)
     are made once per fit, a redo's one-node blocks one at a time as it
@@ -739,25 +716,31 @@ def variational_em(graph: Graph, K: int, init: DetectionResult,
     per-block posterior-mean connectivity for the compacted clusters. Pass
     a list as `trace` to capture the objective value of every sweep.
     """
-    if init.partition.n != graph.n:
-        raise ValueError("init partition does not cover this graph")
-    if init.partition.K > K:
-        raise ValueError(f"init has {init.partition.K} clusters but K={K}")
-    return next(_fit_range(_csr_adjacency(graph), [K], [init], max_iter, tol, [trace]))
+    if isinstance(init, DetectionResult):
+        if init.partition.n != graph.n:
+            raise ValueError("init partition does not cover this graph")
+        if init.partition.K > K:
+            raise ValueError(f"init has {init.partition.K} clusters but K={K}")
+    else:
+        init = np.asarray(init, dtype=np.float64)
+        if init.shape != (graph.n, K):
+            raise ValueError(f"soft start of shape {init.shape} is not ({graph.n}, {K})")
+        if np.any(init < 0) or not np.allclose(init.sum(axis=1), 1.0, atol=1e-8):
+            raise ValueError("soft start rows must be nonnegative and sum to 1")
+    return _fit_range(_csr_adjacency(graph), [K], [init], max_iter, tol, [trace])[0]
 
 
 def detect_range(graph: Graph, k_range, seed: int, max_iter: int = 100, tol: float = 1e-3):
     """Spectral initialization refined by variational EM at every K of
     `k_range`: the one detection entry, for estimation and selection
-    runs; one K is the range (K,). Returns an iterator of
+    runs; one K is the range (K,). Returns a list of
     (DetectionResult, theta_vb) per K, in `k_range` order.
 
-    The range must be nonempty. Every K is checked, and one eigensolve
-    at the largest K serves every spectral start
-    (:func:`spectral_partition` with `basis`), before this returns; the
-    basis is then dropped, and the EM runs the range in lockstep
-    (:func:`_fit_range`) as the iterator is consumed, a group of K at a
-    time. Each K's result is the one it gets alone.
+    The range must be nonempty. Every K is checked before any work, and
+    one eigensolve at the largest K serves every spectral start
+    (:func:`spectral_partition` with `basis`); the basis is then dropped,
+    and the EM runs the range in lockstep (:func:`_fit_range`), a group
+    of K at a time. Each K's result is the one it gets alone.
 
     The CSR adjacency is built twice, for the eigensolve and for the EM,
     and is not held across the spectral starts: beside k-means' scratch

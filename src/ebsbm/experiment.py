@@ -196,9 +196,7 @@ def analyze_graph(graph: Graph, k_range, seed: int, truth=None,
 
     Detection is one detect_range call: one eigensolve per graph, and the
     K range's variational EMs in lockstep, each K's result the one it gets
-    alone. Each K is estimated and scored as its fit comes, and only its
-    partition is kept, so detection's results are held one lockstep group
-    at a time.
+    alone. Each K is then estimated and scored from its partition.
 
     Returns (records, selection, estimates) where selection maps criterion
     name to the chosen (compacted) K and carries the error-minimizing

@@ -83,12 +83,16 @@ def theta_star(graph: Graph, true_partition: Partition) -> np.ndarray:
 def split_nodes(n: int, fraction: float = 0.7, seed: int = 0):
     """Uniform train/test node split without replacement.
 
-    Train size is round-half-up of fraction * n. Returns sorted index
-    arrays whose disjoint union is 0..n-1; deterministic given the seed.
+    Train size is round-half-up of fraction * n, and must leave both sides
+    nonempty. Returns sorted index arrays whose disjoint union is 0..n-1;
+    deterministic given the seed.
     """
     if not (0 < fraction < 1):
         raise ValueError("fraction must lie strictly between 0 and 1")
     m = int(np.floor(fraction * n + 0.5))
+    if not 0 < m < n:
+        raise ValueError(f"fraction={fraction} of n={n} nodes leaves "
+                         f"{'no train' if m == 0 else 'no test'} node")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     train = np.sort(perm[:m])

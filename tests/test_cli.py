@@ -35,6 +35,16 @@ class TestExitCodes:
         rc = main(["select", "--graph", str(path), "--k-range", "0..2"])
         assert rc == 2
 
+    @pytest.mark.parametrize("text", ["1,3..6", "2..4,6", "3..", "a"])
+    def test_unparsable_k_range_is_2(self, tmp_path, capsys, text):
+        # each once exited 2 with int()'s "invalid literal for int()"
+        path = cliques_file(tmp_path)
+        rc = main(["select", "--graph", str(path), "--k-range", text])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"--k-range {text!r} is not LO..HI, a comma list such as 2,4,8, or one K" in err
+        assert "invalid literal" not in err
+
     @pytest.mark.parametrize("command", ["estimate", "select", "evaluate", "experiment"])
     def test_empty_k_range_is_2(self, tmp_path, capsys, command):
         path = cliques_file(tmp_path)
@@ -92,6 +102,17 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "n_splits must be >= 1" in captured.err
         assert "mse_eb/mse_mle" not in captured.out
+        assert not (tmp_path / "ev" / "evaluation.json").exists()
+
+    @pytest.mark.parametrize("fraction, side", [("0.001", "no train"), ("0.999", "no test")])
+    def test_split_with_an_empty_side_is_2(self, tmp_path, capsys, fraction, side):
+        # 0.001 once failed in induced_subgraph ("need at least one node"),
+        # and 0.999 scored every method 0.0 on no test node and exited 0
+        rc = main(["evaluate", "--graph", str(bundled_data_path("synthetic_edges.txt")),
+                   "--labels", str(bundled_data_path("synthetic_labels.txt")),
+                   "--fraction", fraction, "--splits", "1", "--out", str(tmp_path / "ev")])
+        assert rc == 2
+        assert f"fraction={fraction} of n=200 nodes leaves {side} node" in capsys.readouterr().err
         assert not (tmp_path / "ev" / "evaluation.json").exists()
 
     def test_experiment_labels_without_graph_is_2(self, tmp_path, capsys):

@@ -1,7 +1,10 @@
+import dataclasses
+import gc
 import glob
 import hashlib
 import os
 import tracemalloc
+import types
 import warnings
 import weakref
 
@@ -14,9 +17,8 @@ from scipy import linalg, sparse
 from scipy.special import entr, xlogy
 
 from ebsbm import community
-from ebsbm.community import (DetectionResult, _kmeans_once, detect_range, spectral_partition,
-                             variational_em)
-from ebsbm.graph import Graph, Partition, block_stats, compact_partition
+from ebsbm.community import _kmeans_once, detect_range, spectral_partition, variational_em
+from ebsbm.graph import Graph, block_stats, compact_partition
 from ebsbm.io import bundled_data_path, ingest_network
 from ebsbm.samplers import affiliation_theta, powerlaw_graphon, sample_graphon, sample_sbm
 from helpers import hungarian_agreement, random_pairs, two_cliques_graph
@@ -220,12 +222,12 @@ class TestEigensolveBlasThreads:
         two = [2] * len(openblas)
         _set_threads(openblas, two)
         monkeypatch.setattr(community, layer, recorded)
-        list(detect_range(g, (5,), seed=0, max_iter=5))
+        detect_range(g, (5,), seed=0, max_iter=5)
         assert seen and set(seen) == {(1,) * len(openblas)}
         assert _counts(openblas) == two
         monkeypatch.setattr(community, layer, failing)
         with pytest.raises(RuntimeError, match="spoiled"):
-            list(detect_range(g, (5,), seed=0, max_iter=5))
+            detect_range(g, (5,), seed=0, max_iter=5)
         assert _counts(openblas) == two
 
     def test_kmeans_independent_of_the_callers_threads(self, openblas):
@@ -482,9 +484,8 @@ class TestAdjacency:
 
 
 def _random_init(n, K, seed):
-    r = np.random.default_rng(seed).dirichlet(np.ones(K), size=n)
-    part = Partition(labels=np.argmax(r, axis=1) + 1, K=K)
-    return DetectionResult(partition=part, responsibilities=r, converged=False, iterations=0)
+    # a soft start: (n, K) rows drawn from Dirichlet(1, ..., 1)
+    return np.random.default_rng(seed).dirichlet(np.ones(K), size=n)
 
 
 def _block_width(blocks):
@@ -503,35 +504,31 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-# sha256 of the objective trace (float.hex, comma-joined), theta_vb and the
-# responsibilities (little-endian float64), recorded with 128-node E-step
-# blocks, every per-K sum taken by np.add.reduceat and the entropy from the
-# E-step: (graph, K, init, init seed, sweeps, digests). The first case
-# redoes one sweep node by node.
+# sha256 of the objective trace (float.hex, comma-joined) and theta_vb
+# (little-endian float64), recorded with 128-node E-step blocks, every per-K
+# sum taken by np.add.reduceat and the entropy from the E-step: (graph, K,
+# init, init seed, sweeps, digests). The first case redoes one sweep node by
+# node.
 VEM_PINS = [
     ((3, 0.8, 1.0, 40, 13), 3, "random", 13, 20,
      "8c52867dede1b20cb5d98b6076de18542a12270c6a4920c8dfd2bbed9394f25d",
-     "44cc623faef78137648d3eddf0670a31903b11811f239ff24d3185242537605b",
-     "d81c90cf23fea12193f0cf1488d8766bc7a0fdff15990665932be2e420de995a"),
+     "44cc623faef78137648d3eddf0670a31903b11811f239ff24d3185242537605b"),
     ((5, 0.8, 0.5, 150, 4), 6, "spectral", 4, 39,
      "1a43f42e8816246bb1ba9383cc5863905cfc0145981394f2845330be3ead8ce6",
-     "1033e85335229efd20af201c5b6e1952cb7e14070b286075d24f689163b19a77",
-     "781fe2a42732bc6240309c4d37c58f1bff18bbdbdd159174dcf4f0db1b7e228b"),
+     "1033e85335229efd20af201c5b6e1952cb7e14070b286075d24f689163b19a77"),
     ((10, 0.9, 0.2, 400, 2000), 12, "spectral", 2000, 23,
      "2877a01eb5d76d80f39dcfe3c93825d3f8fa6d91be4d08f06002232923268335",
-     "ec6a0f12ad6f4acfd7a415d8504ab7d9b62128405b6de2db5fe79a48632944df",
-     "de4393165173e41c5fa965ba25a64a2853c747c2f964db654ea9d08b3c8de754"),
+     "ec6a0f12ad6f4acfd7a415d8504ab7d9b62128405b6de2db5fe79a48632944df"),
     (None, 10, "spectral", 0, 2,
      "b81206f5de7fd07c9631db9b35e8979e62120df7ac6aaff0f9844b7e8c9b20fc",
-     "a60783a7841f33dd710aa0e8d3238b2a805ad8acc65505586cf55e3d171372c3",
-     "f04b4a60b74b42be1ab7ccd61f6cbcce7ab8d1a5dec33d087b5dc8be00464c73"),
+     "a60783a7841f33dd710aa0e8d3238b2a805ad8acc65505586cf55e3d171372c3"),
 ]
 
 
-@pytest.mark.parametrize("sbm, K, init, seed, sweeps, trace_sha, theta_sha, resp_sha", VEM_PINS,
+@pytest.mark.parametrize("sbm, K, init, seed, sweeps, trace_sha, theta_sha", VEM_PINS,
                          ids=["n40-K3-random", "n150-K6-spectral", "n400-K12-spectral",
                               "bundled-K10-spectral"])
-def test_variational_em_pinned(sbm, K, init, seed, sweeps, trace_sha, theta_sha, resp_sha):
+def test_variational_em_pinned(sbm, K, init, seed, sweeps, trace_sha, theta_sha):
     # sbm is (K*, lambda, rho, n, graph seed) of an affiliation SBM with
     # epsilon 0.1; None is the bundled network
     if sbm is None:
@@ -546,7 +543,6 @@ def test_variational_em_pinned(sbm, K, init, seed, sweeps, trace_sha, theta_sha,
     assert det.iterations == sweeps == len(trace)
     assert _sha(",".join(v.hex() for v in trace).encode()) == trace_sha
     assert _sha(theta_vb.astype("<f8").tobytes()) == theta_sha
-    assert _sha(det.responsibilities.astype("<f8").tobytes()) == resp_sha
 
 
 class TestVariationalEm:
@@ -673,16 +669,6 @@ class TestVariationalEm:
         assert widths == [block, block, 1]
         assert peak <= 5_000_000, f"peak allocation {peak / 1e6:.1f} MB"
 
-    def test_responsibilities_consistent(self):
-        spec = affiliation_theta(K=3, lam=0.8, epsilon=0.05, rho=1.0)
-        g, _ = sample_sbm(spec, n=45, seed=9)
-        init = spectral_partition(g, K=3, seed=9)
-        res, _ = variational_em(g, K=3, init=init)
-        r = res.responsibilities
-        assert r is not None
-        assert np.allclose(r.sum(axis=1), 1.0, atol=1e-8)
-        assert np.array_equal(np.argmax(r, axis=1) + 1, res.partition.labels)
-
     def test_compacts_emptied_clusters(self):
         # K much larger than the structure supports: some clusters die
         g, _ = cliques_graph(6)
@@ -701,7 +687,7 @@ class TestVariationalEm:
         # this one converges after 77)
         g, _ = sample_sbm(affiliation_theta(K=1, lam=0.05, epsilon=0.0, rho=1.0), n=300,
                           seed=0)
-        det, _ = next(detect_range(g, (4,), seed=0, max_iter=3))
+        det, _ = detect_range(g, (4,), seed=0, max_iter=3)[0]
         assert det.converged is False
         assert det.iterations == 3
 
@@ -758,8 +744,8 @@ def _reference_vem(g, K, init, max_iter=100, tol=1e-3, trace=None):
         value = e_loglik + total(colsum * elog[0]) + total(entropy) - kl[0] - kl[1]
         return float(value[0]), counts
 
-    if init.responsibilities is not None and init.responsibilities.shape[1] == K:
-        R = init.responsibilities.copy()
+    if isinstance(init, np.ndarray):
+        R = init.copy()
     else:
         R = np.zeros((g.n, K))
         R[np.arange(g.n), init.partition.labels - 1] = 1.0
@@ -796,23 +782,33 @@ def _reference_vem(g, K, init, max_iter=100, tol=1e-3, trace=None):
     Rc /= Rc.sum(axis=1, keepdims=True)
     edges, pairs, _ = counts_of(Rc)
     theta_vb = (a0 + edges) / (a0 + b0 + pairs)
-    return labels0, Rc, (theta_vb + theta_vb.T) / 2.0, sweeps, converged
+    return labels0, R, (theta_vb + theta_vb.T) / 2.0, sweeps, converged
 
 
 def _assert_fits_match_reference(g, ks, inits, **kwargs):
-    # every K of one _fit_range call against the reference fit of that K
+    # every K of one _fit_range call against the reference fit of that K,
+    # each K's final responsibilities taken from the engine's _finish
     traces = [[] for _ in ks]
-    fits = list(community._fit_range(community._csr_adjacency(g), list(ks), inits,
-                                     kwargs.get("max_iter", 100), kwargs.get("tol", 1e-3),
-                                     traces))
+    final, finish = {}, community._finish
+
+    def recorded(R, *args):
+        out = finish(R, *args)
+        final[id(out[0])] = R.copy()
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(community, "_finish", recorded)
+        fits = community._fit_range(community._csr_adjacency(g), list(ks), inits,
+                                    kwargs.get("max_iter", 100), kwargs.get("tol", 1e-3),
+                                    traces)
     assert len(fits) == len(ks)
     for K, init, (det, theta_vb), trace in zip(ks, inits, fits, traces):
         want_trace = []
-        labels0, Rc, theta, sweeps, converged = _reference_vem(g, K, init, trace=want_trace,
-                                                               **kwargs)
+        labels0, R, theta, sweeps, converged = _reference_vem(g, K, init, trace=want_trace,
+                                                              **kwargs)
         assert (det.iterations, det.converged) == (sweeps, converged), K
         assert np.array_equal(det.partition.labels, compact_partition(labels0 + 1).labels), K
-        assert det.responsibilities.tobytes() == np.ascontiguousarray(Rc).tobytes(), K
+        assert final[id(det)].tobytes() == R.tobytes(), K
         assert theta_vb.tobytes() == theta.tobytes(), K
         assert [v.hex() for v in trace] == [v.hex() for v in want_trace], K
     return fits
@@ -964,7 +960,7 @@ class TestLockstep:
 
         monkeypatch.setattr(community, "_e_step", step)
         monkeypatch.setattr(community, "_elbo", recorded)
-        list(community._fit_range(community._csr_adjacency(g), list(ks), inits, 100, 1e-3))
+        community._fit_range(community._csr_adjacency(g), list(ks), inits, 100, 1e-3)
         assert {K for K, *_ in seen} == set(ks)
         assert [K for K, redone, *_ in seen if redone] == ([3] if case == "redone sweep" else [])
         for K, _, value, want, ulps in seen:
@@ -981,8 +977,8 @@ class TestLockstep:
         monkeypatch.setattr(community, "_e_step", step)
         g = _sbm_400(1000)
         ks = tuple(range(5, 16))
-        list(community._fit_range(community._csr_adjacency(g), list(ks),
-                                  _spectral_starts(g, ks, 1000), 100, 1e-3))
+        community._fit_range(community._csr_adjacency(g), list(ks),
+                             _spectral_starts(g, ks, 1000), 100, 1e-3)
         widths = [w for w, _ in seen]
         assert widths[0] == sum(ks) and len(set(widths)) > 2
         assert all(contiguous for _, contiguous in seen)
@@ -1009,34 +1005,33 @@ class TestLockstep:
             return csr(graph)
 
         monkeypatch.setattr(community, "_csr_adjacency", counted)
-        list(detect_range(_sbm_400(2002), k_range, seed=3))
+        detect_range(_sbm_400(2002), k_range, seed=3)
         assert calls == [400] * builds
 
     def test_holds_one_group_of_results_at_a_time(self, monkeypatch):
-        # detect_range hands each group's fits out before it fits the next,
-        # so a consumer that keeps only what it needs of each K, as
-        # analyze_graph does, never holds the whole range's responsibilities
+        # the fit drops each group's responsibilities before it fits the
+        # next, and keeps only each K's partition, flags and theta_vb, so
+        # it never holds the whole range's responsibilities
         n, ks = 500, tuple(range(2, 42))
         g = sample_sbm(affiliation_theta(K=10, lam=0.9, epsilon=0.1, rho=0.2), n=n,
                        seed=3)[0]
         monkeypatch.setattr(community, "_WIDE", n * max(ks))  # at most 41 columns a group
+        X, inits = community._csr_adjacency(g), _spectral_starts(g, ks, 3)
         tracemalloc.start()
         try:
-            fits = detect_range(g, ks, seed=3, max_iter=2)
-            tracemalloc.reset_peak()  # past the spectral starts' k-means scratch
-            found = [det.partition.K for det, _ in fits]
+            fits = community._fit_range(X, list(ks), inits, 2, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(found) == len(ks)
-        # the range's responsibilities are 8 n (sum of K) = 3.4 MB; the
-        # adjacency, the starts and a group's R, sweep-start copy, products
-        # and results were 1.3 MB
+        assert len(fits) == len(ks)
+        # the range's responsibilities are 8 n (sum of K) = 3.4 MB; a
+        # group's R, sweep-start copy and products and the results are less
+        # than half of that
         assert peak < 8 * n * sum(ks) / 2, f"peak allocation {peak / 1e6:.1f} MB"
 
-    def test_adjacency_dropped_before_the_last_fits_are_consumed(self, monkeypatch):
-        # analyze_graph estimates and scores each K while the iterator is
-        # suspended; from the last group on it must not hold the adjacency
+    def test_results_hold_no_adjacency_and_no_responsibilities(self, monkeypatch):
+        # the list detect_range returns keeps each K's partition, flags and
+        # theta_vb: no adjacency, and no float array with a row per node
         built = []
         csr = community._csr_adjacency
 
@@ -1047,11 +1042,22 @@ class TestLockstep:
 
         monkeypatch.setattr(community, "_csr_adjacency", recorded)
         monkeypatch.setattr(community, "_WIDE", 400 * 9)  # groups (9, 4), (6,)
-        fits = detect_range(_sbm_400(2002), (9, 4, 6), seed=3)
-        next(fits), next(fits)
-        assert built[-1]() is not None  # the group (6,) is still to come
-        next(fits)
-        assert all(ref() is None for ref in built)
+        g = _sbm_400(2002)
+        fits = detect_range(g, (9, 4, 6), seed=3)
+        assert isinstance(fits, list) and len(fits) == 3
+        assert built and all(ref() is None for ref in built)
+        seen, stack = set(), [fits]
+        while stack:  # everything the results reach, past classes and modules
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+                continue
+            seen.add(id(obj))
+            assert not (isinstance(obj, np.ndarray) and obj.dtype.kind == "f"
+                        and obj.ndim and obj.shape[0] == g.n), obj.shape
+            stack.extend(gc.get_referents(obj))
+        for det, _ in fits:
+            assert [f.name for f in dataclasses.fields(det)] == [
+                "partition", "converged", "iterations"]
 
     def test_detect_range_checks_every_k_first(self, monkeypatch):
         g, _ = cliques_graph(4)
@@ -1068,15 +1074,15 @@ class TestDetectOneK:
     def test_shapes_and_determinism(self):
         spec = affiliation_theta(K=4, lam=0.8, epsilon=0.1, rho=1.0)
         g, _ = sample_sbm(spec, n=60, seed=0)
-        det1, th1 = next(detect_range(g, (4,), seed=7))
-        det2, th2 = next(detect_range(g, (4,), seed=7))
+        det1, th1 = detect_range(g, (4,), seed=7)[0]
+        det2, th2 = detect_range(g, (4,), seed=7)[0]
         assert det1.partition == det2.partition
         assert np.array_equal(th1, th2)
         assert th1.shape == (det1.partition.K, det1.partition.K)
 
     def test_recovers_cliques(self):
         g, labels = cliques_graph(10)
-        det, theta_vb = next(detect_range(g, (2,), seed=0))
+        det, theta_vb = detect_range(g, (2,), seed=0)[0]
         assert hungarian_agreement(det.partition.labels, labels) == 1.0
 
     def test_allocates_no_node_by_node_array(self):
@@ -1090,19 +1096,25 @@ class TestDetectOneK:
         g, _ = sample_sbm(spec, n=3000, seed=0)
         tracemalloc.start()
         try:
-            list(detect_range(g, (10,), seed=0))
+            detect_range(g, (10,), seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000, f"peak allocation {peak / 1e6:.1f} MB"
 
 
-def test_detection_result_validation():
-    part = Partition.from_labels([1, 2])
-    bad = np.array([[0.9, 0.2], [0.1, 0.9]])  # rows don't sum to 1
-    with pytest.raises(ValueError):
-        DetectionResult(partition=part, responsibilities=bad, converged=True, iterations=1)
-    good = np.array([[0.8, 0.2], [0.1, 0.9]])
-    mismatched = Partition.from_labels([2, 1])
-    with pytest.raises(ValueError):
-        DetectionResult(partition=mismatched, responsibilities=good, converged=True, iterations=1)
+def test_soft_start_validation():
+    g, _ = cliques_graph(3)
+    with pytest.raises(ValueError, match=r"soft start of shape \(6, 3\) is not \(6, 2\)"):
+        variational_em(g, 2, _random_init(g.n, 3, 0))
+    with pytest.raises(ValueError, match=r"is not \(6, 2\)"):
+        variational_em(g, 2, _random_init(g.n - 1, 2, 0))
+    bad = _random_init(g.n, 2, 0)
+    bad[4] *= 1.1
+    with pytest.raises(ValueError, match="soft start rows must be nonnegative and sum to 1"):
+        variational_em(g, 2, bad)
+    bad[4] = (1.5, -0.5)
+    with pytest.raises(ValueError, match="soft start rows must be nonnegative"):
+        variational_em(g, 2, bad)
+    det, _ = variational_em(g, 2, _random_init(g.n, 2, 0).tolist())  # any array-like
+    assert det.partition.n == g.n

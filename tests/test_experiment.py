@@ -370,7 +370,7 @@ class TestSharedEigenbasis:
         g = Graph(n=6, edges=[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
         _, _, estimates = analyze_graph(g, (2, 6), seed=0)
         for est in estimates:
-            det, theta_vb = next(detect_range(g, (est["K"],), seed=0))
+            det, theta_vb = detect_range(g, (est["K"],), seed=0)[0]
             assert est["partition"] == det.partition
             assert np.array_equal(est["vbem"].theta, theta_vb)
 

@@ -267,6 +267,14 @@ class TestSplitNodes:
         with pytest.raises(ValueError):
             split_nodes(10, fraction=1.0, seed=0)
 
+    @pytest.mark.parametrize("n, fraction, side", [
+        (200, 0.001, "no train"), (200, 0.999, "no test"), (1, 0.7, "no test"),
+        (3, 0.1, "no train")])
+    def test_empty_side_rejected(self, n, fraction, side):
+        # the train size rounds to 0 or to n: one side of the split is empty
+        with pytest.raises(ValueError, match=f"fraction={fraction} of n={n} nodes leaves {side}"):
+            split_nodes(n, fraction=fraction, seed=0)
+
 
 class TestTestLoglik:
     def test_all_half(self):
