@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .community import detect_range
+from .community import check_k_range, detect_range
 from .estimator import (
     ConnectivityEstimate,
     eb_estimate,
@@ -121,19 +121,6 @@ class ExperimentConfig:
     @classmethod
     def from_json_dict(cls, d):
         return cls(**d)
-
-
-def check_k_range(k_range) -> tuple:
-    """k_range as a tuple of ints; raises unless it is nonempty, every K
-    is >= 1 and no K repeats."""
-    k_range = tuple(int(k) for k in k_range)
-    if not k_range:
-        raise ValueError("k_range must be nonempty")
-    if any(k < 1 for k in k_range):
-        raise ValueError("k_range entries must be >= 1")
-    if len(set(k_range)) < len(k_range):
-        raise ValueError(f"k_range must not repeat a K, got {list(k_range)}")
-    return k_range
 
 
 def _model_spec(cfg: ExperimentConfig):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .estimator import ConnectivityEstimate
 from .graph import Partition, check_connectivity
-from .samplers import GraphonSpec, _PowerlawW
+from .samplers import GraphonSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,13 +98,11 @@ def reorder_identifiable(g: StepGraphon):
 
 
 def mse_graphon(estimate: StepGraphon, truth: GraphonSpec) -> float:
-    """Integrated squared error between the estimate and a power-law truth
-    rho lam^2 (x y)^(lam - 1), in closed form: on each cell every term of
-    the squared difference has a monomial antiderivative."""
-    if not isinstance(truth.w, _PowerlawW):
-        raise ValueError("mse_graphon integrates power-law truths only "
-                         "(a GraphonSpec from powerlaw_graphon)")
-    rho, lam = truth.w.rho, truth.w.lam
+    """Integrated squared error between the estimate and the truth, the
+    power-law graphon rho lam^2 (x y)^(lam - 1) given by its two
+    parameters, in closed form: on each cell every term of the squared
+    difference has a monomial antiderivative."""
+    rho, lam = truth.rho, truth.lam
     edges = estimate.boundaries
     p2 = 2 * lam - 1
     i1 = np.diff(edges**lam) / lam  # per-cell integrals of x^(lam - 1)

@@ -1,4 +1,5 @@
-"""Seeded random-graph generators for block models and graphons.
+"""Seeded random-graph generators for block models and the power-law
+graphon, the paper's one graphon model, given by its two parameters.
 
 All sampling uses NumPy's PCG64 generator (``np.random.default_rng(seed)``),
 so identical (spec, n, seed) inputs reproduce the same graph bit for bit.
@@ -46,57 +47,41 @@ class SbmSpec:
         return self.pi.size
 
 
-_PROBE = np.linspace(0.0, 1.0, 100)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GraphonSpec:
-    """A symmetric edge-probability function on the unit square.
+    """The power-law graphon w(x, y) = rho lam^2 (x y)^(lam - 1), whose
+    expected edge density is rho: the paper's one graphon model, given by
+    its two parameters, from which :func:`ebsbm.graphon.mse_graphon`
+    integrates the error in closed form.
 
-    ``w`` must accept array arguments. Only :func:`powerlaw_graphon`'s
-    ``w`` carries parameters, its ``rho`` and ``lam``, from which
-    :func:`ebsbm.graphon.mse_graphon` integrates the error in closed form.
+    0 < rho <= 1, lam >= 1 (so w stays bounded) and rho lam^2 <= 1 (so
+    the peak w(1, 1) is a probability) keep w in [0, 1] on the whole unit
+    square, so the sampler checks no tile.
     """
 
-    w: object
+    rho: float
+    lam: float
 
     def __post_init__(self):
-        gx, gy = np.meshgrid(_PROBE, _PROBE)
-        vals = np.asarray(self.w(gx, gy), dtype=np.float64)
-        if vals.shape != gx.shape:
-            raise ValueError("w must broadcast over array inputs")
-        if not np.all(np.isfinite(vals)) or vals.min() < -1e-12 or vals.max() > 1 + 1e-12:
-            raise ValueError("w must map the probe grid into [0, 1]")
-        if not np.allclose(vals, vals.T, atol=1e-12):
-            raise ValueError("w must be symmetric on the probe grid")
+        if not 0 < self.rho <= 1:
+            raise ValueError("rho must lie in (0, 1]")
+        if not self.lam >= 1:
+            raise ValueError("lam must be >= 1")
+        if self.rho * self.lam * self.lam > 1 + 1e-12:
+            raise ValueError("rho * lam^2 must not exceed 1")
+        object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "lam", float(self.lam))
 
-
-class _PowerlawW:
-    """w(x, y) = rho * lam^2 * (x y)^(lam - 1); picklable for worker pools."""
-
-    def __init__(self, rho: float, lam: float):
-        self.rho = float(rho)
-        self.lam = float(lam)
-
-    def __call__(self, x, y):
+    def w(self, x, y):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         return self.rho * self.lam**2 * (x * y) ** (self.lam - 1.0)
 
 
 def powerlaw_graphon(rho: float, lam: float) -> GraphonSpec:
-    """Sparsity/concentration family with expected edge density rho.
-
-    Requires lam >= 1 (so the function stays bounded) and rho * lam^2 <= 1
-    (so the peak value at (1, 1) is a probability).
-    """
-    if not (0 < rho <= 1):
-        raise ValueError("rho must lie in (0, 1]")
-    if lam < 1:
-        raise ValueError("lam must be >= 1")
-    if rho * lam * lam > 1 + 1e-12:
-        raise ValueError("rho * lam^2 must not exceed 1")
-    return GraphonSpec(w=_PowerlawW(rho, lam))
+    """The power-law graphon of expected edge density rho; see
+    :class:`GraphonSpec` for the parameter rules."""
+    return GraphonSpec(rho, lam)
 
 
 def affiliation_theta(K: int, lam: float, epsilon: float, rho: float) -> SbmSpec:
@@ -123,11 +108,10 @@ _BLOCK_PAIRS = 1 << 16
 def _sample_pairs(rng, n, tile):
     """Edges i < j, each pair drawn once in ``np.triu_indices(n, 1)`` order.
 
-    ``tile(r0, r1, upper)`` gives the edge probabilities of rows r0..r1-1
-    against columns r0+1..n-1. Only the tile's upper triangle ``upper``
-    (column > row) holds pairs: the draws fill it in row-major order, which
-    is triu order, and nothing below it or on its diagonal can become an
-    edge.
+    ``tile(r0, r1)`` gives the edge probabilities of rows r0..r1-1 against
+    columns r0+1..n-1. Only the tile's upper triangle (column > row) holds
+    pairs: the draws fill it in row-major order, which is triu order, and
+    nothing below it or on its diagonal can become an edge.
     """
     chunks = [np.empty((0, 2), dtype=np.int64)]
     r0 = 0
@@ -137,7 +121,7 @@ def _sample_pairs(rng, n, tile):
         upper = np.arange(width) >= np.arange(r1 - r0)[:, None]
         draws = np.empty(upper.shape)
         draws[upper] = rng.random(np.count_nonzero(upper))
-        i, j = np.divmod(np.flatnonzero(upper & (draws < tile(r0, r1, upper))), width)
+        i, j = np.divmod(np.flatnonzero(upper & (draws < tile(r0, r1))), width)
         chunks.append(np.column_stack((i + r0, j + r0 + 1)))
         r0 = r1
     return np.concatenate(chunks)
@@ -149,7 +133,7 @@ def _draw_sbm(spec: SbmSpec, n: int, seed: int) -> tuple[Graph, np.ndarray]:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     z0 = rng.choice(spec.K, size=n, p=spec.pi)
-    edges = _sample_pairs(rng, n, lambda r0, r1, upper: spec.theta[z0[r0:r1]][:, z0[r0 + 1:]])
+    edges = _sample_pairs(rng, n, lambda r0, r1: spec.theta[z0[r0:r1]][:, z0[r0 + 1:]])
     return Graph(n=n, edges=edges), z0
 
 
@@ -170,12 +154,5 @@ def sample_graphon(spec: GraphonSpec, n: int, seed: int) -> tuple[Graph, np.ndar
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     u = rng.random(n)
-
-    def tile(r0, r1, upper):
-        p = np.asarray(spec.w(u[r0:r1, None], u[None, r0 + 1:]), dtype=np.float64)
-        if (upper & ~((p >= 0) & (p <= 1))).any():  # NaN fails both
-            raise ValueError("graphon returned a value outside [0, 1] at a sampled point")
-        return p
-
-    edges = _sample_pairs(rng, n, tile)
+    edges = _sample_pairs(rng, n, lambda r0, r1: spec.w(u[r0:r1, None], u[None, r0 + 1:]))
     return Graph(n=n, edges=edges), u

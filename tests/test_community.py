@@ -1069,6 +1069,21 @@ class TestLockstep:
         with pytest.raises(ValueError, match="k_range must be nonempty"):
             detect_range(g, [], seed=0)
 
+    def test_detect_range_takes_the_k_range_rule(self, monkeypatch):
+        # a non-integral K once fit its truncation (4.7 as K = 4) and a
+        # repeated K fit twice; NumPy integers are K like Python's
+        g, _ = cliques_graph(4)
+        want = detect_range(g, (2, 3), seed=0)
+        got = detect_range(g, np.array([2, 3]), seed=0)
+        assert [d.partition for d, _ in got] == [d.partition for d, _ in want]
+        monkeypatch.setattr(community, "_top_eigvecs", None)  # no solve is made
+        with pytest.raises(ValueError, match="k_range entries must be integers, got 4.7"):
+            detect_range(g, (4.7,), seed=0)
+        with pytest.raises(ValueError, match="must be integers, got np.float64\\(3.0\\)"):
+            detect_range(g, (2, np.float64(3)), seed=0)
+        with pytest.raises(ValueError, match="k_range must not repeat a K, got \\[2, 3, 2\\]"):
+            detect_range(g, (2, 3, 2), seed=0)
+
 
 class TestDetectOneK:
     def test_shapes_and_determinism(self):

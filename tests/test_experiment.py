@@ -62,10 +62,13 @@ class TestConfig:
         ({"model": "graphon-powerlaw", "rho": 0.5, "lam": 3.0},
          "rho \\* lam\\^2 must not exceed 1"),
         ({"k_range": (2, 2)}, "must not repeat a K"),
+        ({"k_range": (2.5, 3)}, "k_range entries must be integers, got 2.5"),
+        ({"k_range": (np.float64(2), 3)}, "k_range entries must be integers"),
     ])
     def test_rejected_before_any_replicate(self, bad, message):
         # each once skipped every replicate (or, for a repeated K, wrote its
-        # records twice) instead of failing
+        # records twice, and a non-integral K ran as its truncation) instead
+        # of failing
         with pytest.raises(ValueError, match=message):
             small_cfg(**bad)
 
@@ -170,12 +173,15 @@ class TestRun:
         assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
         assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
 
-    def test_parallel_matches_serial(self, tmp_path):
-        cfg = small_cfg()
-        a = run_experiment(small_cfg(workers=1), out_dir=str(tmp_path / "s"))
-        b = run_experiment(small_cfg(workers=2), out_dir=str(tmp_path / "p"))
-        assert (tmp_path / "s" / "records.jsonl").read_bytes() == \
-            (tmp_path / "p" / "records.jsonl").read_bytes()
+    @pytest.mark.parametrize("over", [{}, {"model": "graphon-powerlaw", "rho": 0.1, "lam": 2.0}],
+                             ids=["sbm", "graphon"])
+    def test_parallel_matches_serial(self, tmp_path, over):
+        # a graphon replicate's spec and truth cross the pool like a block model's
+        run_experiment(small_cfg(workers=1, **over), out_dir=str(tmp_path / "s"))
+        run_experiment(small_cfg(workers=2, **over), out_dir=str(tmp_path / "p"))
+        serial = (tmp_path / "s" / "records.jsonl").read_bytes()
+        assert serial.count(b"\n") == 6
+        assert serial == (tmp_path / "p" / "records.jsonl").read_bytes()
 
     @staticmethod
     def _records_at_threads(tmp_path, n, rho, k_range):

@@ -10,7 +10,7 @@ from ebsbm.graphon import (
     mse_graphon,
     reorder_identifiable,
 )
-from ebsbm.samplers import GraphonSpec, powerlaw_graphon
+from ebsbm.samplers import powerlaw_graphon
 from helpers import midpoint_grid_mse, step_values
 
 
@@ -160,20 +160,3 @@ class TestMse:
         zero = step([0.0, 0.3, 0.55, 0.9, 1.0], np.zeros((4, 4)))
         want = 0.05**2 * 3.0**4 / (2 * 3.0 - 1) ** 2
         assert mse_graphon(zero, truth) == pytest.approx(want, rel=1e-12)
-
-    def test_non_powerlaw_truth_rejected(self):
-        truth = GraphonSpec(w=lambda x, y: 0.25 * (np.asarray(x) + np.asarray(y)))
-        with pytest.raises(ValueError, match="power-law"):
-            mse_graphon(step([0.0, 1.0], [[0.25]]), truth)
-
-    def test_only_powerlaw_graphon_carries_rho_and_lam(self):
-        # a constant 0.5 cannot claim the power law's rho = 0.1, lam = 2
-        # (its error would read 0.16778 instead of 0)
-        def half(x, y):
-            return np.full(np.broadcast(x, y).shape, 0.5)
-
-        with pytest.raises(TypeError):
-            GraphonSpec(w=half, rho=0.1, lam=2.0)
-        half.rho, half.lam = 0.1, 2.0
-        with pytest.raises(ValueError, match="power-law"):
-            mse_graphon(step([0.0, 1.0], [[0.5]]), GraphonSpec(w=half))

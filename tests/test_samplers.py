@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ebsbm import samplers
-from ebsbm.graph import block_stats, compact_partition
+from ebsbm.graph import block_stats
 from ebsbm.io import write_edge_list
 from ebsbm.samplers import (
     GraphonSpec,
@@ -27,16 +27,27 @@ class TestSpecs:
         with pytest.raises(ValueError):
             SbmSpec(pi=np.array([1.0]), theta=np.array([[1.5]]))
 
-    def test_graphon_spec_probe(self):
-        with pytest.raises(ValueError):
-            GraphonSpec(w=lambda x, y: x + y)  # exceeds 1
-        with pytest.raises(ValueError):
-            GraphonSpec(w=lambda x, y: 0.5 * x)  # asymmetric
+    @pytest.mark.parametrize("rho, lam, message", [
+        (float("nan"), 2.0, "rho must lie in"),
+        (float("inf"), 2.0, "rho must lie in"),
+        (0.1, float("nan"), "lam must be >= 1"),  # once caught by a probe grid only
+        (0.1, float("-inf"), "lam must be >= 1"),
+        (0.1, float("inf"), "rho \\* lam\\^2 must not exceed 1"),
+    ])
+    def test_graphon_spec_rejects_non_finite(self, rho, lam, message):
+        with pytest.raises(ValueError, match=message):
+            GraphonSpec(rho, lam)
+
+    def test_graphon_spec_peak_and_equality(self):
+        spec = GraphonSpec(0.1, 2.0)
+        assert spec.w(1.0, 1.0) == spec.rho * spec.lam**2
+        assert spec == powerlaw_graphon(0.1, 2) and hash(spec) == hash(GraphonSpec(0.1, 2.0))
+        assert spec != GraphonSpec(0.1, 3.0)
 
     def test_powerlaw_params(self):
         spec = powerlaw_graphon(rho=0.1, lam=2.0)
         assert spec.w(1.0, 1.0) == pytest.approx(0.4)
-        assert spec.w.rho == 0.1 and spec.w.lam == 2.0
+        assert spec.rho == 0.1 and spec.lam == 2.0
         with pytest.raises(ValueError):
             powerlaw_graphon(rho=0.5, lam=3.0)  # rho * lam^2 > 1
         with pytest.raises(ValueError):
@@ -134,49 +145,36 @@ class TestSampleGraphon:
         assert np.array_equal(g1.edges, g2.edges)
         assert np.array_equal(u1, u2)
 
-    def test_out_of_range_w_rejected_at_sampling(self):
-        spec = unprobed_spec(lambda x, y: np.full(np.broadcast(x, y).shape, 1.5))
-        with pytest.raises(ValueError):
-            sample_graphon(spec, n=5, seed=0)
-
-    def test_guard_reaches_late_blocks(self, monkeypatch):
-        # w leaves [0, 1] only on the pair of the two latents above 0.97,
-        # nodes 92 and 99, whose row lies far past the first block
-        monkeypatch.setattr(samplers, "_BLOCK_PAIRS", 64)
-        u = np.random.default_rng(18).random(100)
-        assert np.flatnonzero(u > 0.97).tolist() == [92, 99]
-        spec = unprobed_spec(lambda x, y: np.where((x > 0.97) & (y > 0.97), 1.5, 0.2))
-        with pytest.raises(ValueError, match="outside"):
-            sample_graphon(spec, n=100, seed=18)
-
     @pytest.mark.parametrize("block", [1, 7, 64, 1 << 20])
     def test_guard_skips_the_diagonal(self, monkeypatch, block):
-        # x == y only where a node meets itself, which is never a sampled
-        # pair; elsewhere w is the constant 0.3, so the graph is that one's
+        # a tile is rows r0..r1-1 against columns r0+1..n-1, so its entry
+        # (a, b) is a node against itself where b == a - 1, never a sampled
+        # pair; there the tile reads 1.5 and elsewhere 0.3, so the edges
+        # are the constant 0.3's, draw for draw
         monkeypatch.setattr(samplers, "_BLOCK_PAIRS", block)
-        spec = unprobed_spec(lambda x, y: np.where(x == y, 1.5, 0.3))
-        g, u = sample_graphon(spec, n=60, seed=4)
-        ref, ref_u = sample_graphon(powerlaw_graphon(0.3, 1.0), n=60, seed=4)
-        assert np.array_equal(g.edges, ref.edges) and np.array_equal(u, ref_u)
+
+        def tile(r0, r1):
+            a, b = np.indices((r1 - r0, 59 - r0))
+            return np.where(b == a - 1, 1.5, 0.3)
+
+        edges = samplers._sample_pairs(np.random.default_rng(4), 60, tile)
+        ref, _ = all_pairs_reference(60, 4, lambda rng: None, lambda _, i, j: 0.3)
+        assert ref.size and np.array_equal(edges, ref)
 
     @pytest.mark.parametrize("block", [1, 7, 64, 1 << 20])
     def test_unsampled_tile_entries_never_edges(self, monkeypatch, block):
-        # a tile is rows r0.. against columns r0+1..; its entries strictly
-        # below the upper triangle are the diagonal and lower triangle of
-        # the adjacency, where w here is 1 and on the pairs themselves 0
+        # a tile's entries strictly below its upper triangle are the
+        # diagonal and lower triangle of the adjacency: a tile of 1 there
+        # and 0 on the pairs draws no edge, its complement every pair
         monkeypatch.setattr(samplers, "_BLOCK_PAIRS", block)
-        spec = unprobed_spec(lambda x, y: np.tril(np.ones(np.broadcast(x, y).shape), k=-1))
-        g, _ = sample_graphon(spec, n=60, seed=0)
-        assert g.edge_count == 0
 
+        def ones(r0, r1):
+            return np.ones((r1 - r0, 59 - r0))
 
-def unprobed_spec(w):
-    """A GraphonSpec that bypasses the probe, to test the sampler's guard."""
-    spec = GraphonSpec.__new__(GraphonSpec)
-    object.__setattr__(spec, "w", w)
-    object.__setattr__(spec, "rho", None)
-    object.__setattr__(spec, "lam", None)
-    return spec
+        rng = np.random.default_rng(0)
+        below = samplers._sample_pairs(rng, 60, lambda *rows: np.tril(ones(*rows), k=-1))
+        pairs = samplers._sample_pairs(rng, 60, lambda *rows: np.triu(ones(*rows)))
+        assert below.size == 0 and len(pairs) == 60 * 59 // 2
 
 
 def all_pairs_reference(n, seed, draw_nodes, pair_probs):
@@ -227,42 +225,6 @@ class TestBlockSampling:
         finally:
             tracemalloc.stop()
         assert peak <= bound, f"peak allocation {peak / 1e6:.1f} MB"
-
-
-def test_sbm_matches_piecewise_constant_graphon_distribution():
-    # Block-density statistics agree within 3 standard errors over 50 seeds.
-    pi = np.array([0.5, 0.5])
-    theta = np.array([[0.6, 0.15], [0.15, 0.3]])
-    spec_sbm = SbmSpec(pi=pi, theta=theta)
-
-    def w(x, y):
-        a = np.where(np.asarray(x) < 0.5, 0, 1)
-        b = np.where(np.asarray(y) < 0.5, 0, 1)
-        return theta[a, b]
-
-    spec_w = GraphonSpec(w=w)
-    n = 300
-
-    def block_freqs_sbm(seed):
-        g, part = sample_sbm(spec_sbm, n=n, seed=seed)
-        s = block_stats(g, part)
-        with np.errstate(invalid="ignore"):
-            return s.edge_counts / np.maximum(s.pair_counts, 1)
-
-    def block_freqs_graphon(seed):
-        g, u = sample_graphon(spec_w, n=n, seed=seed)
-        labels = np.where(u < 0.5, 1, 2)
-        part = compact_partition(labels)
-        s = block_stats(g, part)
-        return s.edge_counts / np.maximum(s.pair_counts, 1)
-
-    f_sbm = np.array([block_freqs_sbm(s) for s in range(50)])
-    f_gra = np.array([block_freqs_graphon(s, ) for s in range(50, 100)])
-    for idx in [(0, 0), (0, 1), (1, 1)]:
-        a = f_sbm[:, idx[0], idx[1]]
-        b = f_gra[:, idx[0], idx[1]]
-        se = np.sqrt(a.var(ddof=1) / 50 + b.var(ddof=1) / 50)
-        assert abs(a.mean() - b.mean()) <= 3 * se + 1e-12
 
 
 @pytest.mark.parametrize("model, digest", [
