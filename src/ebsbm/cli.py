@@ -77,6 +77,13 @@ def _analyze(args, graph, k_range, truth=None):
     return analyze_graph(graph, k_range, args.seed, truth=truth, cfg=cfg)
 
 
+def _rerun_fields(args, k_range):
+    """A detecting command's manifest fields that a rerun needs: the K
+    range (None when evaluate ran none), the seed and the detection flags."""
+    return {"k_range": list(k_range) if k_range else None, "seed": args.seed,
+            "vem_max_iter": args.vem_max_iter, "vem_tol": args.vem_tol}
+
+
 def _add_model_flags(p):
     p.add_argument("--model", default="sbm-affiliation",
                    choices=["sbm-affiliation", "graphon-powerlaw"])
@@ -120,7 +127,7 @@ def cmd_estimate(args):
         write_label_file(part, os.path.join(out, f"partition_K{K:02d}.txt"))
     write_manifest(out, "estimate", {
         "graph": os.path.abspath(args.graph), "ingest": report,
-        "k_range": list(k_range), "seed": args.seed,
+        **_rerun_fields(args, k_range),
     })
     print(f"wrote {len(k_range)} estimate file(s) under {out}")
     return 0
@@ -138,7 +145,7 @@ def cmd_select(args):
         scores_to_csv(scores, os.path.join(out, "scores.csv"))
         write_manifest(out, "select", {
             "graph": os.path.abspath(args.graph), "ingest": report,
-            "k_range": list(k_range), "seed": args.seed,
+            **_rerun_fields(args, k_range),
             "criterion": args.criterion, "k_hat": k_hat,
         })
     for s in scores:
@@ -178,7 +185,7 @@ def cmd_evaluate(args):
             "graph": os.path.abspath(args.graph),
             "labels": os.path.abspath(args.labels),
             "ingest": report, "splits": args.splits,
-            "fraction": args.fraction, "seed": args.seed,
+            "fraction": args.fraction, **_rerun_fields(args, k_range),
         })
     return 0
 

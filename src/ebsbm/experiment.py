@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import operator
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -52,7 +53,7 @@ from .graph import (
     block_counts,
     block_stats,
     compact_partition,
-    induced_subgraph,
+    induced_subgraph,  # noqa: F401 - bench/layers.py probes it here
     relabel_nodes,
 )
 from .graphon import build_step_graphon, mse_graphon, reorder_identifiable
@@ -365,20 +366,28 @@ def run_testlik_protocol(graph: Graph, partition: Partition, n_splits: int = 100
     Per split: fit each estimator on the train-induced subgraph under the
     annotated labels (keeping the full K* block structure; blocks emptied
     by the split contribute prior means or density fills), then score the
-    held-out pairs. Train and test cover every node, so a pair is held out
-    iff it is not inside train, and the held-out block counts are the
-    whole graph's (counted once) less the train subgraph's. Returns
-    method -> list of log-likelihoods.
+    held-out pairs. The train blocks are counted on the whole graph, with
+    every test node in an extra cluster K*: the top-left K* x K* counts
+    are exactly those of the subgraph induced by train, so no subgraph is
+    built. Train and test cover every node, so a pair is held out iff it
+    is not inside train, and the held-out block counts are the whole
+    graph's (counted once) less the train blocks'. Split s draws from seed
+    base_seed + s alone. Returns method -> list of log-likelihoods.
     """
+    try:
+        n_splits = operator.index(n_splits)
+    except TypeError:
+        raise ValueError(f"n_splits must be an integer, got {n_splits!r}") from None
     if n_splits < 1:
         raise ValueError(f"n_splits must be >= 1, got {n_splits}")
     out = {"MLE": [], "EB": [], "fixed-prior": []}
     K = partition.K
     x_all, m_all = block_counts(graph, partition.labels - 1, K)
     for s in range(n_splits):
-        train, _ = split_nodes(graph.n, fraction=fraction, seed=base_seed + s)
-        sub, ids = induced_subgraph(graph, train)
-        x, m = block_counts(sub, partition.labels[ids] - 1, K)
+        _, test = split_nodes(graph.n, fraction=fraction, seed=base_seed + s)
+        labels0 = partition.labels - 1
+        labels0[test] = K
+        x, m = (c[:K, :K] for c in block_counts(graph, labels0, K + 1))
         stats = BlockStats(K=K, edge_counts=x, pair_counts=m)
         heldout = BlockStats(K=K, edge_counts=x_all - x, pair_counts=m_all - m)
         ests = {

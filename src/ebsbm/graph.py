@@ -193,8 +193,8 @@ class BlockStats:
 
     def offdiagonal_counts(self):
         """(edges, pairs) vectors over the K(K-1)/2 blocks with a < b."""
-        iu = np.triu_indices(self.K, k=1)
-        return self.edge_counts[iu].copy(), self.pair_counts[iu].copy()
+        upper = ~np.tri(self.K, dtype=bool)
+        return self.edge_counts[upper], self.pair_counts[upper]
 
 
 def block_counts(graph: Graph, labels0: np.ndarray, K: int):

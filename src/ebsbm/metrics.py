@@ -108,9 +108,9 @@ def test_loglik(theta_hat, heldout: BlockStats) -> float:
     """
     theta_hat = check_connectivity(theta_hat, heldout.K, "theta_hat")
     x, m = heldout.edge_counts, heldout.pair_counts
-    iu = np.triu_indices(heldout.K)
-    probs = np.clip(theta_hat[iu], _CLAMP, 1 - _CLAMP)
-    return float(np.sum(x[iu] * np.log(probs) + (m - x)[iu] * np.log1p(-probs)))
+    upper = ~np.tri(heldout.K, k=-1, dtype=bool)
+    probs = np.clip(theta_hat[upper], _CLAMP, 1 - _CLAMP)
+    return float(np.sum(x[upper] * np.log(probs) + (m - x)[upper] * np.log1p(-probs)))
 
 
 @dataclass(frozen=True)

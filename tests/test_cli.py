@@ -212,7 +212,8 @@ class TestEstimate:
         # sha256 of every file, computed before estimate ran through
         # analyze_graph (K05 and K06 since VEM multiplies by a sparse
         # adjacency, K03 to K05 since VEM's 128-node blocks and segmented
-        # sums, each of which moves the VBEM theta's last digits); the
+        # sums, each of which moves the VBEM theta's last digits; the
+        # manifest since it records --vem-max-iter and --vem-tol); the
         # manifest's absolute graph path is masked
         graph = bundled_data_path("synthetic_edges.txt")
         out = tmp_path / "est"
@@ -225,7 +226,7 @@ class TestEstimate:
             "estimate_K04.json": "4ea6663a6ba529186d93e6151cf5f3604bf4b439b0a68df6e3cb1b36e3150bc6",
             "estimate_K05.json": "2b3ca8ab01647f950cbd1362588d132930780c063411dd145ffde94c27984b5e",
             "estimate_K06.json": "4a9fdc526a215f74de4414f628a93d614783c1ce81cb638b5b787168b69b1196",
-            "manifest.json": "54f781cd2abbef9f996b5cb69ef28a282a07ba3d6d959bc9e0da22453be6b5f5",
+            "manifest.json": "5992f8355089fb8a510d261e788666fa5556029eb32aca3a6d61b6cdd802ebee",
             "partition_K02.txt": "7e0fca3bb69293666c74f30b44384cb86643125b1e6b09fa76b18538ee2750f6",
             "partition_K03.txt": "8d0b9483c45a23de998c40ea68131b09a5d242567a3820e1b57da81702d168d9",
             "partition_K04.txt": "42280d8e14b0337bcfce4f38b0955a34fb9a37bbb92aa9db98646cd4f43ef2a4",
@@ -372,8 +373,24 @@ class TestEvaluateAndIngest:
         assert rc == 0
         blob = json.loads((out / "evaluation.json").read_text())
         assert len(blob["test_loglik"]["EB"]) == 5
+        assert json.loads((out / "manifest.json").read_text())["k_range"] is None
         stdout = capsys.readouterr().out
         assert "median test loglik EB" in stdout
+
+    @pytest.mark.parametrize("command", ["estimate", "select", "evaluate"])
+    def test_manifest_records_detection_flags(self, tmp_path, capsys, command):
+        # a run with non-default detection flags must be rerunnable from
+        # its manifest
+        out = tmp_path / "out"
+        argv = [command, "--graph", str(bundled_data_path("synthetic_edges.txt")),
+                "--k-range", "2,4", "--seed", "7", "--vem-max-iter", "40",
+                "--vem-tol", "0.01", "--out", str(out)]
+        if command == "evaluate":
+            argv += ["--labels", str(bundled_data_path("synthetic_labels.txt")), "--splits", "2"]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {key: manifest[key] for key in ("k_range", "seed", "vem_max_iter", "vem_tol")} \
+            == {"k_range": [2, 4], "seed": 7, "vem_max_iter": 40, "vem_tol": 0.01}
 
     def test_env_var_output_root(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EBSBM_OUTPUT_ROOT", str(tmp_path / "root"))

@@ -20,8 +20,11 @@ from ebsbm.experiment import (
     _simulate_replicate,
     _write_sidecars,
 )
-from ebsbm.graph import Graph, Partition
+from ebsbm.estimator import eb_estimate, fit_hyperparams, fixed_prior_estimate, mle_estimate
+from ebsbm.graph import BlockStats, Graph, Partition, block_counts, induced_subgraph
 from ebsbm.io import bundled_data_path, ingest_network, write_label_file
+from ebsbm.metrics import split_nodes
+from ebsbm.metrics import test_loglik as held_out_loglik
 from ebsbm.samplers import affiliation_theta, powerlaw_graphon, sample_graphon, sample_sbm
 from helpers import two_cliques_graph
 
@@ -396,6 +399,57 @@ def test_testlik_protocol_orders_methods():
     assert med["EB"] >= med["MLE"]
     with pytest.raises(ValueError, match="n_splits"):
         run_testlik_protocol(g, part, n_splits=0)
+    # 2.5 once passed the >= 1 check and failed in range() with a TypeError
+    with pytest.raises(ValueError, match="n_splits must be an integer, got 2.5"):
+        run_testlik_protocol(g, part, n_splits=2.5)
+    assert len(run_testlik_protocol(g, part, n_splits=np.int64(2))["EB"]) == 2
+
+
+def reference_testlik(graph, partition, n_splits, fraction=0.7, base_seed=0):
+    # each split's train blocks counted on the subgraph induced by train
+    K = partition.K
+    x_all, m_all = block_counts(graph, partition.labels - 1, K)
+    out = {"MLE": [], "EB": [], "fixed-prior": []}
+    for s in range(n_splits):
+        train, _ = split_nodes(graph.n, fraction=fraction, seed=base_seed + s)
+        sub, ids = induced_subgraph(graph, train)
+        x, m = block_counts(sub, partition.labels[ids] - 1, K)
+        stats = BlockStats(K=K, edge_counts=x, pair_counts=m)
+        heldout = BlockStats(K=K, edge_counts=x_all - x, pair_counts=m_all - m)
+        for name, est in (("MLE", mle_estimate(stats)),
+                          ("EB", eb_estimate(stats, fit_hyperparams(stats))),
+                          ("fixed-prior", fixed_prior_estimate(stats))):
+            out[name].append(held_out_loglik(est.theta, heldout))
+    return out
+
+
+def assert_same_bits(out, ref):
+    assert list(out) == list(ref)
+    for name in ref:
+        assert [v.hex() for v in out[name]] == [v.hex() for v in ref[name]]
+
+
+class TestTestlikProtocolMatchesInducedSubgraph:
+    def test_bundled_network(self):
+        g, part, _, _ = ingest_network(bundled_data_path("synthetic_edges.txt"),
+                                       bundled_data_path("synthetic_labels.txt"))
+        assert_same_bits(run_testlik_protocol(g, part, n_splits=20),
+                         reference_testlik(g, part, n_splits=20))
+
+    def test_sampled_sbm_with_isolated_nodes(self):
+        spec = affiliation_theta(K=4, lam=0.2, epsilon=0.02, rho=0.2)
+        g, part = sample_sbm(spec, n=80, seed=1)
+        assert np.setdiff1d(np.arange(g.n), g.edges).size > 0
+        assert_same_bits(run_testlik_protocol(g, part, n_splits=10, base_seed=4),
+                         reference_testlik(g, part, n_splits=10, base_seed=4))
+
+    def test_cluster_without_train_node(self):
+        # 3 train nodes of 16 cannot cover 4 clusters
+        spec = affiliation_theta(K=4, lam=0.6, epsilon=0.1, rho=1.0)
+        g, part = sample_sbm(spec, n=16, seed=2)
+        assert part.K == 4 and split_nodes(g.n, 0.2)[0].size == 3
+        assert_same_bits(run_testlik_protocol(g, part, n_splits=6, fraction=0.2),
+                         reference_testlik(g, part, n_splits=6, fraction=0.2))
 
 
 def test_testlik_protocol_bytes_pinned():

@@ -237,6 +237,25 @@ class TestBlockStats:
         assert m[1, 1] == 0 and m[0, 1] == 0
         assert x[0, 0] == 1 and x.sum() == 1
 
+    @pytest.mark.parametrize("K", [1, 2, 3, 10])
+    def test_offdiagonal_counts_in_triu_order(self, K):
+        # distinct entries, so a block out of np.triu_indices order shows
+        rng = np.random.default_rng(K)
+        m = rng.permutation(K * K).reshape(K, K) * 2 + 10
+        m = m + m.T
+        x = m // 3
+        s = BlockStats(K=K, edge_counts=x, pair_counts=m)
+        iu = np.triu_indices(K, 1)
+        assert np.array_equal(np.flatnonzero(~np.tri(K, dtype=bool)),
+                              np.ravel_multi_index(iu, (K, K)))
+        ox, om = s.offdiagonal_counts()
+        assert np.array_equal(ox, x[iu]) and np.array_equal(om, m[iu])
+        # the vectors are the caller's own: writing them leaves the stats be
+        ox[:] = -1
+        om[:] = -1
+        assert np.array_equal(s.edge_counts, x) and np.array_equal(s.pair_counts, m)
+        assert np.array_equal(s.offdiagonal_counts()[0], x[iu])
+
 
 @pytest.mark.parametrize("build", [
     lambda t: check_connectivity(t, 2),

@@ -380,6 +380,23 @@ class TestTestLoglik:
         want = loglik_reference(edges, labels, theta, list(range(1, n)), [0])
         assert held_out(g, labels, theta, np.arange(1, n)) == pytest.approx(want, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("K", [1, 2, 3, 10])
+    def test_blocks_summed_in_triu_order(self, K):
+        # the same terms in np.triu_indices(K) order give the same bits
+        rng = np.random.default_rng(K)
+        m = rng.integers(1, 10**6, size=(K, K))
+        m = m + m.T
+        x = rng.integers(0, m + 1)
+        x = np.triu(x) + np.triu(x, 1).T
+        theta = random_theta(rng, K)
+        iu = np.triu_indices(K)
+        assert np.array_equal(np.flatnonzero(~np.tri(K, k=-1, dtype=bool)),
+                              np.ravel_multi_index(iu, (K, K)))
+        probs = np.clip(theta[iu], 1e-9, 1 - 1e-9)
+        want = float(np.sum(x[iu] * np.log(probs) + (m - x)[iu] * np.log1p(-probs)))
+        got = held_out_loglik(theta, BlockStats(K=K, edge_counts=x, pair_counts=m))
+        assert got.hex() == want.hex()
+
     def test_theta_domain_checked(self):
         g = Graph(n=2, edges=frozenset())
         labels = Partition.from_labels([1, 1])
