@@ -43,6 +43,9 @@ HYPER_BOX_LOWER = 1e-4
 HYPER_BOX_UPPER = 1e6
 _LOG_LO = np.log(HYPER_BOX_LOWER)
 _LOG_HI = np.log(HYPER_BOX_UPPER)
+# within 1e-9 of a bound, maximize_box may hold a coordinate
+_LO_EDGE = float(_LOG_LO + 1e-9)
+_HI_EDGE = float(_LOG_HI - 1e-9)
 
 _WHICH = ("diagonal", "offdiagonal")
 
@@ -142,9 +145,9 @@ def _marginal_and_grad(a, b, x, m):
     """
     count = x.size
     psi_sum = psi(a + b + m)
-    f = np.sum(betaln(a + x, b + m - x)) - count * betaln(a, b)
-    da = np.sum(psi(a + x) - psi_sum) - count * (psi(a) - psi(a + b))
-    db = np.sum(psi(b + m - x) - psi_sum) - count * (psi(b) - psi(a + b))
+    f = betaln(a + x, b + m - x).sum() - count * betaln(a, b)
+    da = (psi(a + x) - psi_sum).sum() - count * (psi(a) - psi(a + b))
+    db = (psi(b + m - x) - psi_sum).sum() - count * (psi(b) - psi(a + b))
     return float(f), float(da), float(db)
 
 
@@ -208,19 +211,36 @@ def maximize_box(objective, init) -> BoxFit:
     max-norm below 1e-6 and predicted gain g.step / 2 below 1e-11. At
     most 100 steps. The objective is called at `init` and at each trial
     only; the result is the last point taken, or `init` if higher.
+
+    The floats of a step come from ``np.linalg.eigh(-H)``, the two
+    matmuls, the shortening divide and ``g @ step``; the rest is
+    bookkeeping. Off both bounds no coordinate can be held, and the step
+    is eigh and the matmuls on the whole (H, g), shortened only when it
+    leaves the box; near a bound the held coordinates are masked out.
     """
     def newton(u, g, H):
-        lo, hi = u <= _LOG_LO + 1e-9, u >= _LOG_HI - 1e-9
-        free = ~((lo & (g < 0)) | (hi & (g > 0)))
-        lam, vec = np.linalg.eigh(-H[np.ix_(free, free)])
-        step = np.zeros(2)
-        step[free] = vec @ (vec.T @ g[free] / np.maximum(np.abs(lam), 1e-12))
+        (u0, u1), (g0, g1) = u.tolist(), g.tolist()
+        if _LO_EDGE < u0 < _HI_EDGE and _LO_EDGE < u1 < _HI_EDGE:
+            # nothing held: the step on the whole (H, g)
+            lam, vec = np.linalg.eigh(-H)
+            step = vec @ (vec.T @ g / np.maximum(np.abs(lam), 1e-12))
+            done = abs(g0) < 1e-6 and abs(g1) < 1e-6
+            s0, s1 = step.tolist()
+            if _LOG_LO <= u0 + s0 <= _LOG_HI and _LOG_LO <= u1 + s1 <= _LOG_HI:
+                return step, done and g @ step < 2e-11
+        else:
+            lo, hi = u <= _LO_EDGE, u >= _HI_EDGE
+            free = ~((lo & (g < 0)) | (hi & (g > 0)))
+            lam, vec = np.linalg.eigh(-H[np.ix_(free, free)])
+            step = np.zeros(2)
+            step[free] = vec @ (vec.T @ g[free] / np.maximum(np.abs(lam), 1e-12))
+            step[(lo & (step < 0)) | (hi & (step > 0))] = 0
+            done = np.max(np.abs(g[free]), initial=0.0) < 1e-6
         # shortened, not clipped, to the box: it keeps its direction
-        step[(lo & (step < 0)) | (hi & (step > 0))] = 0
         over = (u + step > _LOG_HI) | (u + step < _LOG_LO)
         step *= np.divide(np.where(step > 0, _LOG_HI, _LOG_LO) - u, step,
                           out=np.ones(2), where=over).min()
-        return step, np.max(np.abs(g[free]), initial=0.0) < 1e-6 and g @ step < 2e-11
+        return step, done and g @ step < 2e-11
 
     u0 = u = np.asarray(init, dtype=np.float64)
     f, g, H = objective(u)
@@ -266,14 +286,14 @@ def _fit_pair(x, m):
     """
     sx, sm = int(x.sum()), int(m.sum())
     sy, y = sm - sx, m - x
-    score = (sm * (sy * int(np.sum(x * (x - 1))) + sx * int(np.sum(y * (y - 1))))
-             - sx * sy * int(np.sum(m * (m - 1))))
+    score = (sm * (sy * int((x * (x - 1)).sum()) + sx * int((y * (y - 1)).sum()))
+             - sx * sy * int((m * (m - 1)).sum()))
     mu = sx / sm
     a = np.maximum(mu * _START_S, HYPER_BOX_LOWER)
     b = np.maximum((1 - mu) * _START_S, HYPER_BOX_LOWER)
-    near = np.sum(betaln(a + x, b + y), axis=1) - x.size * betaln(a, b)[:, 0]
+    near = betaln(a + x, b + y).sum(axis=1) - x.size * betaln(a, b)[:, 0]
     k = int(np.argmax(near))
-    limit = float(np.sum(xlogy(x, mu) + xlogy(y, 1 - mu)))
+    limit = float((xlogy(x, mu) + xlogy(y, 1 - mu)).sum())
     if score <= 0 and near[k] <= limit + 1e-10 * (1 + abs(limit)):
         top = max(sx, sy)
         return (max(HYPER_BOX_UPPER * sx / top, HYPER_BOX_LOWER),
@@ -283,9 +303,9 @@ def _fit_pair(x, m):
         a, b = np.exp(u)
         f, da, db = _marginal_and_grad(a, b, x, m)
         # second derivatives in (a, b), via trigamma
-        dab = x.size * zeta(2, a + b) - np.sum(zeta(2, a + b + m))
-        daa = np.sum(zeta(2, a + x)) - x.size * zeta(2, a) + dab
-        dbb = np.sum(zeta(2, b + y)) - x.size * zeta(2, b) + dab
+        dab = x.size * zeta(2, a + b) - zeta(2, a + b + m).sum()
+        daa = zeta(2, a + x).sum() - x.size * zeta(2, a) + dab
+        dbb = zeta(2, b + y).sum() - x.size * zeta(2, b) + dab
         g = np.array([da * a, db * b])
         return f, g, np.array([[daa * a * a + g[0], dab * a * b],
                                [dab * a * b, dbb * b * b + g[1]]])

@@ -371,8 +371,10 @@ def run_testlik_protocol(graph: Graph, partition: Partition, n_splits: int = 100
     are exactly those of the subgraph induced by train, so no subgraph is
     built. Train and test cover every node, so a pair is held out iff it
     is not inside train, and the held-out block counts are the whole
-    graph's (counted once) less the train blocks'. Split s draws from seed
-    base_seed + s alone. Returns method -> list of log-likelihoods.
+    graph's (counted once) less the train blocks'. Each estimate is scored
+    as built: its theta was validated once, at construction, and is not
+    checked again. Split s draws from seed base_seed + s alone. Returns
+    method -> list of log-likelihoods.
     """
     try:
         n_splits = operator.index(n_splits)
@@ -396,5 +398,5 @@ def run_testlik_protocol(graph: Graph, partition: Partition, n_splits: int = 100
             "fixed-prior": fixed_prior_estimate(stats),
         }
         for name, est in ests.items():
-            out[name].append(test_loglik(est.theta, heldout))
+            out[name].append(test_loglik(est, heldout))
     return out

@@ -210,7 +210,8 @@ def block_counts(graph: Graph, labels0: np.ndarray, K: int):
         raise ValueError(f"labels cover {labels0.size} nodes, graph has {graph.n}")
     if labels0.size and (labels0.min() < 0 or labels0.max() >= K):
         raise ValueError(f"0-based labels must lie in 0..{K - 1}")
-    a, b = np.sort(labels0[graph.edges], axis=1).T
+    i, j = labels0[graph.edges].T
+    a, b = np.minimum(i, j), np.maximum(i, j)
     upper = np.bincount(a * K + b, minlength=K * K).reshape(K, K)
     sizes = np.bincount(labels0, minlength=K)
     pairs = np.outer(sizes, sizes)

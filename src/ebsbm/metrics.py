@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import mle_estimate
+from .estimator import ConnectivityEstimate, mle_estimate
 from .graph import BlockStats, Graph, Partition, block_stats, check_connectivity
 
 _CLAMP = 1e-9  # probability clipping for log terms
@@ -105,8 +105,18 @@ def test_loglik(theta_hat, heldout: BlockStats) -> float:
     counts: the sum over blocks a <= b of x log(theta) + (m - x) log(1 -
     theta). Estimated probabilities are clipped to [1e-9, 1 - 1e-9]
     before the logs.
+
+    `theta_hat` is a ``ConnectivityEstimate``, validated once, when it
+    was built, so only its K is compared with ``heldout.K``; or a raw
+    K x K matrix, which goes through ``check_connectivity``.
     """
-    theta_hat = check_connectivity(theta_hat, heldout.K, "theta_hat")
+    if isinstance(theta_hat, ConnectivityEstimate):
+        if theta_hat.K != heldout.K:
+            raise ValueError(f"theta_hat must be {heldout.K}x{heldout.K} matrix, "
+                             f"got shape {theta_hat.theta.shape}")
+        theta_hat = theta_hat.theta
+    else:
+        theta_hat = check_connectivity(theta_hat, heldout.K, "theta_hat")
     x, m = heldout.edge_counts, heldout.pair_counts
     upper = ~np.tri(heldout.K, k=-1, dtype=bool)
     probs = np.clip(theta_hat[upper], _CLAMP, 1 - _CLAMP)

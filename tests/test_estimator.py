@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ebsbm import estimator
 from ebsbm.estimator import (
+    _LOG_HI,
+    _LOG_LO,
     HYPER_BOX_LOWER,
     HYPER_BOX_UPPER,
+    BoxFit,
     HyperParams,
     eb_estimate,
     fit_hyperparams,
@@ -19,7 +23,9 @@ from ebsbm.estimator import (
     maximize_box,
     mle_estimate,
 )
+from ebsbm.experiment import run_testlik_protocol
 from ebsbm.graph import BlockStats, Graph, Partition, block_stats
+from ebsbm.io import bundled_data_path, ingest_network
 from helpers import grid_search_max, quad_marginal_loglik
 
 
@@ -420,6 +426,149 @@ class TestMaximizeBox:
         assert np.all(res.argmax >= LOG_LO) and np.all(res.argmax <= LOG_HI)
         assert f(res.argmax)[0] >= f(np.array(start))[0] - 1e-12
         assert res.converged
+
+
+def _reference_maximize_box(objective, init) -> BoxFit:
+    # the masked Newton step at every point, with no plain path: the
+    # reference whose bytes maximize_box must give
+    def newton(u, g, H):
+        lo, hi = u <= _LOG_LO + 1e-9, u >= _LOG_HI - 1e-9
+        free = ~((lo & (g < 0)) | (hi & (g > 0)))
+        lam, vec = np.linalg.eigh(-H[np.ix_(free, free)])
+        step = np.zeros(2)
+        step[free] = vec @ (vec.T @ g[free] / np.maximum(np.abs(lam), 1e-12))
+        # shortened, not clipped, to the box: it keeps its direction
+        step[(lo & (step < 0)) | (hi & (step > 0))] = 0
+        over = (u + step > _LOG_HI) | (u + step < _LOG_LO)
+        step *= np.divide(np.where(step > 0, _LOG_HI, _LOG_LO) - u, step,
+                          out=np.ones(2), where=over).min()
+        return step, np.max(np.abs(g[free]), initial=0.0) < 1e-6 and g @ step < 2e-11
+
+    u0 = u = np.asarray(init, dtype=np.float64)
+    f, g, H = objective(u)
+    if not (np.isfinite(f) and np.isfinite(g).all() and np.isfinite(H).all()):
+        raise ValueError("objective is not finite at init")
+    f0, (step, done), it = f, newton(u, g, H), 0
+    while not done and it < 100:
+        for _ in range(60):
+            trial = np.clip(u + step, _LOG_LO, _LOG_HI)
+            ft, gt, Ht = objective(trial)
+            step_t, done = newton(trial, gt, Ht)
+            if ft > f or (done and ft >= f - 1e-10 * (1 + abs(f))):
+                break
+            step /= 2
+        else:
+            done = False
+            break
+        u, f, step, it = trial, ft, step_t, it + 1
+    if f < f0:
+        return BoxFit(argmax=u0, converged=False, iterations=it)
+    return BoxFit(argmax=u, converged=bool(done), iterations=it)
+
+
+def fit_bits(fit):
+    return [v.hex() for v in fit.argmax.tolist()], fit.converged, fit.iterations
+
+
+def assert_as_reference(objective, init):
+    """maximize_box's BoxFit and trial points, bit for bit the reference's."""
+    def traced(points):
+        def call(u):
+            points.append([v.hex() for v in u.tolist()])
+            return objective(u)
+        return call
+
+    got_points, want_points = [], []
+    got = maximize_box(traced(got_points), init)
+    want = _reference_maximize_box(traced(want_points), init)
+    assert fit_bits(got) == fit_bits(want)
+    assert got_points == want_points
+    return got
+
+
+def against_reference(fits):
+    """A stand-in for maximize_box that checks each call against the
+    reference and records the fit."""
+    def both(objective, init):
+        fits.append(assert_as_reference(objective, init))
+        return fits[-1]
+    return both
+
+
+def coupled_quad(center, A=((2.0, 0.8), (0.8, 1.0))):
+    """-(u - center) A (u - center) / 2 with a coupled Hessian -A."""
+    center, A = np.asarray(center, dtype=np.float64), np.array(A)
+
+    def f(u):
+        d = u - center
+        return -0.5 * float(d @ A @ d), -(A @ d), -A.copy()
+    return f
+
+
+class TestMaximizeBoxReference:
+    """maximize_box gives the reference's BoxFit bit for bit (the same
+    argmax floats, convergence flag and step count) through the same
+    trial points."""
+
+    def test_criterion_8_splits(self, monkeypatch):
+        graph, part, _, _ = ingest_network(bundled_data_path("synthetic_edges.txt"),
+                                           bundled_data_path("synthetic_labels.txt"))
+        fits = []
+        monkeypatch.setattr(estimator, "maximize_box", against_reference(fits))
+        run_testlik_protocol(graph, part, n_splits=100, fraction=0.7, base_seed=0)
+        assert len(fits) > 50  # the rest of the 200 families pool
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 300), min_size=1, max_size=10), st.data())
+    def test_random_families(self, ms, data):
+        xs = [data.draw(st.integers(0, m)) for m in ms]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "maximize_box", against_reference([]))
+            fit_hyperparams(diagonal_family(xs, ms))
+
+    @pytest.mark.parametrize("coord", [0, 1])
+    @pytest.mark.parametrize("bound, beyond", [(LOG_LO, -20.0), (LOG_HI, 20.0)])
+    def test_start_on_bound_gradient_out(self, coord, bound, beyond):
+        # the coordinate on the bound is held; the other one moves
+        init, center = np.array([0.5, -0.5]), np.array([1.0, -1.0])
+        init[coord], center[coord] = bound, beyond
+        f = coupled_quad(center)
+        assert f(init)[1][coord] * np.sign(beyond) > 0
+        fit = assert_as_reference(f, init)
+        assert fit.argmax[coord] == bound and fit.converged
+
+    @pytest.mark.parametrize("coord", [0, 1])
+    @pytest.mark.parametrize("bound", [LOG_LO, LOG_HI])
+    def test_start_on_bound_gradient_in(self, coord, bound):
+        init = np.array([0.5, -0.5])
+        init[coord] = bound
+        assert assert_as_reference(coupled_quad([1.0, -1.0]), init).converged
+
+    def test_step_over_the_box_is_shortened(self):
+        # from the interior, the first step lands at 20 > log(1e6)
+        f = coupled_quad([20.0, 1.0])
+        fit = assert_as_reference(f, np.zeros(2))
+        assert fit.argmax[0] == LOG_HI and fit.iterations >= 2
+
+    def test_objective_never_rises(self):
+        # every trial is lower: 60 halvings, then the fit stops at init
+        calls = []
+
+        def f(u):
+            calls.append(1)
+            return (0.0 if np.array_equal(u, np.zeros(2)) else -1.0,
+                    np.ones(2), -np.eye(2))
+
+        fit = assert_as_reference(f, np.zeros(2))
+        assert not fit.converged and fit.iterations == 0
+        assert len(calls) == 2 * (1 + 60)  # init and 60 trials, on each side
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(st.floats(-25, 25), st.floats(-25, 25)),
+           st.tuples(*[st.sampled_from([LOG_LO, LOG_HI]) | st.floats(LOG_LO, LOG_HI)] * 2),
+           st.floats(-0.9, 0.9))
+    def test_random_quadratics(self, center, start, corr):
+        assert_as_reference(coupled_quad(center, ((1.0, corr), (corr, 1.0))), np.array(start))
 
 
 class TestPinnedValues:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ebsbm.errors import DegeneratePartitionError
@@ -23,6 +23,17 @@ from helpers import brute_force_block_counts
 
 def make(n, edges):
     return Graph(n=n, edges=frozenset(edges))
+
+
+def sorted_block_counts(graph, labels0, K):
+    """block_counts with each edge's label pair ordered by np.sort, the
+    form the minimum/maximum of the two columns replaced."""
+    a, b = np.sort(labels0[graph.edges], axis=1).T
+    upper = np.bincount(a * K + b, minlength=K * K).reshape(K, K)
+    sizes = np.bincount(labels0, minlength=K)
+    pairs = np.outer(sizes, sizes)
+    np.fill_diagonal(pairs, sizes * (sizes - 1) // 2)
+    return upper + np.triu(upper, 1).T, pairs
 
 
 class TestGraph:
@@ -236,6 +247,21 @@ class TestBlockStats:
         x, m = block_counts(g, np.array([0, 0, 0]), K=2)
         assert m[1, 1] == 0 and m[0, 1] == 0
         assert x[0, 0] == 1 and x.sum() == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 8), st.floats(0.0, 1.0),
+           st.integers(0, 2**32 - 1))
+    @example(n=7, K=1, density=0.5, seed=0)  # one cluster
+    @example(n=9, K=3, density=0.0, seed=1)  # no edges
+    @example(n=4, K=8, density=0.6, seed=2)  # clusters with no nodes
+    def test_block_counts_match_sorted_pairs(self, n, K, density, seed):
+        rng = np.random.default_rng(seed)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+        g = make(n, edges)
+        labels0 = rng.integers(0, K, size=n)
+        got, want = block_counts(g, labels0, K), sorted_block_counts(g, labels0, K)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     @pytest.mark.parametrize("K", [1, 2, 3, 10])
     def test_offdiagonal_counts_in_triu_order(self, K):

@@ -403,6 +403,41 @@ class TestTestLoglik:
         with pytest.raises(ValueError):
             held_out(g, labels, np.array([[1.2]]), [0])
 
+    @pytest.mark.parametrize("K", [1, 3, 6])
+    def test_estimate_scores_as_its_theta(self, K):
+        rng = np.random.default_rng(K)
+        m = rng.integers(1, 10**4, size=(K, K))
+        m = m + m.T
+        x = rng.integers(0, m + 1)
+        heldout = BlockStats(K=K, edge_counts=np.triu(x) + np.triu(x, 1).T, pair_counts=m)
+        theta = random_theta(rng, K)
+        est = ConnectivityEstimate(theta=theta, method="MLE")
+        assert held_out_loglik(est, heldout).hex() == held_out_loglik(theta, heldout).hex()
+
+    def test_estimate_not_checked_again(self, monkeypatch):
+        # its theta was checked when the estimate was built
+        import ebsbm.metrics as metrics
+
+        est = ConnectivityEstimate(theta=np.full((2, 2), 0.25), method="MLE")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("estimate checked twice")
+
+        monkeypatch.setattr(metrics, "check_connectivity", forbidden)
+        heldout = BlockStats(K=2, edge_counts=np.ones((2, 2), dtype=int),
+                             pair_counts=np.full((2, 2), 4))
+        assert held_out_loglik(est, heldout) == pytest.approx(
+            3 * math.log(0.25) + 9 * math.log(0.75), rel=1e-15)
+
+    @pytest.mark.parametrize("as_estimate", [True, False])
+    def test_k_mismatch_rejected(self, as_estimate):
+        theta = np.full((2, 2), 0.5)
+        heldout = BlockStats(K=3, edge_counts=np.zeros((3, 3), dtype=int),
+                             pair_counts=np.ones((3, 3), dtype=int))
+        arg = ConnectivityEstimate(theta=theta, method="EB") if as_estimate else theta
+        with pytest.raises(ValueError, match=r"theta_hat must be 3x3 matrix, got shape \(2, 2\)"):
+            held_out_loglik(arg, heldout)
+
 
 def test_metrics_allocate_no_node_by_node_matrix():
     # one n x n float64 at n=3000 is 72 MB; the MSE and the held-out
