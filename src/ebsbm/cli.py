@@ -72,7 +72,7 @@ def _require_out(args, command):
 
 def _analyze(args, graph, k_range, truth=None):
     """analyze_graph over k_range with the command's detection flags."""
-    cfg = ExperimentConfig(k_range=k_range, vem_max_iter=args.vem_max_iter,
+    cfg = ExperimentConfig(n=graph.n, k_range=k_range, vem_max_iter=args.vem_max_iter,
                            vem_tol=args.vem_tol)
     return analyze_graph(graph, k_range, args.seed, truth=truth, cfg=cfg)
 
@@ -158,8 +158,6 @@ def cmd_select(args):
 def cmd_evaluate(args):
     k_range = _parse_k_range(args.k_range) if args.k_range else None
     graph, part, _, report = ingest_network(args.graph, args.labels)
-    if part is None:
-        raise DataError("evaluate needs --labels with annotated memberships")
     print(f"ingested n={report['n']} edges={report['edges']} labels={report['k_labels']}")
     # the protocol first, so a bad --splits or --fraction fails before the K sweep
     loglik = run_testlik_protocol(graph, part, n_splits=args.splits,

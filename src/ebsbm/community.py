@@ -335,26 +335,43 @@ def _top_eigvecs(graph: Graph, K: int) -> np.ndarray:
         return _sla.eigsh(op, k=K, which="LA", tol=1e-10, v0=v0)[1]
 
 
-def _check_k(graph: Graph, K: int):
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if K > graph.n:
-        raise ValueError(f"K={K} exceeds node count {graph.n}")
+def _integer(name, value, low=None):
+    """value as a Python int, from any Python or NumPy integer; raises
+    ValueError naming `name` unless it is one, and one >= `low` if given."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
-def check_k_range(k_range) -> tuple:
-    """k_range as a tuple of ints; raises unless it is nonempty and every K
-    is an integer (Python or NumPy) >= 1 that no other K repeats."""
+def _check_stopping(max_iter, tol):
+    """The EM's stopping rule, checked before any work: (max_iter, tol)
+    with max_iter an integer >= 0 and tol >= 0, which NaN is not."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    return _integer("max_iter", max_iter, 0), tol
+
+
+def check_k_range(k_range, n=None) -> tuple:
+    """k_range as a tuple of ints, the one K rule: raises unless it is
+    nonempty and every K is an integer (Python or NumPy) >= 1, at most n
+    unless n is None, that no other K repeats; the first bad K is named."""
     ks = []
     for k in k_range:
         try:
-            ks.append(operator.index(k))
+            k = operator.index(k)
         except TypeError:
             raise ValueError(f"k_range entries must be integers, got {k!r}") from None
+        if k < 1:
+            raise ValueError("K must be >= 1")
+        if n is not None and k > n:
+            raise ValueError(f"K={k} exceeds node count {n}")
+        ks.append(k)
     if not ks:
         raise ValueError("k_range must be nonempty")
-    if any(k < 1 for k in ks):
-        raise ValueError("k_range entries must be >= 1")
     if len(set(ks)) < len(ks):
         raise ValueError(f"k_range must not repeat a K, got {ks}")
     return tuple(ks)
@@ -377,7 +394,7 @@ def spectral_partition(graph: Graph, K: int, seed: int,
     eigensolve runs. One basis at the largest K thus serves a whole K
     range. Without it the top-K eigenvectors are solved for here.
     """
-    _check_k(graph, K)
+    (K,) = check_k_range((K,), graph.n)
     if K == 1:
         part = Partition(labels=np.ones(graph.n, dtype=np.int64), K=1)
         return DetectionResult(partition=part, converged=True, iterations=0)
@@ -717,8 +734,9 @@ def variational_em(graph: Graph, K: int, init, max_iter: int = 100, tol: float =
     objective, it is redone from its start one node at a time, which is
     coordinate ascent, so the objective never decreases. Stops when the
     improvement falls below `tol` or after `max_iter` sweeps; with
-    `max_iter` < 1 no sweep runs, and the start comes back finished,
-    unconverged, after 0 sweeps.
+    `max_iter` = 0 no sweep runs, and the start comes back finished,
+    unconverged, after 0 sweeps. `max_iter` must be an integer >= 0 and
+    `tol` >= 0, checked before any work.
 
     `init` is a DetectionResult, whose partition (at most K clusters)
     starts the EM one-hot, or an (n, K) array of soft assignments, each
@@ -735,6 +753,7 @@ def variational_em(graph: Graph, K: int, init, max_iter: int = 100, tol: float =
     per-block posterior-mean connectivity for the compacted clusters. Pass
     a list as `trace` to capture the objective value of every sweep.
     """
+    max_iter, tol = _check_stopping(max_iter, tol)
     if isinstance(init, DetectionResult):
         if init.partition.n != graph.n:
             raise ValueError("init partition does not cover this graph")
@@ -755,8 +774,9 @@ def detect_range(graph: Graph, k_range, seed: int, max_iter: int = 100, tol: flo
     runs; one K is the range (K,). Returns a list of
     (DetectionResult, theta_vb) per K, in `k_range` order.
 
-    Every K is checked against the graph, and the range by
-    :func:`check_k_range`, before any work. One eigensolve at the largest
+    The range is checked once, against the graph's node count, by
+    :func:`check_k_range`, and `max_iter` and `tol` as in
+    :func:`variational_em`, before any work. One eigensolve at the largest
     K serves every spectral start (:func:`spectral_partition` with
     `basis`); the basis is then dropped, and the EM runs the range in
     lockstep (:func:`_fit_range`), a group of K at a time. Each K's result
@@ -767,10 +787,8 @@ def detect_range(graph: Graph, k_range, seed: int, max_iter: int = 100, tol: flo
     it would raise detection's peak by its 12 bytes per entry (1.7 MB at
     n = 4000 with 71,752 edges).
     """
-    k_range = tuple(k_range)
-    for K in k_range:
-        _check_k(graph, K)
-    ks = check_k_range(k_range)
+    ks = check_k_range(k_range, graph.n)
+    max_iter, tol = _check_stopping(max_iter, tol)
     solved = [K for K in ks if K >= 2]
     basis = _top_eigvecs(graph, max(solved)) if solved else None
     inits = [spectral_partition(graph, K, seed, basis=basis) for K in ks]

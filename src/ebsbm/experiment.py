@@ -29,7 +29,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-import operator
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -38,7 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .community import check_k_range, detect_range
+from .community import _integer, check_k_range, detect_range
 from .estimator import (
     ConnectivityEstimate,
     eb_estimate,
@@ -98,22 +97,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in _MODELS:
             raise ValueError(f"model must be one of {_MODELS}")
-        object.__setattr__(self, "k_range", check_k_range(self.k_range))
-        if self.model != "file":
-            if self.n < 1:
-                raise ValueError("n must be >= 1")
+        simulated = self.model != "file"
+        for name, low in (("n", 1 if simulated else None), ("k_star", None), ("replicates", 1),
+                          ("workers", 1), ("base_seed", 0), ("vem_max_iter", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
+        object.__setattr__(self, "k_range",
+                           check_k_range(self.k_range, self.n if simulated else None))
+        if simulated:
             _model_spec(self)
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.vem_max_iter < 1:
-            raise ValueError("vem_max_iter must be >= 1")
         if not self.vem_tol >= 0:
             raise ValueError("vem_tol must be >= 0")
-        if self.model == "file" and not self.graph_file:
+        if not simulated and not self.graph_file:
             raise ValueError("model 'file' needs graph_file")
-        if self.model != "file" and (self.graph_file or self.label_file):
+        if simulated and (self.graph_file or self.label_file):
             raise ValueError(f"graph_file and label_file need model 'file', not {self.model!r}")
 
     def to_json_dict(self):
@@ -191,7 +187,7 @@ def analyze_graph(graph: Graph, k_range, seed: int, truth=None,
     reference K, and estimates holds each K's partition and estimates.
     """
     k_range = check_k_range(k_range)
-    cfg = cfg or ExperimentConfig(k_range=k_range)
+    cfg = cfg or ExperimentConfig(n=graph.n, k_range=k_range)
     records = []
     estimates = []
     detections = detect_range(graph, k_range, seed, max_iter=cfg.vem_max_iter, tol=cfg.vem_tol)
@@ -376,12 +372,7 @@ def run_testlik_protocol(graph: Graph, partition: Partition, n_splits: int = 100
     checked again. Split s draws from seed base_seed + s alone. Returns
     method -> list of log-likelihoods.
     """
-    try:
-        n_splits = operator.index(n_splits)
-    except TypeError:
-        raise ValueError(f"n_splits must be an integer, got {n_splits!r}") from None
-    if n_splits < 1:
-        raise ValueError(f"n_splits must be >= 1, got {n_splits}")
+    n_splits = _integer("n_splits", n_splits, 1)
     out = {"MLE": [], "EB": [], "fixed-prior": []}
     K = partition.K
     x_all, m_all = block_counts(graph, partition.labels - 1, K)

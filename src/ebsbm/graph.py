@@ -225,8 +225,6 @@ def block_stats(graph: Graph, partition: Partition) -> BlockStats:
     Both returned matrices are symmetric; summing edge_counts over a <= b
     reproduces the graph's edge count exactly.
     """
-    if partition.n != graph.n:
-        raise ValueError(f"partition covers {partition.n} nodes, graph has {graph.n}")
     edge_counts, pair_counts = block_counts(graph, partition.labels - 1, partition.K)
     return BlockStats(K=partition.K, edge_counts=edge_counts, pair_counts=pair_counts)
 

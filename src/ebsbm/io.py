@@ -6,7 +6,8 @@ tokens may be arbitrary strings and are mapped to 0-based indices in
 first-seen order; the mapping is returned so results can be reported in
 the original ids. Duplicate edges (either orientation) and self-loops are
 dropped silently but counted. Label files hold one "node label" pair per
-line with the same token conventions.
+line with the same token conventions; a node named only there is appended
+to the ids as an isolated node. Each file is parsed in one pass.
 """
 
 from __future__ import annotations
@@ -96,12 +97,12 @@ def write_edge_list(graph: Graph, path):
 
 
 def read_label_file(path, node_ids):
-    """Parse "node label" pairs covering every node in node_ids once.
+    """Parse "node label" pairs labelling every node once; a node that
+    node_ids lacks is appended to the ids, in first-seen order.
 
-    Label tokens map to 1..K in first-seen order; returns (partition,
-    label_names) with label_names[k-1] the original token of cluster k.
+    Label tokens map to 1..K in first-seen order; returns (partition, ids).
     """
-    index = {tok: pos for pos, tok in enumerate(node_ids)}
+    index = {tok: pos for pos, tok in enumerate(node_ids)}  # keys: the ids, in order
     raw = {}
     label_index = {}  # token -> cluster 1..K, in first-seen order
     for lineno, line in _data_lines(path):
@@ -109,16 +110,15 @@ def read_label_file(path, node_ids):
         if len(tokens) != 2:
             raise DataError(f"{path}: line {lineno}: expected 'node label', got {len(tokens)} tokens")
         node_tok, label_tok = tokens
-        if node_tok not in index:
-            raise DataError(f"{path}: line {lineno}: unknown node {node_tok!r}")
-        if index[node_tok] in raw:
+        node = index.setdefault(node_tok, len(index))
+        if node in raw:
             raise DataError(f"{path}: line {lineno}: node {node_tok!r} is labelled twice")
-        raw[index[node_tok]] = label_index.setdefault(label_tok, len(label_index) + 1)
-    missing = len(node_ids) - len(raw)
+        raw[node] = label_index.setdefault(label_tok, len(label_index) + 1)
+    missing = len(index) - len(raw)
     if missing:
         raise DataError(f"{path}: {missing} node(s) have no label")
-    labels = np.array([raw[i] for i in range(len(node_ids))], dtype=np.int64)
-    return Partition(labels=labels, K=len(label_index)), list(label_index)
+    labels = np.array([raw[i] for i in range(len(index))], dtype=np.int64)
+    return Partition(labels=labels, K=len(label_index)), list(index)
 
 
 def write_label_file(labels, path):
@@ -139,20 +139,15 @@ def ingest_network(edges_path, labels_path=None):
     """Load a network and optional annotation into canonical form.
 
     Nodes appearing only in the label file are appended as isolated
-    nodes, so annotated node counts survive sparse edge lists. Returns
-    (graph, partition_or_None, node_ids, report).
+    nodes by :func:`read_label_file`, so annotated node counts survive
+    sparse edge lists. Returns (graph, partition_or_None, node_ids, report).
     """
     graph, ids, report = read_edge_list(edges_path)
     part = None
     if labels_path is not None:
-        # malformed lines are reported by read_label_file below
-        known = set(ids)
-        firsts = dict.fromkeys(line.split()[0] for _, line in _data_lines(labels_path))
-        extra = [tok for tok in firsts if tok not in known]
-        if extra:
-            ids = ids + extra
+        part, ids = read_label_file(labels_path, ids)
+        if len(ids) > graph.n:
             graph = Graph(n=len(ids), edges=graph.edges)
-        part, _ = read_label_file(labels_path, ids)
         report = dict(report, n=graph.n, k_labels=part.K)
     else:
         report = dict(report, k_labels=None)

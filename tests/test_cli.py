@@ -208,6 +208,15 @@ class TestEstimate:
         assert doc["step_graphon"]["boundaries"][0] == 0.0
         assert (out / "partition_K02.txt").exists()
 
+    def test_k_above_200_on_a_larger_graph(self, tmp_path):
+        # the config carrying the detection flags bounds K by the graph's
+        # node count, not by the default n = 200
+        path = cliques_file(tmp_path, size=101)
+        rc = main(["estimate", "--graph", str(path), "--k-range", "201",
+                   "--vem-max-iter", "1", "--out", str(tmp_path / "est")])
+        assert rc == 0
+        assert (tmp_path / "est" / "estimate_K201.json").exists()
+
     def test_bundled_output_bytes_pinned(self, tmp_path, capsys):
         # sha256 of every file, computed before estimate ran through
         # analyze_graph (K05 and K06 since VEM multiplies by a sparse

@@ -17,7 +17,13 @@ from scipy import linalg, sparse
 from scipy.special import entr, xlogy
 
 from ebsbm import community
-from ebsbm.community import _kmeans_once, detect_range, spectral_partition, variational_em
+from ebsbm.community import (
+    _kmeans_once,
+    check_k_range,
+    detect_range,
+    spectral_partition,
+    variational_em,
+)
 from ebsbm.graph import Graph, block_stats, compact_partition
 from ebsbm.io import bundled_data_path, ingest_network
 from ebsbm.samplers import affiliation_theta, powerlaw_graphon, sample_graphon, sample_sbm
@@ -141,6 +147,8 @@ class TestSharedBasis:
         for bad in (basis[:-1], basis[:, :2], basis[:, 0], np.vstack((basis, basis))):
             with pytest.raises(ValueError, match="basis of shape"):
                 spectral_partition(g, K=3, seed=0, basis=bad)
+        with pytest.raises(ValueError, match="must be integers, got 2.5"):
+            spectral_partition(g, 2.5, 0)
 
 
 @pytest.fixture
@@ -1083,6 +1091,33 @@ class TestLockstep:
             detect_range(g, (2, np.float64(3)), seed=0)
         with pytest.raises(ValueError, match="k_range must not repeat a K, got \\[2, 3, 2\\]"):
             detect_range(g, (2, 3, 2), seed=0)
+
+    def test_check_k_range_with_node_count(self):
+        # the first K above n in the given order is named; no n, no bound
+        with pytest.raises(ValueError, match="K=12 exceeds node count 9"):
+            check_k_range((3, 12, 10), 9)
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            check_k_range((3, 0, 12), 9)
+        assert check_k_range((9, np.int64(3)), 9) == (9, 3)
+        assert check_k_range((100, 3)) == (100, 3)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+        ({"max_iter": -1}, "max_iter must be >= 0"),
+        ({"tol": float("nan")}, "tol must be >= 0"),
+        ({"tol": -1.0}, "tol must be >= 0"),
+    ])
+    def test_stopping_rule_checked_first(self, monkeypatch, kwargs, message):
+        # a NaN or negative tol once ran every K to the sweep cap, and a
+        # fractional max_iter raised a TypeError after the spectral starts
+        g, _ = cliques_graph(4)
+        init = detect_range(g, (2,), seed=0, max_iter=0)[0][0]
+        monkeypatch.setattr(community, "_top_eigvecs", None)  # no solve is made
+        monkeypatch.setattr(community, "_csr_adjacency", None)  # no EM is run
+        with pytest.raises(ValueError, match=message):
+            detect_range(g, (2, 3), seed=0, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            variational_em(g, 2, init, **kwargs)
 
 
 class TestDetectOneK:

@@ -67,11 +67,20 @@ class TestConfig:
         ({"k_range": (2, 2)}, "must not repeat a K"),
         ({"k_range": (2.5, 3)}, "k_range entries must be integers, got 2.5"),
         ({"k_range": (np.float64(2), 3)}, "k_range entries must be integers"),
+        ({"n": 6, "k_range": (2, 7)}, "K=7 exceeds node count 6"),
+        ({"vem_max_iter": 2.5}, "vem_max_iter must be an integer, got 2.5"),
+        ({"n": 60.5}, "n must be an integer, got 60.5"),
+        ({"base_seed": 0.5}, "base_seed must be an integer, got 0.5"),
+        ({"base_seed": -1}, "base_seed must be >= 0"),
+        ({"replicates": 1.5}, "replicates must be an integer, got 1.5"),
+        ({"k_star": 1.5}, "k_star must be an integer, got 1.5"),
+        ({"workers": 1.5}, "workers must be an integer, got 1.5"),
     ])
     def test_rejected_before_any_replicate(self, bad, message):
         # each once skipped every replicate (or, for a repeated K, wrote its
-        # records twice, and a non-integral K ran as its truncation) instead
-        # of failing
+        # records twice, and a non-integral K ran as its truncation; a
+        # fractional replicates, k_star or workers raised a bare TypeError)
+        # instead of failing
         with pytest.raises(ValueError, match=message):
             small_cfg(**bad)
 
@@ -85,6 +94,22 @@ class TestConfig:
         cfg = small_cfg()
         back = ExperimentConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
         assert back == cfg
+
+    def test_numpy_integers_write_a_manifest_that_loads(self, tmp_path):
+        # an np.int64 n once ran every replicate, then failed mid-way through
+        # manifest.json ("Object of type int64 is not JSON serializable")
+        cfg = small_cfg(n=np.int64(60), k_star=np.int64(3), replicates=np.int64(1),
+                        base_seed=np.int64(100), workers=np.int64(1),
+                        vem_max_iter=np.int64(100), k_range=np.array([2, 3]))
+        assert all(type(getattr(cfg, f)) is int for f in (
+            "n", "k_star", "replicates", "base_seed", "workers", "vem_max_iter"))
+        run_experiment(cfg, out_dir=tmp_path)
+        with open(tmp_path / "manifest.json") as fh:
+            manifest = json.load(fh)
+        assert ExperimentConfig.from_json_dict(manifest["config"]) == cfg
+        bad = {**manifest["config"], "n": 60.5}  # a hand-edited manifest
+        with pytest.raises(ValueError, match="n must be an integer, got 60.5"):
+            ExperimentConfig.from_json_dict(bad)
 
 
 class TestSimulate:
@@ -387,6 +412,13 @@ class TestSharedEigenbasis:
         g = Graph(n=6, edges=[(0, 1), (1, 2), (0, 2), (3, 4)])
         with pytest.raises(ValueError, match="K=7 exceeds node count 6"):
             analyze_graph(g, (2, 7, 3), seed=0)
+
+    def test_k_above_the_default_n(self):
+        # without a config the K bound is the graph's node count, not the
+        # default n = 200
+        g, _ = sample_sbm(affiliation_theta(K=3, lam=0.8, epsilon=0.1, rho=0.3), n=202, seed=0)
+        records, _, _ = analyze_graph(g, (201,), seed=0)
+        assert [rec.K_input for rec in records] == [201]
 
 
 def test_testlik_protocol_orders_methods():

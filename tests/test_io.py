@@ -91,10 +91,19 @@ class TestLabels:
         e = write(tmp_path, "e.txt", "a b\nb c\n")
         l = write(tmp_path, "l.txt", "a red\nb red\nc blue\n")
         graph, ids, _ = read_edge_list(e)
-        part, label_names = read_label_file(l, ids)
+        part, got = read_label_file(l, ids)
         assert part.K == 2
         assert list(part.labels) == [1, 1, 2]
-        assert label_names == ["red", "blue"]
+        assert got == ids == ["a", "b", "c"]
+
+    def test_label_only_nodes_appended(self, tmp_path):
+        # a node only the label file names once raised "unknown node"
+        l = write(tmp_path, "l.txt", "a X\nz Y\nb X\ny Z\nc Y\n")
+        ids = ["a", "b", "c"]
+        part, got = read_label_file(l, ids)
+        assert got == ["a", "b", "c", "z", "y"]
+        assert ids == ["a", "b", "c"]  # the caller's list is not extended
+        assert list(part.labels) == [1, 1, 2, 2, 3]
 
     def test_unlabeled_node_rejected(self, tmp_path):
         e = write(tmp_path, "e.txt", "a b\nb c\n")
@@ -146,6 +155,44 @@ class TestIngest:
         assert ids == ["a", "b", "c"]
         assert part.K == 2
         assert report["n"] == 3 and report["edges"] == 1
+
+    def test_ingest_bytes_pinned(self, tmp_path):
+        # an edge list with a comment line and a label file that interleaves
+        # two label-only nodes; the bytes were recorded when the label file
+        # was still scanned twice
+        from ebsbm.cli import main
+
+        e = write(tmp_path, "e.txt", "# a comment\nb a\nc b\nd c\na c\n")
+        l = write(tmp_path, "l.txt", "a X\nz Y\nb X\nc Y\ny Z\nd Y\n")
+        out = tmp_path / "out"
+        assert main(["ingest", "--graph", str(e), "--labels", str(l), "--out", str(out)]) == 0
+        assert (out / "edges.txt").read_bytes() == b"0 1\n0 2\n1 2\n2 3\n"
+        assert (out / "node_ids.json").read_bytes() == \
+            b'{"ids": ["b", "a", "c", "d", "z", "y"]}\n'
+        assert (out / "labels.txt").read_bytes() == b"0 1\n1 1\n2 2\n3 2\n4 2\n5 3\n"
+
+    def test_each_file_parsed_once(self, tmp_path, monkeypatch):
+        e = write(tmp_path, "e.txt", "a b\n")
+        l = write(tmp_path, "l.txt", "a 1\nc 2\nb 2\n")
+        passes = []
+        real = io._data_lines
+
+        def counted(path):
+            passes.append(path)
+            return real(path)
+
+        monkeypatch.setattr(io, "_data_lines", counted)
+        graph, part, ids, _ = ingest_network(e, l)
+        assert passes == [e, l]
+        assert (graph.n, ids, list(part.labels)) == (3, ["a", "b", "c"], [1, 2, 2])
+
+    def test_malformed_label_line_before_bad_byte(self, tmp_path):
+        # one pass meets the malformed line 2 before the byte on line 3
+        e = write(tmp_path, "e.txt", "a b\n")
+        l = tmp_path / "l.txt"
+        l.write_bytes(b"a 1\nb 1 2\n\xff 2\n")
+        with pytest.raises(DataError, match="l.txt: line 2: expected 'node label', got 3"):
+            ingest_network(e, l)
 
     def test_without_labels(self, tmp_path):
         e = write(tmp_path, "e.txt", "1 2\n2 3\n")
