@@ -72,9 +72,8 @@ def _require_out(args, command):
 
 def _analyze(args, graph, k_range, truth=None):
     """analyze_graph over k_range with the command's detection flags."""
-    cfg = ExperimentConfig(n=graph.n, k_range=k_range, vem_max_iter=args.vem_max_iter,
-                           vem_tol=args.vem_tol)
-    return analyze_graph(graph, k_range, args.seed, truth=truth, cfg=cfg)
+    return analyze_graph(graph, k_range, args.seed, truth=truth,
+                         vem_max_iter=args.vem_max_iter, vem_tol=args.vem_tol)
 
 
 def _rerun_fields(args, k_range):
@@ -95,8 +94,11 @@ def _add_model_flags(p):
 
 
 def _add_detect_flags(p):
-    p.add_argument("--vem-max-iter", type=int, default=100)
-    p.add_argument("--vem-tol", type=float, default=1e-3)
+    p.add_argument("--vem-max-iter", type=int, default=100,
+                   help="variational EM sweeps per K at most (default 100)")
+    p.add_argument("--vem-tol", type=float, default=1e-3,
+                   help="stop a K's variational EM at the first sweep whose objective "
+                        "gain is below this per node, i.e. below tol * n (default 1e-3)")
 
 
 def cmd_simulate(args):

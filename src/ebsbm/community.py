@@ -14,7 +14,11 @@ The EM updates the nodes' assignments in blocks of consecutive nodes, each
 block jointly (the fixed-point update of Daudin, Picard & Robin 2008); a
 sweep that ends below the previous sweep's objective is redone one node at
 a time, which is coordinate ascent (Latouche, Birmele & Ambroise 2012), so
-the objective never decreases. The adjacency's row blocks are made once
+the objective never decreases. A fit stops at the first sweep whose gain
+is below `tol` per node, tol * n on n nodes: the objective is a sum over
+the n(n-1)/2 pairs and the n memberships, so a fixed gain in absolute
+terms means ever less at larger n (the per-sample rule of scikit-learn's
+GaussianMixture). The adjacency's row blocks are made once
 per fit, as views that copy none of it, a redo's one-node blocks one at
 a time, and the expected logs and KL terms once per sweep.
 
@@ -631,8 +635,10 @@ def _finish(R, X, converged, sweeps):
 def _fit_group(X, ks, inits, max_iter, tol, traces):
     """Variational EM of every K in `ks` in lockstep (:func:`_fit_range`):
     one sweep loop over the (n, sum of K) responsibilities of the K still
-    running. A K leaves when it converges or reaches `max_iter`, and its
-    columns are dropped. The bundled OpenBLAS runs on one thread
+    running. A K leaves when it converges, at the first sweep whose gain
+    is below tol * n, or reaches `max_iter`, and its columns are dropped;
+    every K of the group has the same n, so each stops at the sweep it
+    stops at alone. The bundled OpenBLAS runs on one thread
     (:func:`_one_blas_thread`), so that the Gram products' bytes do not
     depend on the caller's thread count. The row blocks are made once;
     a redo makes its one-node blocks as it goes."""
@@ -682,7 +688,7 @@ def _fit_group(X, ks, inits, max_iter, tol, traces):
         for i, value in zip(live, values):
             if traces[i] is not None:
                 traces[i].append(float(value))
-        converged = (values - prev < tol) & known
+        converged = (values - prev < tol * n) & known
         leaving = converged | (sweeps == max_iter)
         for i in np.flatnonzero(leaving):
             results[live[i]] = _finish(R[:, lay.cols[i]], X, bool(converged[i]), sweeps)
@@ -732,8 +738,9 @@ def variational_em(graph: Graph, K: int, init, max_iter: int = 100, tol: float =
     nodes, each block jointly from the current rows of all others (the
     fixed-point update). If that sweep ends below the previous sweep's
     objective, it is redone from its start one node at a time, which is
-    coordinate ascent, so the objective never decreases. Stops when the
-    improvement falls below `tol` or after `max_iter` sweeps; with
+    coordinate ascent, so the objective never decreases. Stops at the
+    first sweep whose gain is below `tol` per node, that is below tol * n
+    on the graph's n nodes, or after `max_iter` sweeps; with
     `max_iter` = 0 no sweep runs, and the start comes back finished,
     unconverged, after 0 sweeps. `max_iter` must be an integer >= 0 and
     `tol` >= 0, checked before any work.
@@ -779,8 +786,9 @@ def detect_range(graph: Graph, k_range, seed: int, max_iter: int = 100, tol: flo
     :func:`variational_em`, before any work. One eigensolve at the largest
     K serves every spectral start (:func:`spectral_partition` with
     `basis`); the basis is then dropped, and the EM runs the range in
-    lockstep (:func:`_fit_range`), a group of K at a time. Each K's result
-    is the one it gets alone.
+    lockstep (:func:`_fit_range`), a group of K at a time. Each K stops
+    at the first sweep whose gain is below `tol` per node (tol * n) or
+    after `max_iter` sweeps, and its result is the one it gets alone.
 
     The CSR adjacency is built twice, for the eigensolve and for the EM,
     and is not held across the spectral starts: beside k-means' scratch

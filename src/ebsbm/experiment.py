@@ -78,6 +78,12 @@ _MODELS = ("sbm-affiliation", "graphon-powerlaw", "file")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: the model, its replicates and the detection flags.
+
+    Each K's variational EM stops after `vem_max_iter` sweeps, or at the
+    first sweep whose objective gain is below `vem_tol` per node, that is
+    below vem_tol * n for a graph of n nodes."""
+
     model: str = "sbm-affiliation"
     n: int = 200
     k_star: int = 10
@@ -174,23 +180,26 @@ def _mse_against_truth(est: ConnectivityEstimate, partition, truth) -> float:
     return mse_graphon(step, truth["spec"])
 
 
-def analyze_graph(graph: Graph, k_range, seed: int, truth=None,
-                  replicate: int = 0, cfg: ExperimentConfig | None = None):
+def analyze_graph(graph: Graph, k_range, seed: int, truth=None, replicate: int = 0,
+                  vem_max_iter: int = 100, vem_tol: float = 1e-3):
     """Run detection, estimation, scoring and selection over the K range.
 
     Detection is one detect_range call: one eigensolve per graph, and the
     K range's variational EMs in lockstep, each K's result the one it gets
-    alone. Each K is then estimated and scored from its partition.
+    alone, each stopped by `vem_max_iter` (an integer >= 1, as in
+    ExperimentConfig) and `vem_tol` (>= 0, a gain per node), both checked
+    before any work. Each K is then estimated and scored from its
+    partition.
 
     Returns (records, selection, estimates) where selection maps criterion
     name to the chosen (compacted) K and carries the error-minimizing
     reference K, and estimates holds each K's partition and estimates.
     """
     k_range = check_k_range(k_range)
-    cfg = cfg or ExperimentConfig(n=graph.n, k_range=k_range)
+    vem_max_iter = _integer("vem_max_iter", vem_max_iter, 1)
     records = []
     estimates = []
-    detections = detect_range(graph, k_range, seed, max_iter=cfg.vem_max_iter, tol=cfg.vem_tol)
+    detections = detect_range(graph, k_range, seed, max_iter=vem_max_iter, tol=vem_tol)
     for K, (det, theta_vb) in zip(k_range, detections):
         stats = block_stats(graph, det.partition)
         hyper = fit_hyperparams(stats)
@@ -225,7 +234,8 @@ def _run_one(cfg: ExperimentConfig, r: int, loaded=None):
     else:
         graph, truth, sidecars = _simulate_replicate(cfg, r)
     records, selection, _ = analyze_graph(
-        graph, cfg.k_range, cfg.base_seed + r, truth=truth, replicate=r, cfg=cfg)
+        graph, cfg.k_range, cfg.base_seed + r, truth=truth, replicate=r,
+        vem_max_iter=cfg.vem_max_iter, vem_tol=cfg.vem_tol)
     return {"replicate": r, "records": records, "selection": selection,
             "sidecars": sidecars}
 
@@ -251,8 +261,13 @@ class ExperimentResult:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ExperimentResult:
     """Execute all replicates and (when out_dir is given) write the full
-    output layout. Replicates that raise are logged, skipped and counted."""
-    loaded = _load_file_model(cfg) if cfg.model == "file" else None
+    output layout. Replicates that raise are logged, skipped and counted.
+    A file model's K range is checked against the ingested graph once,
+    before any replicate runs."""
+    loaded = None
+    if cfg.model == "file":
+        loaded = _load_file_model(cfg)
+        check_k_range(cfg.k_range, loaded[0].n)
     results, skipped = [], []
     with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else contextlib.nullcontext() as pool:
         # every replicate is submitted before the first result is awaited

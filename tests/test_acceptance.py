@@ -213,7 +213,7 @@ def test_criterion_6_graphon_desk_reproduction():
             graph, truth_dict, _ = _simulate_replicate(cfg, r)
             records, _, estimates = analyze_graph(
                 graph, cfg.k_range, cfg.base_seed + r, truth=truth_dict,
-                replicate=r, cfg=cfg)
+                replicate=r, vem_max_iter=cfg.vem_max_iter, vem_tol=cfg.vem_tol)
             for rec in records:
                 if rec.mse_mle > 0:
                     ratios_by_k[rec.K_input].append(rec.mse_eb / rec.mse_mle)

@@ -128,6 +128,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flag, value", [
         ("experiment", "--workers", "-3"),
         ("select", "--vem-max-iter", "-5"),
+        ("select", "--vem-max-iter", "0"),
         ("select", "--vem-tol", "-1"),
     ])
     def test_ignored_setting_is_2(self, tmp_path, capsys, command, flag, value):
@@ -221,16 +222,17 @@ class TestEstimate:
         # sha256 of every file, computed before estimate ran through
         # analyze_graph (K05 and K06 since VEM multiplies by a sparse
         # adjacency, K03 to K05 since VEM's 128-node blocks and segmented
-        # sums, each of which moves the VBEM theta's last digits; the
-        # manifest since it records --vem-max-iter and --vem-tol); the
-        # manifest's absolute graph path is masked
+        # sums, each of which moves the VBEM theta's last digits; K02 since
+        # VEM stops on its gain per node, one sweep sooner; the manifest
+        # since it records --vem-max-iter and --vem-tol); the manifest's
+        # absolute graph path is masked
         graph = bundled_data_path("synthetic_edges.txt")
         out = tmp_path / "est"
         rc = main(["estimate", "--graph", graph, "--k-range", "2..6", "--seed", "3",
                    "--out", str(out)])
         assert rc == 0
         pinned = {
-            "estimate_K02.json": "846ce185581da02d72dbb47ede9b752a1aeee572e8a3a48c9c9078f1e9126f74",
+            "estimate_K02.json": "10c595f4b3d3d9b0beace6fd85be94ed48f9a6c816b674a714b12bd64f985ac7",
             "estimate_K03.json": "5de93a39e65ef96c475c2dddfdd736a3ef07365b0b7f3596fcc229dd32aeb519",
             "estimate_K04.json": "4ea6663a6ba529186d93e6151cf5f3604bf4b439b0a68df6e3cb1b36e3150bc6",
             "estimate_K05.json": "2b3ca8ab01647f950cbd1362588d132930780c063411dd145ffde94c27984b5e",
@@ -312,6 +314,17 @@ class TestSimulateAndExperiment:
         for r in (0, 1):
             assert (f"replicate {r}: RuntimeError: synthetic failure" in err) == (r in failing)
 
+    def test_experiment_file_k_above_the_graph_is_2(self, tmp_path, capsys):
+        # one error before any replicate, not one skip per replicate
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--graph", str(bundled_data_path("synthetic_edges.txt")),
+                   "--k-range", "2,300", "--replicates", "2", "--workers", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "ebsbm: error: K=300 exceeds node count 200\n"
+        assert not (out / "manifest.json").exists()
+
     def test_experiment_composes_from_simulate_estimate_select(self, tmp_path, capsys):
         # one replicate, same seeds: the pipeline equals its parts
         common = ["--model", "sbm-affiliation", "--n", "50", "--k-star", "2",
@@ -339,7 +352,8 @@ class TestSimulateAndExperiment:
         cfg = ExperimentConfig.from_json_dict(
             json.loads((exp_out / "manifest.json").read_text())["config"])
         graph, truth, _ = _simulate_replicate(cfg, 0)
-        _, _, exp_estimates = analyze_graph(graph, cfg.k_range, 11, truth=truth, cfg=cfg)
+        _, _, exp_estimates = analyze_graph(graph, cfg.k_range, 11, truth=truth,
+                                            vem_max_iter=cfg.vem_max_iter, vem_tol=cfg.vem_tol)
         assert [e["K"] for e in exp_estimates] == [1, 2, 3] == sorted(recs)
         for est in exp_estimates:
             K = est["K"]

@@ -514,29 +514,31 @@ def _sha(data):
 
 # sha256 of the objective trace (float.hex, comma-joined) and theta_vb
 # (little-endian float64), recorded with 128-node E-step blocks, every per-K
-# sum taken by np.add.reduceat and the entropy from the E-step: (graph, K,
-# init, init seed, sweeps, digests). The first case redoes one sweep node by
-# node.
+# sum taken by np.add.reduceat, the entropy from the E-step and the stop at a
+# gain below tol * n: (graph, K, init, init seed, tol, sweeps, digests). The
+# first case redoes one sweep node by node, in its 20th sweep; at the default
+# tol it would stop after 3 sweeps, on a gain of 0.0041 < 0.04, before the redo
+_REDO_TOL = 1e-5
 VEM_PINS = [
-    ((3, 0.8, 1.0, 40, 13), 3, "random", 13, 20,
+    ((3, 0.8, 1.0, 40, 13), 3, "random", 13, _REDO_TOL, 20,
      "8c52867dede1b20cb5d98b6076de18542a12270c6a4920c8dfd2bbed9394f25d",
      "44cc623faef78137648d3eddf0670a31903b11811f239ff24d3185242537605b"),
-    ((5, 0.8, 0.5, 150, 4), 6, "spectral", 4, 39,
-     "1a43f42e8816246bb1ba9383cc5863905cfc0145981394f2845330be3ead8ce6",
-     "1033e85335229efd20af201c5b6e1952cb7e14070b286075d24f689163b19a77"),
-    ((10, 0.9, 0.2, 400, 2000), 12, "spectral", 2000, 23,
-     "2877a01eb5d76d80f39dcfe3c93825d3f8fa6d91be4d08f06002232923268335",
-     "ec6a0f12ad6f4acfd7a415d8504ab7d9b62128405b6de2db5fe79a48632944df"),
-    (None, 10, "spectral", 0, 2,
+    ((5, 0.8, 0.5, 150, 4), 6, "spectral", 4, 1e-3, 4,
+     "7372fb4ebe1910bf699cfa34b0d70afd3d8a8e6d4023e3dd871d977fae4afd7a",
+     "d35fc31ffe08b0e6791b9cba91df3aa2dda9bfe718ef31ef8cf5352882bfc2f3"),
+    ((10, 0.9, 0.2, 400, 2000), 12, "spectral", 2000, 1e-3, 14,
+     "d816ab1e5ae94b02a6eec6295448f0644ff777739f31181498e90b4069061a2b",
+     "28d0768d89913d21ef9bf4078bd44335f64fb98593429dfea273eb4a64f653ce"),
+    (None, 10, "spectral", 0, 1e-3, 2,
      "b81206f5de7fd07c9631db9b35e8979e62120df7ac6aaff0f9844b7e8c9b20fc",
      "a60783a7841f33dd710aa0e8d3238b2a805ad8acc65505586cf55e3d171372c3"),
 ]
 
 
-@pytest.mark.parametrize("sbm, K, init, seed, sweeps, trace_sha, theta_sha", VEM_PINS,
+@pytest.mark.parametrize("sbm, K, init, seed, tol, sweeps, trace_sha, theta_sha", VEM_PINS,
                          ids=["n40-K3-random", "n150-K6-spectral", "n400-K12-spectral",
                               "bundled-K10-spectral"])
-def test_variational_em_pinned(sbm, K, init, seed, sweeps, trace_sha, theta_sha):
+def test_variational_em_pinned(sbm, K, init, seed, tol, sweeps, trace_sha, theta_sha):
     # sbm is (K*, lambda, rho, n, graph seed) of an affiliation SBM with
     # epsilon 0.1; None is the bundled network
     if sbm is None:
@@ -547,7 +549,7 @@ def test_variational_em_pinned(sbm, K, init, seed, sweeps, trace_sha, theta_sha)
                           seed=graph_seed)
     start = _random_init(g.n, K, seed) if init == "random" else spectral_partition(g, K, seed)
     trace = []
-    det, theta_vb = variational_em(g, K, start, trace=trace)
+    det, theta_vb = variational_em(g, K, start, tol=tol, trace=trace)
     assert det.iterations == sweeps == len(trace)
     assert _sha(",".join(v.hex() for v in trace).encode()) == trace_sha
     assert _sha(theta_vb.astype("<f8").tobytes()) == theta_sha
@@ -584,8 +586,9 @@ class TestVariationalEm:
         assert np.all(diffs >= -1e-7 * (1 + np.abs(np.asarray(trace[:-1]))))
 
     def test_batched_sweep_below_previous_is_redone(self, monkeypatch):
-        # pinned: on this graph and random init the last batched sweep ends
-        # (by rounding) below the sweep before it, so it is redone node by node
+        # pinned: on this graph and random init at _REDO_TOL (VEM_PINS) the
+        # last batched sweep ends (by rounding) below the sweep before it, so
+        # it is redone node by node
         spec = affiliation_theta(K=3, lam=0.8, epsilon=0.1, rho=1.0)
         g, _ = sample_sbm(spec, n=40, seed=13)
         blocks, values = [], []
@@ -603,7 +606,8 @@ class TestVariationalEm:
         monkeypatch.setattr(community, "_e_step", step)
         monkeypatch.setattr(community, "_elbo", objective)
         trace = []
-        res, _ = variational_em(g, K=3, init=_random_init(g.n, 3, 13), trace=trace)
+        res, _ = variational_em(g, K=3, init=_random_init(g.n, 3, 13), tol=_REDO_TOL,
+                                trace=trace)
         # sweep j's batched E-step is call j; its redo is call j + 1
         j = blocks.index(1) - 1
         assert blocks.count(1) == 1 and j >= 1
@@ -615,7 +619,8 @@ class TestVariationalEm:
         # spoil every batched sweep after the first: each is undone and
         # redone node by node, which must give exactly the trace of a run
         # whose later sweeps are node by node in the first place, each with
-        # its entropy taken once from its result, as a redo takes it
+        # its entropy taken once from its result, as a redo takes it; at
+        # _REDO_TOL, so that more than one sweep is spoiled
         spec = affiliation_theta(K=3, lam=0.7, epsilon=0.1, rho=1.0)
         g, _ = sample_sbm(spec, n=90, seed=2)
         init = _random_init(g.n, 3, 2)
@@ -640,7 +645,7 @@ class TestVariationalEm:
 
             monkeypatch.setattr(community, "_e_step", step)
             trace = []
-            res, _ = variational_em(g, K=3, init=init, trace=trace)
+            res, _ = variational_em(g, K=3, init=init, tol=_REDO_TOL, trace=trace)
             return res, trace
 
         spoiled, trace = run(spoil=True)
@@ -692,12 +697,78 @@ class TestVariationalEm:
         assert res.converged
         assert 1 <= res.iterations <= 50
         # a run stopped at its cap says so (at the default cap of 100 sweeps
-        # this one converges after 77)
+        # this one converges after 29)
         g, _ = sample_sbm(affiliation_theta(K=1, lam=0.05, epsilon=0.0, rho=1.0), n=300,
                           seed=0)
         det, _ = detect_range(g, (4,), seed=0, max_iter=3)[0]
         assert det.converged is False
         assert det.iterations == 3
+
+
+def _check_stop_rule(trace, det, n, tol, max_iter):
+    # the stop rule read off a fit's objective trace: every gain before the
+    # last is at least tol * n, the last is below it unless the fit ran to
+    # max_iter, and `converged` says which
+    gains = np.diff(trace)
+    assert det.iterations == len(trace) <= max_iter
+    assert np.all(gains[:-1] >= tol * n)
+    assert det.converged == (gains.size > 0 and gains[-1] < tol * n)
+    assert det.converged or det.iterations == max_iter
+
+
+# small affiliation SBMs: (K*, lambda, rho, n, graph seed), epsilon 0.1
+_SMALL_SBMS = st.tuples(st.integers(1, 4), st.floats(0.3, 0.9), st.floats(0.3, 1.0),
+                        st.integers(20, 120), st.integers(0, 2**16))
+_TOLS = st.sampled_from([0.0, 1e-5, 1e-4, 1e-3, 1e-2])
+
+
+def _small_sbm(sbm):
+    k, lam, rho, n, seed = sbm
+    return sample_sbm(affiliation_theta(K=k, lam=lam, epsilon=0.1, rho=rho), n=n, seed=seed)[0]
+
+
+class TestStopRule:
+    # a K stops at the first sweep whose objective gain is below tol * n
+    @settings(max_examples=60, deadline=None)
+    @given(_SMALL_SBMS, st.integers(1, 6), _TOLS, st.integers(1, 40), st.integers(0, 2**16))
+    def test_variational_em(self, sbm, K, tol, max_iter, seed):
+        g = _small_sbm(sbm)
+        trace = []
+        det, _ = variational_em(g, K, _random_init(g.n, K, seed), max_iter=max_iter, tol=tol,
+                                trace=trace)
+        _check_stop_rule(trace, det, g.n, tol, max_iter)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_SMALL_SBMS, st.integers(1, 5), st.integers(1, 4), _TOLS, st.integers(1, 40))
+    def test_detect_range(self, sbm, low, width, tol, max_iter):
+        g = _small_sbm(sbm)
+        ks = tuple(range(low, low + width))
+        traces = []
+        fit_range = community._fit_range
+
+        def traced(X, ks, inits, max_iter, tol):
+            traces.extend([] for _ in ks)
+            return fit_range(X, ks, inits, max_iter, tol, traces)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(community, "_fit_range", traced)
+            fits = detect_range(g, ks, seed=sbm[-1], max_iter=max_iter, tol=tol)
+        for (det, _), trace in zip(fits, traces, strict=True):
+            _check_stop_rule(trace, det, g.n, tol, max_iter)
+
+    def test_structureless_graph_at_scale(self):
+        # 20,000 nodes, mean degree about 20, no blocks: from a random
+        # partition at K = 10 each sweep gained about 0.005 against an
+        # objective near -1.6e6, so an absolute 1e-3 ran the fit to its
+        # 100-sweep cap (1.5 s); a gain per node stops it after 3 sweeps
+        n = 20_000
+        pairs = np.random.default_rng(0).integers(n, size=(10 * n, 2))
+        g = Graph(n=n, edges=np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1))
+        labels = np.random.default_rng(1).integers(1, 11, size=n)
+        start = community.DetectionResult(partition=compact_partition(labels), converged=False,
+                                          iterations=0)
+        det, _ = variational_em(g, 10, start)
+        assert det.converged and det.iterations < 100
 
 
 def _reference_counts(X, R):
@@ -781,7 +852,7 @@ def _reference_vem(g, K, init, max_iter=100, tol=1e-3, trace=None):
             value, counts = objective(R, elog, (kl_pi, kl_theta), entr(R).sum(axis=0))
         if trace is not None:
             trace.append(value)
-        if value - prev < tol and np.isfinite(prev):
+        if value - prev < tol * g.n and np.isfinite(prev):
             converged = True
             break
         prev = value
@@ -852,9 +923,9 @@ class TestLockstep:
             assert [(det.iterations, det.converged) for det, _ in fits] == [(0, False)] * 4
 
     def test_redone_sweep_inside_a_group(self, monkeypatch):
-        # the n=40 graph whose K = 3 fit from random init redoes a sweep
-        # (test_batched_sweep_below_previous_is_redone), run beside two
-        # fits that do not redo, each of which must keep its own bytes
+        # the n=40 graph whose K = 3 fit from random init redoes a sweep at
+        # _REDO_TOL (test_batched_sweep_below_previous_is_redone), run beside
+        # two fits that do not redo, each of which must keep its own bytes
         g, _ = sample_sbm(affiliation_theta(K=3, lam=0.8, epsilon=0.1, rho=1.0), n=40, seed=13)
         redone = []
         e_step = community._e_step
@@ -867,7 +938,7 @@ class TestLockstep:
         monkeypatch.setattr(community, "_e_step", step)
         ks = (2, 3, 5)
         inits = [_random_init(g.n, 2, 1), _random_init(g.n, 3, 13), _random_init(g.n, 5, 2)]
-        _assert_fits_match_reference(g, ks, inits)
+        _assert_fits_match_reference(g, ks, inits, tol=_REDO_TOL)
         assert redone == [(3,)]
 
     def test_start_with_fewer_clusters_than_k(self):
@@ -944,11 +1015,13 @@ class TestLockstep:
         # scores, to 1e-12 relative; a near-hard R's entropy (7e-7 on the
         # n=40 graph) is allowed the rounding of r log r at an r near 1,
         # one unit of 1's last place per entry, in either computation
+        tol = 1e-3
         if case == "sweep graph":
             g = _sbm_400(1000)
             ks = tuple(range(5, 16))
             inits = _spectral_starts(g, ks, 1000)
         else:  # the fits of test_redone_sweep_inside_a_group
+            tol = _REDO_TOL
             g, _ = sample_sbm(affiliation_theta(K=3, lam=0.8, epsilon=0.1, rho=1.0), n=40,
                               seed=13)
             ks = (2, 3, 5)
@@ -968,7 +1041,7 @@ class TestLockstep:
 
         monkeypatch.setattr(community, "_e_step", step)
         monkeypatch.setattr(community, "_elbo", recorded)
-        community._fit_range(community._csr_adjacency(g), list(ks), inits, 100, 1e-3)
+        community._fit_range(community._csr_adjacency(g), list(ks), inits, 100, tol)
         assert {K for K, *_ in seen} == set(ks)
         assert [K for K, redone, *_ in seen if redone] == ([3] if case == "redone sweep" else [])
         for K, _, value, want, ulps in seen:

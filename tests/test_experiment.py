@@ -250,7 +250,7 @@ class TestRun:
         records = self._records_at_threads(tmp_path, 1000, 0.2, (45, 50))
         assert records[0] == records[1]
         assert hashlib.sha256(records[0]).hexdigest() == \
-            "d161c9836e4a42e0e5d4eed6827392e29842cb6125e13e46e7074b84a3f17af6"
+            "dc996bc62c8f9669ae2e9cc91974c4c456d929df9a39d4905b6023fea4693b58"
 
     def test_selection_summary_shape(self):
         res = run_experiment(small_cfg(write_replicates=False))
@@ -314,6 +314,17 @@ class TestRun:
         assert len(calls) == 1
         assert len(res.records) == 3 * 2
 
+    def test_file_model_k_above_the_graph_fails_before_any_replicate(self, monkeypatch):
+        # a file model's node count is known only once it is ingested; the
+        # range once failed in every replicate, each skipped on its own
+        runs = []
+        monkeypatch.setattr(experiment, "_run_one", lambda *args: runs.append(args))
+        cfg = ExperimentConfig(model="file", graph_file=bundled_data_path("synthetic_edges.txt"),
+                               k_range=(2, 300), replicates=2, write_replicates=False)
+        with pytest.raises(ValueError, match="K=300 exceeds node count 200"):
+            run_experiment(cfg)
+        assert runs == []
+
     def test_file_model_without_labels(self, tmp_path):
         spec = affiliation_theta(K=2, lam=0.8, epsilon=0.1, rho=1.0)
         g, _ = sample_sbm(spec, n=40, seed=5)
@@ -334,15 +345,15 @@ class TestRun:
 
 @pytest.mark.parametrize("model, extra, pinned", [
     ("sbm-affiliation", dict(k_star=4, lam=0.8, epsilon=0.1, rho=1.0, base_seed=100), {
-        "records.jsonl": "fcfcf965cb01bd0ef27563b47e96b14e24f0dc3212000f5baa73d49ab085ae0e",
-        "summary.csv": "c0c6d2690747a923dce04f1b234b633c38200dc7db6970c62be8f6021951fa6d",
-        "selection.csv": "4732c8ccfdb2bf54dd892c96b5b1b3691102965969c22a1a10da11e0364ae58b",
+        "records.jsonl": "e9c3a4acefe6e8d58809df47a86b2cdfed244dd981de65aa190728a4e7dcc9ba",
+        "summary.csv": "45adbecd3786354e38d01b47bb672ac3607416389615b47ff345810d3c4ca5d7",
+        "selection.csv": "5d509501d6bca76d2c9cfd8c74e50c7437d4ccf42a37b837ced177954424230f",
     }),
     ("graphon-powerlaw", dict(rho=0.2, lam=2.0, base_seed=200), {
-        "records.jsonl": "61df337125b9cd0dd3305a027dc58c5ec7ed00835aee1b8ac0a2389455d892c4",
-        "summary.csv": "a84f914fa05971d8527805a6cd6a70ee21931b157ca2b0a8ba60774d3da29382",
+        "records.jsonl": "776b5da8317fcf6c7f1a65f0c888e5b33b01dfb62b6fd1c8c856d2f8c18431dc",
+        "summary.csv": "f730556491a924b55d84377202619f6c18545b014128184680378052e1437f31",
         # e_k_star does not apply to a graphon and is an empty cell
-        "selection.csv": "0d84bb732f88559fa7161db82b4433c58902794b34aa1a5f6f9a20af82099b29",
+        "selection.csv": "23fe88be945c71bd236ee2e5ff99be0e8218002e3ebf9e8b2c117e53dae4e8b2",
     }),
 ])
 def test_experiment_output_bytes_pinned(tmp_path, model, extra, pinned):
