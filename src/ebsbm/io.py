@@ -69,8 +69,9 @@ def read_edge_list(path):
     return graph, list(index), report
 
 
-# Lines per formatted chunk: about 1 MB of Python values and text at once,
-# whatever the number of lines written.
+# Lines per formatted chunk: about 1 MB of Python values and text at once
+# for _write_rows, far less for write_edge_list, whatever the number of
+# lines written.
 _CHUNK_ROWS = 1 << 13
 
 
@@ -90,10 +91,41 @@ def _write_rows(path, line, columns):
             fh.write((line * (len(values) // width) % tuple(values)).encode("ascii"))
 
 
+# 10, 100, ..., 10^18: an id below 2^63 has one digit more than the
+# number of these it is at least
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _edge_lines(pairs):
+    """The ASCII lines "i j\\n" of an (r, 2) array of nonnegative int64 ids.
+
+    Every id is written right-aligned in d digits, d the widest in the
+    chunk, by ``% 10`` and ``// 10``, each field followed by its ' ' or
+    '\\n'; the leading zeros are then dropped by one boolean mask.
+    """
+    widths = 1 + np.searchsorted(_POWERS_OF_TEN, pairs, "right")
+    d = int(widths.max())
+    text = np.empty((len(pairs), 2, d + 1), dtype=np.uint8)
+    text[:, 0, d], text[:, 1, d] = ord(" "), ord("\n")
+    rest = pairs
+    for k in range(d - 1, -1, -1):
+        rest, digit = np.divmod(rest, 10)
+        text[:, :, k] = digit + ord("0")
+    return text[np.arange(d + 1) >= d - widths[..., None]].tobytes()
+
+
 def write_edge_list(graph: Graph, path):
     """Write one "i j" line per edge, in the graph's sorted (i, j) order,
-    with '\\n' line ends on every platform; byte-deterministic."""
-    _write_rows(path, "%d %d\n", graph.edges.T)
+    with '\\n' line ends on every platform; byte-deterministic.
+
+    Each chunk of _CHUNK_ROWS edges is formatted by digit arithmetic on
+    its own ids (:func:`_edge_lines`), so no Python code runs per line
+    and scratch is a few bytes per id of the chunk.
+    """
+    edges = graph.edges
+    with open(path, "wb") as fh:
+        for lo in range(0, len(edges), _CHUNK_ROWS):
+            fh.write(_edge_lines(edges[lo:lo + _CHUNK_ROWS]))
 
 
 def read_label_file(path, node_ids):

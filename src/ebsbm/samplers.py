@@ -7,10 +7,14 @@ Replicate r of an experiment draws from seed ``base_seed + r``.
 
 A sampler first draws the n node labels (or latents), then one uniform per
 pair i < j in ``np.triu_indices(n, 1)`` order: row by row, columns
-ascending. The pairs are visited a block of rows at a time, each block's
-tile spanning at most 2^16 (row, column) entries (0.5 MB as float64) or
-one row, so memory is O(n + m) plus a few such tiles for m edges, never
-O(n^2); time is still O(n^2).
+ascending, a block of rows at a time. The block model draws a block's
+pairs into one flat buffer of at most 2^16 entries (or one row) and reads
+their probabilities from a K x n row table, ``theta[:, z0]``, so a row's
+probabilities are one slice of it. The graphon computes its probabilities
+as a dense tile of at most 2^16 (row, column) entries (or one row) per
+block, so the two share no loop. Memory is O(n + m) for m edges, plus
+the block model's O(K n) table and a few 0.5 MB float64 buffers or tiles,
+never O(n^2); time is still O(n^2).
 """
 
 from __future__ import annotations
@@ -98,15 +102,16 @@ def affiliation_theta(K: int, lam: float, epsilon: float, rho: float) -> SbmSpec
     return SbmSpec(pi=np.full(K, 1.0 / K), theta=theta)
 
 
-# A block's tile spans at most this many (row, column) entries, or one
-# row if that is longer: 0.5 MB per float64 tile. Smaller tiles cost more
-# numpy calls per pair, larger ones more memory; at n = 4000, 2^16 is the
-# smallest size that draws a block model as fast as any larger one.
+# A block spans at most this many pairs (block model) or (row, column)
+# tile entries (graphon), or one row if that is longer: 0.5 MB per float64
+# buffer. Smaller blocks cost more numpy calls per pair, larger ones more
+# memory; at n = 4000 the block model draws no faster with larger blocks.
 _BLOCK_PAIRS = 1 << 16
 
 
 def _sample_pairs(rng, n, tile):
-    """Edges i < j, each pair drawn once in ``np.triu_indices(n, 1)`` order.
+    """The graphon's edges i < j, each pair drawn once in
+    ``np.triu_indices(n, 1)`` order.
 
     ``tile(r0, r1)`` gives the edge probabilities of rows r0..r1-1 against
     columns r0+1..n-1. Only the tile's upper triangle (column > row) holds
@@ -128,12 +133,42 @@ def _sample_pairs(rng, n, tile):
 
 
 def _draw_sbm(spec: SbmSpec, n: int, seed: int) -> tuple[Graph, np.ndarray]:
-    """The graph and its uncompacted 0-based labels z0."""
+    """The graph and its uncompacted 0-based labels z0.
+
+    Row a's pairs (a, a+1..n-1) have the probabilities
+    ``table[z0[a], a + 1:]`` of the row table ``theta[:, z0]``. A block of
+    rows fills one flat buffer with its pairs' draws, in triu order, and
+    another with those slices, so one comparison draws every pair; only
+    the hits are mapped back to (i, j), by each row's first flat position.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     z0 = rng.choice(spec.K, size=n, p=spec.pi)
-    edges = _sample_pairs(rng, n, lambda r0, r1: spec.theta[z0[r0:r1]][:, z0[r0 + 1:]])
+    table = list(spec.theta[:, z0])  # its K rows
+    labels = z0.tolist()
+    rows = np.arange(n)
+    first = rows * (n - 1) - rows * (rows - 1) // 2  # row a's first pair, in triu order
+    size = min(max(_BLOCK_PAIRS, n - 1), int(first[-1]))
+    draws, probs = np.empty(size), np.empty(size)
+    chunks = [np.empty((0, 2), dtype=np.int64)]
+    r0 = 0
+    while r0 < n - 1:
+        # the most rows from r0 whose pairs fit the buffers, one at least
+        r1 = min(n - 1, int(np.searchsorted(first, first[r0] + size, "right")) - 1)
+        offsets = first[r0:r1 + 1] - first[r0]
+        bounds = offsets.tolist()
+        for a, z, lo, hi in zip(range(r0, r1), labels[r0:r1], bounds, bounds[1:]):
+            probs[lo:hi] = table[z][a + 1:]
+        count = bounds[-1]
+        rng.random(out=draws[:count])
+        hits = np.flatnonzero(draws[:count] < probs[:count])
+        i = np.searchsorted(offsets, hits, "right") - 1
+        chunks.append(np.column_stack((i + r0, hits - offsets[i] + i + r0 + 1)))
+        r0 = r1
+    del draws, probs, table  # freed before the edges are joined and copied
+    edges = np.concatenate(chunks)
+    del chunks
     return Graph(n=n, edges=edges), z0
 
 

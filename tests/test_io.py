@@ -294,23 +294,40 @@ def random_ids(rng, size, max_digits):
     return rng.integers(0, 10 ** rng.integers(1, max_digits + 1, size=size), dtype=np.int64)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_writers_match_per_line_reference(data):
-    # the chunked writers give exactly the bytes of one f-string per line,
-    # for row counts on either side of a chunk boundary, the real one too
-    chunk = data.draw(st.sampled_from([1, 3, io._CHUNK_ROWS]), label="chunk")
-    rows = data.draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1]), label="rows")
-    digits = data.draw(st.integers(1, 9), label="digits")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    # distinct offsets j - i make the pairs distinct
+@st.composite
+def chunked_edges(draw):
+    """A writer chunk size and edges on either side of a chunk boundary
+    (the real one too), their ids of varied decimal widths."""
+    chunk = draw(st.sampled_from([1, 3, io._CHUNK_ROWS]), label="chunk")
+    rows = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1]), label="rows")
+    digits = draw(st.integers(1, 9), label="id digits")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="id seed"))
     i = random_ids(rng, rows, digits)
-    j = i + 1 + rng.permutation(rows)
-    graph = Graph(n=int(j.max(initial=0)) + 1, edges=np.column_stack((i, j)))
-    dtype = data.draw(st.sampled_from(["int64", "int32", "uint8"]), label="dtype")
+    # distinct offsets j - i make the pairs distinct
+    return chunk, np.column_stack((i, i + 1 + rng.permutation(rows)))
+
+
+# each id at a digit-width boundary on either side of a pair
+WIDTH_BOUNDARY_EDGES = np.array([
+    [0, 9], [0, 10], [9, 10], [10, 99], [99, 100], [100, 999_999_999],
+    [999_999_999, 1_000_000_000],
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=chunked_edges(), digits=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       dtype=st.sampled_from(["int64", "int32", "uint8"]), head=st.lists(st.floats(), max_size=8))
+@example(layout=(3, WIDTH_BOUNDARY_EDGES), digits=9, seed=0, dtype="int64", head=[])
+@example(layout=(io._CHUNK_ROWS, WIDTH_BOUNDARY_EDGES), digits=9, seed=0, dtype="int64", head=[])
+def test_writers_match_per_line_reference(layout, digits, seed, dtype, head):
+    # the chunked writers give exactly the bytes of one f-string per line
+    chunk, edges = layout
+    rows = len(edges)
+    rng = np.random.default_rng(seed)
+    graph = Graph(n=int(edges.max(initial=0)) + 1, edges=edges)
     labels = rng.integers(1, min(10**digits, np.iinfo(dtype).max), size=rows,
                           endpoint=True).astype(dtype)
-    head = data.draw(st.lists(st.floats(), max_size=min(rows, 8)), label="latents")
+    head = head[:rows]
     latents = rng.random(rows)
     latents[:len(head)] = head
     with mock.patch.object(io, "_CHUNK_ROWS", chunk), tempfile.TemporaryDirectory() as d:

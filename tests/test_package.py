@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import ebsbm
 
@@ -28,3 +29,32 @@ def test_import_leaves_scipy_optimize_out():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "False"
+
+
+FALSIFIED_THEN_PLAIN = '''
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_falsified(x):
+    assert x < 0
+
+
+def test_after():
+    pass
+'''
+
+
+def test_falsified_property_does_not_end_the_session(tmp_path):
+    # under the repo's warning filters, hypothesis's report of a falsified
+    # property once raised mypy_extensions' TypedDict DeprecationWarning
+    # inside a pytest hook: an INTERNALERROR that skipped every later test
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    (tmp_path / "test_pair.py").write_text(FALSIFIED_THEN_PLAIN)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in run.stdout + run.stderr, run.stdout[-2000:]
+    assert run.returncode == 1 and "1 failed, 1 passed" in run.stdout, run.stdout[-2000:]

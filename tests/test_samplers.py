@@ -195,14 +195,24 @@ class TestBlockSampling:
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 60])
     def test_same_stream_as_all_pairs(self, monkeypatch, block, n):
         monkeypatch.setattr(samplers, "_BLOCK_PAIRS", block)
-        sbm = affiliation_theta(K=3, lam=0.6, epsilon=0.1, rho=1.0)
+        # dense, sparse (almost every draw misses), and last exact 0 and 1
+        # entries, whose pairs are never and always edges
+        exact = SbmSpec(pi=np.array([0.3, 0.3, 0.4]),
+                        theta=np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 1.0], [0.5, 1.0, 0.3]]))
+        sbms = [affiliation_theta(K=3, lam=0.6, epsilon=0.1, rho=1.0),
+                affiliation_theta(K=3, lam=0.9, epsilon=0.1, rho=0.05), exact]
         graphon = powerlaw_graphon(rho=0.25, lam=2.0)
         for seed in (0, 3, 11):
-            edges, z0 = all_pairs_reference(
-                n, seed, lambda rng: rng.choice(sbm.K, size=n, p=sbm.pi),
-                lambda z, i, j: sbm.theta[z[i], z[j]])
-            g, got_z0 = _draw_sbm(sbm, n, seed)
-            assert np.array_equal(g.edges, edges) and np.array_equal(got_z0, z0)
+            for sbm in sbms:
+                edges, z0 = all_pairs_reference(
+                    n, seed, lambda rng: rng.choice(sbm.K, size=n, p=sbm.pi),
+                    lambda z, i, j: sbm.theta[z[i], z[j]])
+                g, got_z0 = _draw_sbm(sbm, n, seed)
+                assert np.array_equal(g.edges, edges) and np.array_equal(got_z0, z0)
+            adj = np.zeros((n, n), dtype=bool)
+            adj[tuple(g.edges.T)] = True  # g and z0: the exact model's
+            p = np.triu(exact.theta[z0[:, None], z0[None, :]] + 1, k=1) - 1  # -1: no pair
+            assert adj[p == 1].all() and not adj[p == 0].any()
             edges, u = all_pairs_reference(
                 n, seed, lambda rng: rng.random(n), lambda u, i, j: graphon.w(u[i], u[j]))
             g, got_u = sample_graphon(graphon, n, seed)
@@ -214,10 +224,11 @@ class TestBlockSampling:
     ], ids=["sbm", "graphon"])
     def test_memory_is_linear_in_n_and_m(self, draw, bound):
         # n=4000 has 8.0M pairs: drawn all at once, their indices, draws
-        # and probabilities peak above 300 MB. A block's tiles of 2^16
-        # entries (0.5 MB in float64, a few at once) leave the edges, held
-        # twice while their blocks are joined, as the peak: 3.1 MB measured
-        # for the block model's 72k edges and 16.7 MB for the graphon's 0.4M
+        # and probabilities peak above 300 MB. A block's buffers or tiles
+        # of 2^16 entries (0.5 MB in float64, a few at once) and the block
+        # model's 0.32 MB row table leave the edges, held twice while their
+        # blocks are joined, as the peak: 3.2 MB measured for the block
+        # model's 72k edges and 16.7 MB for the graphon's 0.4M
         tracemalloc.start()
         try:
             draw(1)
@@ -244,11 +255,20 @@ def test_sampled_edge_list_bytes_pinned(tmp_path, model, digest):
 
 
 def test_many_tile_edge_list_bytes_pinned(tmp_path):
-    # 72,248 edges from 8.0M pairs: 127 sampler tiles and nine writer
-    # chunks; digest recorded with 2^20-pair tiles and a per-line writer
-    g, _ = sample_sbm(affiliation_theta(K=10, lam=0.9, epsilon=0.1, rho=0.05), n=4000, seed=1)
-    assert g.edge_count == 72_248
-    path = tmp_path / "edges.txt"
-    write_edge_list(g, path)
-    assert (hashlib.sha256(path.read_bytes()).hexdigest()
-            == "b74973c52d0f8ac003b7124a3b5fb6232cbdf2d11e06db7138e9927a4b6ed802")
+    # block model: 72,248 edges from 8.0M pairs, 125 sampler blocks and
+    # nine writer chunks, digest recorded with 2^20-pair tiles and a
+    # per-line writer; graphon: 191,891 edges, 24 writer chunks, digest
+    # recorded with the %-format writer
+    cases = [
+        (lambda: sample_sbm(affiliation_theta(K=10, lam=0.9, epsilon=0.1, rho=0.05),
+                            n=4000, seed=1), 72_248,
+         "b74973c52d0f8ac003b7124a3b5fb6232cbdf2d11e06db7138e9927a4b6ed802"),
+        (lambda: sample_graphon(powerlaw_graphon(rho=0.1, lam=2.0), n=2000, seed=1000), 191_891,
+         "ddf8039e78676217fed6de2a0760583d49182cf5c2a8e39bf6fc9eda18bc5365"),
+    ]
+    for draw, edge_count, digest in cases:
+        g, _ = draw()
+        assert g.edge_count == edge_count
+        path = tmp_path / "edges.txt"
+        write_edge_list(g, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
