@@ -120,7 +120,7 @@ def write_edge_list(graph: Graph, path):
 
     Each chunk of _CHUNK_ROWS edges is formatted by digit arithmetic on
     its own ids (:func:`_edge_lines`), so no Python code runs per line
-    and scratch is a few bytes per id of the chunk.
+    and scratch is some tens of bytes per edge of one chunk.
     """
     edges = graph.edges
     with open(path, "wb") as fh:
