@@ -6,7 +6,8 @@ seeded together, each drawing from its own stream exactly what
 Generator.choice would, and iterated as one batched Lloyd loop), and
 hands that partition to a mean-field variational EM for the Bernoulli
 block model (Beta(1/2, 1/2) priors on block probabilities, Dirichlet(1/2)
-on memberships). The EM's hard assignment is what downstream estimation
+on memberships), which starts one-hot from it and runs at least one
+sweep. The EM's hard assignment is what downstream estimation
 consumes; its per-block posterior means double as a variational baseline
 estimate of the connectivity matrix.
 
@@ -73,7 +74,7 @@ from scipy.special import gammaln as _gammaln
 from scipy.special import psi as _psi
 
 from .errors import NumericalError
-from .graph import Graph, Partition, compact_partition
+from .graph import Graph, Partition, _integer, compact_partition
 
 _TAU = 0.5       # Dirichlet prior weight on memberships
 _A0 = _B0 = 0.5  # Beta prior on block probabilities
@@ -339,24 +340,12 @@ def _top_eigvecs(graph: Graph, K: int) -> np.ndarray:
         return _sla.eigsh(op, k=K, which="LA", tol=1e-10, v0=v0)[1]
 
 
-def _integer(name, value, low=None):
-    """value as a Python int, from any Python or NumPy integer; raises
-    ValueError naming `name` unless it is one, and one >= `low` if given."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
-    return value
-
-
 def _check_stopping(max_iter, tol):
     """The EM's stopping rule, checked before any work: (max_iter, tol)
-    with max_iter an integer >= 0 and tol >= 0, which NaN is not."""
+    with max_iter an integer >= 1 and tol >= 0, which NaN is not."""
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
-    return _integer("max_iter", max_iter, 0), tol
+    return _integer("max_iter", max_iter, 1), tol
 
 
 def check_k_range(k_range, n=None) -> tuple:
@@ -646,12 +635,7 @@ def _fit_group(X, ks, inits, max_iter, tol, traces):
     lay = _layout(ks)
     R = np.zeros((n, int(lay.ks.sum())))
     for c, init in zip(lay.cols, inits):
-        if isinstance(init, np.ndarray):  # a soft start
-            R[:, c] = init
-        else:
-            R[np.arange(n), c.start + init.partition.labels - 1] = 1.0
-    if max_iter < 1:  # no sweep: each K's start, finished
-        return [_finish(R[:, c], X, False, 0) for c in lay.cols]
+        R[np.arange(n), c.start + init.partition.labels - 1] = 1.0
     blocks = list(_row_blocks(X, _BLOCK))
     live = list(range(len(ks)))
     results = [None] * len(ks)
@@ -707,8 +691,8 @@ def _fit_group(X, ks, inits, max_iter, tol, traces):
 
 def _fit_range(X, ks, inits, max_iter, tol, traces=None):
     """Variational EM of each K in `ks` from its start in `inits` (a
-    DetectionResult, or an (n, K) soft start), on the CSR adjacency X; a
-    list of (DetectionResult, theta_vb) per K, in order.
+    DetectionResult, filled one-hot), on the CSR adjacency X; a list of
+    (DetectionResult, theta_vb) per K, in order.
 
     Consecutive K run in lockstep groups (:func:`_fit_group`) whose n x
     (sum of K) responsibilities hold at most _WIDE entries, at least one K
@@ -740,14 +724,12 @@ def variational_em(graph: Graph, K: int, init, max_iter: int = 100, tol: float =
     objective, it is redone from its start one node at a time, which is
     coordinate ascent, so the objective never decreases. Stops at the
     first sweep whose gain is below `tol` per node, that is below tol * n
-    on the graph's n nodes, or after `max_iter` sweeps; with
-    `max_iter` = 0 no sweep runs, and the start comes back finished,
-    unconverged, after 0 sweeps. `max_iter` must be an integer >= 0 and
-    `tol` >= 0, checked before any work.
+    on the graph's n nodes, or after `max_iter` sweeps. K takes the rule
+    of :func:`check_k_range`, `max_iter` must be an integer >= 1 and `tol`
+    >= 0, all checked before any work.
 
     `init` is a DetectionResult, whose partition (at most K clusters)
-    starts the EM one-hot, or an (n, K) array of soft assignments, each
-    row nonnegative with sum 1.
+    starts the EM one-hot.
 
     This is the one-K call of the engine :func:`detect_range` runs a K
     range with. The adjacency's row blocks (views, :class:`_row_blocks`)
@@ -760,18 +742,12 @@ def variational_em(graph: Graph, K: int, init, max_iter: int = 100, tol: float =
     per-block posterior-mean connectivity for the compacted clusters. Pass
     a list as `trace` to capture the objective value of every sweep.
     """
+    (K,) = check_k_range((K,), graph.n)
     max_iter, tol = _check_stopping(max_iter, tol)
-    if isinstance(init, DetectionResult):
-        if init.partition.n != graph.n:
-            raise ValueError("init partition does not cover this graph")
-        if init.partition.K > K:
-            raise ValueError(f"init has {init.partition.K} clusters but K={K}")
-    else:
-        init = np.asarray(init, dtype=np.float64)
-        if init.shape != (graph.n, K):
-            raise ValueError(f"soft start of shape {init.shape} is not ({graph.n}, {K})")
-        if np.any(init < 0) or not np.allclose(init.sum(axis=1), 1.0, atol=1e-8):
-            raise ValueError("soft start rows must be nonnegative and sum to 1")
+    if init.partition.n != graph.n:
+        raise ValueError("init partition does not cover this graph")
+    if init.partition.K > K:
+        raise ValueError(f"init has {init.partition.K} clusters but K={K}")
     return _fit_range(_csr_adjacency(graph), [K], [init], max_iter, tol, [trace])[0]
 
 

@@ -133,7 +133,13 @@ def _family_blocks(stats: BlockStats, which: str):
 
 
 def _check_pair(alpha, beta):
-    if not (np.isfinite(alpha) and alpha > 0 and np.isfinite(beta) and beta > 0):
+    """The one rule for a pair of Beta hyperparameters: raises ValueError
+    unless both are positive finite reals (a string or None is not)."""
+    try:
+        ok = np.isfinite(alpha) and alpha > 0 and np.isfinite(beta) and beta > 0
+    except TypeError:
+        ok = False
+    if not ok:
         raise ValueError("hyperparameters must be positive finite reals")
 
 
@@ -363,8 +369,8 @@ def eb_estimate(stats: BlockStats, hyper: HyperParams) -> ConnectivityEstimate:
 
 
 def fixed_prior_estimate(stats: BlockStats, a0: float = 0.5, b0: float = 0.5) -> ConnectivityEstimate:
-    """Posterior mean under one fixed Beta(a0, b0) prior on every block."""
-    if not (a0 > 0 and b0 > 0):
-        raise ValueError("prior parameters must be positive")
+    """Posterior mean under one fixed Beta(a0, b0) prior on every block;
+    a0 and b0 take the rule of :func:`marginal_loglik`."""
+    _check_pair(a0, b0)
     theta, shrink = _posterior_mean(stats, a0, b0, a0, b0)
     return ConnectivityEstimate(theta=theta, method="fixed-prior", shrinkage=shrink)

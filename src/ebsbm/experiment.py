@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .community import _integer, check_k_range, detect_range
+from .community import check_k_range, detect_range
 from .estimator import (
     ConnectivityEstimate,
     eb_estimate,
@@ -49,6 +49,7 @@ from .graph import (
     BlockStats,
     Graph,
     Partition,
+    _integer,
     block_counts,
     block_stats,
     compact_partition,
@@ -188,15 +189,14 @@ def analyze_graph(graph: Graph, k_range, seed: int, truth=None, replicate: int =
     K range's variational EMs in lockstep, each K's result the one it gets
     alone, each stopped by `vem_max_iter` (an integer >= 1, as in
     ExperimentConfig) and `vem_tol` (>= 0, a gain per node), both checked
-    before any work. Each K is then estimated and scored from its
-    partition.
+    by detect_range before any work. Each K is then estimated and scored
+    from its partition.
 
     Returns (records, selection, estimates) where selection maps criterion
     name to the chosen (compacted) K and carries the error-minimizing
     reference K, and estimates holds each K's partition and estimates.
     """
     k_range = check_k_range(k_range)
-    vem_max_iter = _integer("vem_max_iter", vem_max_iter, 1)
     records = []
     estimates = []
     detections = detect_range(graph, k_range, seed, max_iter=vem_max_iter, tol=vem_tol)

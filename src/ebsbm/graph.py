@@ -11,11 +11,24 @@ matrix indexing subtracts one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegeneratePartitionError
+
+
+def _integer(name, value, low=None):
+    """value as a Python int, from any Python or NumPy integer; raises
+    ValueError naming `name` unless it is one, and one >= `low` if given."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -40,7 +53,7 @@ class Graph:
     edges: np.ndarray
 
     def __post_init__(self):
-        n = int(self.n)
+        n = _integer("n", self.n)
         if n < 1:
             raise ValueError("graph needs at least one node")
         e = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
@@ -94,9 +107,7 @@ class Partition:
         labels = np.asarray(self.labels, dtype=np.int64).copy()
         if labels.ndim != 1 or labels.size == 0:
             raise ValueError("labels must be a nonempty 1-d array")
-        K = int(self.K)
-        if K < 1:
-            raise ValueError("K must be >= 1")
+        K = _integer("K", self.K, 1)
         if labels.min() < 1 or labels.max() > K:
             raise ValueError(f"labels must lie in 1..{K}")
         sizes = np.bincount(labels, minlength=K + 1)[1:]
@@ -165,7 +176,7 @@ class BlockStats:
     pair_counts: np.ndarray
 
     def __post_init__(self):
-        K = int(self.K)
+        K = _integer("K", self.K)
         x = np.asarray(self.edge_counts, dtype=np.int64).copy()
         m = np.asarray(self.pair_counts, dtype=np.int64).copy()
         if x.shape != (K, K) or m.shape != (K, K):

@@ -24,6 +24,7 @@ from ebsbm.community import (
     spectral_partition,
     variational_em,
 )
+from ebsbm.experiment import ExperimentConfig, analyze_graph
 from ebsbm.graph import Graph, block_stats, compact_partition
 from ebsbm.io import bundled_data_path, ingest_network
 from ebsbm.samplers import affiliation_theta, powerlaw_graphon, sample_graphon, sample_sbm
@@ -492,8 +493,11 @@ class TestAdjacency:
 
 
 def _random_init(n, K, seed):
-    # a soft start: (n, K) rows drawn from Dirichlet(1, ..., 1)
-    return np.random.default_rng(seed).dirichlet(np.ones(K), size=n)
+    # a hard random start: each node's cluster drawn uniformly from 1..K,
+    # the clusters no node drew dropped
+    labels = np.random.default_rng(seed).integers(1, K + 1, size=n)
+    return community.DetectionResult(partition=compact_partition(labels), converged=False,
+                                     iterations=0)
 
 
 def _block_width(blocks):
@@ -516,13 +520,14 @@ def _sha(data):
 # (little-endian float64), recorded with 128-node E-step blocks, every per-K
 # sum taken by np.add.reduceat, the entropy from the E-step and the stop at a
 # gain below tol * n: (graph, K, init, init seed, tol, sweeps, digests). The
-# first case redoes one sweep node by node, in its 20th sweep; at the default
-# tol it would stop after 3 sweeps, on a gain of 0.0041 < 0.04, before the redo
+# first case, from a hard random start, redoes one sweep node by node, in its
+# 18th and last sweep; at the default tol it would stop after 17 sweeps, on a
+# gain of 0.0058 < 0.04, before the redo
 _REDO_TOL = 1e-5
 VEM_PINS = [
-    ((3, 0.8, 1.0, 40, 13), 3, "random", 13, _REDO_TOL, 20,
-     "8c52867dede1b20cb5d98b6076de18542a12270c6a4920c8dfd2bbed9394f25d",
-     "44cc623faef78137648d3eddf0670a31903b11811f239ff24d3185242537605b"),
+    ((3, 0.8, 1.0, 40, 13), 3, "random", 3, _REDO_TOL, 18,
+     "9d6d8d1058442b80b27c68d6d08fdea55eabc856433174db65ba374e13fb1ede",
+     "276661918087c4627afc67404faf09eacaf414cac79d5a6c01ec21b1a4ec0599"),
     ((5, 0.8, 0.5, 150, 4), 6, "spectral", 4, 1e-3, 4,
      "7372fb4ebe1910bf699cfa34b0d70afd3d8a8e6d4023e3dd871d977fae4afd7a",
      "d35fc31ffe08b0e6791b9cba91df3aa2dda9bfe718ef31ef8cf5352882bfc2f3"),
@@ -606,7 +611,7 @@ class TestVariationalEm:
         monkeypatch.setattr(community, "_e_step", step)
         monkeypatch.setattr(community, "_elbo", objective)
         trace = []
-        res, _ = variational_em(g, K=3, init=_random_init(g.n, 3, 13), tol=_REDO_TOL,
+        res, _ = variational_em(g, K=3, init=_random_init(g.n, 3, 3), tol=_REDO_TOL,
                                 trace=trace)
         # sweep j's batched E-step is call j; its redo is call j + 1
         j = blocks.index(1) - 1
@@ -764,10 +769,7 @@ class TestStopRule:
         n = 20_000
         pairs = np.random.default_rng(0).integers(n, size=(10 * n, 2))
         g = Graph(n=n, edges=np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1))
-        labels = np.random.default_rng(1).integers(1, 11, size=n)
-        start = community.DetectionResult(partition=compact_partition(labels), converged=False,
-                                          iterations=0)
-        det, _ = variational_em(g, 10, start)
+        det, _ = variational_em(g, 10, _random_init(n, 10, 1))
         assert det.converged and det.iterations < 100
 
 
@@ -823,12 +825,9 @@ def _reference_vem(g, K, init, max_iter=100, tol=1e-3, trace=None):
         value = e_loglik + total(colsum * elog[0]) + total(entropy) - kl[0] - kl[1]
         return float(value[0]), counts
 
-    if isinstance(init, np.ndarray):
-        R = init.copy()
-    else:
-        R = np.zeros((g.n, K))
-        R[np.arange(g.n), init.partition.labels - 1] = 1.0
-    prev, converged, counts, sweeps = -np.inf, False, counts_of(R), 0
+    R = np.zeros((g.n, K))
+    R[np.arange(g.n), init.partition.labels - 1] = 1.0
+    prev, converged, counts = -np.inf, False, counts_of(R)
     for sweeps in range(1, max_iter + 1):
         edges, pairs, colsum = counts
         gamma, zeta = tau + colsum, a0 + edges
@@ -909,7 +908,7 @@ class TestLockstep:
         # the K leave at different sweeps, so the group is compacted
         assert len({det.iterations for det, _ in fits}) > 1
 
-    @pytest.mark.parametrize("max_iter", [100, 3, 0])
+    @pytest.mark.parametrize("max_iter", [100, 3])
     def test_unsorted_gapped_range_with_k1(self, max_iter):
         g = sample_sbm(affiliation_theta(K=10, lam=0.9, epsilon=0.1, rho=0.2), n=300,
                        seed=7)[0]
@@ -919,11 +918,9 @@ class TestLockstep:
         if max_iter == 3:  # every K but K = 1 stops at the cap
             assert [(det.iterations, det.converged) for det, _ in fits] == [
                 (3, False), (3, False), (2, True), (3, False)]
-        if max_iter == 0:  # no sweep: every start comes back finished
-            assert [(det.iterations, det.converged) for det, _ in fits] == [(0, False)] * 4
 
     def test_redone_sweep_inside_a_group(self, monkeypatch):
-        # the n=40 graph whose K = 3 fit from random init redoes a sweep at
+        # the n=40 graph whose K = 3 fit from a random start redoes a sweep at
         # _REDO_TOL (test_batched_sweep_below_previous_is_redone), run beside
         # two fits that do not redo, each of which must keep its own bytes
         g, _ = sample_sbm(affiliation_theta(K=3, lam=0.8, epsilon=0.1, rho=1.0), n=40, seed=13)
@@ -937,7 +934,7 @@ class TestLockstep:
 
         monkeypatch.setattr(community, "_e_step", step)
         ks = (2, 3, 5)
-        inits = [_random_init(g.n, 2, 1), _random_init(g.n, 3, 13), _random_init(g.n, 5, 2)]
+        inits = [_random_init(g.n, 2, 1), _random_init(g.n, 3, 3), _random_init(g.n, 5, 0)]
         _assert_fits_match_reference(g, ks, inits, tol=_REDO_TOL)
         assert redone == [(3,)]
 
@@ -1025,7 +1022,7 @@ class TestLockstep:
             g, _ = sample_sbm(affiliation_theta(K=3, lam=0.8, epsilon=0.1, rho=1.0), n=40,
                               seed=13)
             ks = (2, 3, 5)
-            inits = [_random_init(g.n, 2, 1), _random_init(g.n, 3, 13), _random_init(g.n, 5, 2)]
+            inits = [_random_init(g.n, 2, 1), _random_init(g.n, 3, 3), _random_init(g.n, 5, 0)]
         seen, redo = [], []
         e_step, elbo = community._e_step, community._elbo
 
@@ -1176,7 +1173,7 @@ class TestLockstep:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
-        ({"max_iter": -1}, "max_iter must be >= 0"),
+        ({"max_iter": -1}, "max_iter must be >= 1"),
         ({"tol": float("nan")}, "tol must be >= 0"),
         ({"tol": -1.0}, "tol must be >= 0"),
     ])
@@ -1184,13 +1181,53 @@ class TestLockstep:
         # a NaN or negative tol once ran every K to the sweep cap, and a
         # fractional max_iter raised a TypeError after the spectral starts
         g, _ = cliques_graph(4)
-        init = detect_range(g, (2,), seed=0, max_iter=0)[0][0]
+        init = _random_init(g.n, 2, 0)
         monkeypatch.setattr(community, "_top_eigvecs", None)  # no solve is made
         monkeypatch.setattr(community, "_csr_adjacency", None)  # no EM is run
         with pytest.raises(ValueError, match=message):
             detect_range(g, (2, 3), seed=0, **kwargs)
         with pytest.raises(ValueError, match=message):
             variational_em(g, 2, init, **kwargs)
+
+    @pytest.mark.parametrize("K, message", [
+        (2.5, "k_range entries must be integers, got 2.5"),
+        (np.float64(3.7), r"k_range entries must be integers, got np.float64\(3.7\)"),
+        (31, "K=31 exceeds node count 30"),
+        (40, "K=40 exceeds node count 30"),
+    ])
+    def test_variational_em_takes_the_k_range_rule(self, monkeypatch, K, message):
+        # from a 2-cluster start, K = 2.5 once fit K = 2, np.float64(3.7)
+        # got 3 columns, and K above the node count ran
+        g, _ = cliques_graph(15)
+        init = _random_init(g.n, 2, 0)
+        det, _ = variational_em(g, np.int64(2), init, max_iter=1)
+        assert det.partition.K <= 2
+        monkeypatch.setattr(community, "_csr_adjacency", None)  # no EM is run
+        with pytest.raises(ValueError, match=message):
+            variational_em(g, K, init)
+
+
+@pytest.mark.parametrize("entry", ["ExperimentConfig", "analyze_graph", "detect_range",
+                                   "variational_em"])
+@pytest.mark.parametrize("max_iter, tol, message", [(0, 1e-3, "max_iter must be >= 1, got 0"),
+                                                    (100, float("nan"), "tol must be >= 0")])
+def test_every_entry_takes_one_stop_rule(monkeypatch, entry, max_iter, tol, message):
+    # max_iter = 0 once returned each K's start unrefined from detect_range
+    # and variational_em, which ExperimentConfig and analyze_graph refused;
+    # now every entry refuses it, and a NaN tol, before any work
+    g, _ = cliques_graph(4)
+    init = _random_init(g.n, 2, 0)
+    monkeypatch.setattr(community, "_top_eigvecs", None)  # no solve is made
+    monkeypatch.setattr(community, "_csr_adjacency", None)  # no EM is run
+    calls = {
+        "ExperimentConfig": lambda: ExperimentConfig(vem_max_iter=max_iter, vem_tol=tol),
+        "analyze_graph": lambda: analyze_graph(g, (2, 3), 0, vem_max_iter=max_iter,
+                                               vem_tol=tol),
+        "detect_range": lambda: detect_range(g, (2, 3), 0, max_iter=max_iter, tol=tol),
+        "variational_em": lambda: variational_em(g, 2, init, max_iter=max_iter, tol=tol),
+    }
+    with pytest.raises(ValueError, match=message):
+        calls[entry]()
 
 
 class TestDetectOneK:
@@ -1224,20 +1261,3 @@ class TestDetectOneK:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000, f"peak allocation {peak / 1e6:.1f} MB"
-
-
-def test_soft_start_validation():
-    g, _ = cliques_graph(3)
-    with pytest.raises(ValueError, match=r"soft start of shape \(6, 3\) is not \(6, 2\)"):
-        variational_em(g, 2, _random_init(g.n, 3, 0))
-    with pytest.raises(ValueError, match=r"is not \(6, 2\)"):
-        variational_em(g, 2, _random_init(g.n - 1, 2, 0))
-    bad = _random_init(g.n, 2, 0)
-    bad[4] *= 1.1
-    with pytest.raises(ValueError, match="soft start rows must be nonnegative and sum to 1"):
-        variational_em(g, 2, bad)
-    bad[4] = (1.5, -0.5)
-    with pytest.raises(ValueError, match="soft start rows must be nonnegative"):
-        variational_em(g, 2, bad)
-    det, _ = variational_em(g, 2, _random_init(g.n, 2, 0).tolist())  # any array-like
-    assert det.partition.n == g.n

@@ -700,8 +700,15 @@ class TestFixedPrior:
         assert est.theta[0, 0] == pytest.approx(10.5 / 11)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            fixed_prior_estimate(stats_from([[1]], [[2]]), 0.0, 1.0)
+        # the rule of marginal_loglik: an infinite a0 once warned and then
+        # raised "theta must be symmetric", and a string raised TypeError
+        stats = stats_from([[1]], [[2]])
+        for a0, b0 in ((0.0, 1.0), (1.0, -2.0), (np.inf, 0.5), (0.5, np.nan), ("0.5", 0.5),
+                       (0.5, None)):
+            with pytest.raises(ValueError, match="hyperparameters must be positive finite"):
+                fixed_prior_estimate(stats, a0, b0)
+            with pytest.raises(ValueError, match="hyperparameters must be positive finite"):
+                marginal_loglik(stats, a0, b0, "diagonal")
 
 
 class TestSerialization:

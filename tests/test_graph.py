@@ -300,6 +300,28 @@ def test_connectivity_checked_alike(build):
             build(np.array(bad))
 
 
+_COUNTS = {
+    "Graph.n": lambda v: Graph(n=v, edges=[(0, 1)]).n,
+    "Partition.K": lambda v: Partition(labels=[1, 2, 2], K=v).K,
+    "BlockStats.K": lambda v: BlockStats(K=v, edge_counts=np.zeros((2, 2)),
+                                         pair_counts=np.ones((2, 2))).K,
+}
+
+
+@pytest.mark.parametrize("count", list(_COUNTS))
+@pytest.mark.parametrize("value", [2.9, 2.0, np.float64(2.0), "2", None],
+                         ids=["2.9", "2.0", "float64", "str", "None"])
+def test_counts_are_integers(count, value):
+    # each count once went through int(): n = 2.9 made a 2-node graph, K = 2.7
+    # a 2-cluster partition and "3" a 3-node graph; NumPy integers still count
+    build = _COUNTS[count]
+    assert build(np.int64(2)) == 2 and type(build(np.int64(2))) is int
+    assert build(2) == 2
+    name = count.split(".")[1]
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got "):
+        build(value)
+
+
 def test_induced_subgraph():
     g = make(5, [(0, 1), (1, 2), (3, 4), (0, 4)])
     sub, ids = induced_subgraph(g, [0, 1, 4])
