@@ -29,6 +29,8 @@ hyperparameters and ``which``); the kernels call SciPy unchecked.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -134,12 +136,10 @@ def _family_blocks(stats: BlockStats, which: str):
 
 def _check_pair(alpha, beta):
     """The one rule for a pair of Beta hyperparameters: raises ValueError
-    unless both are positive finite reals (a string or None is not)."""
-    try:
-        ok = np.isfinite(alpha) and alpha > 0 and np.isfinite(beta) and beta > 0
-    except TypeError:
-        ok = False
-    if not ok:
+    unless both are positive finite real scalars (a string, None or an
+    array is not)."""
+    if not (isinstance(alpha, numbers.Real) and isinstance(beta, numbers.Real)
+            and 0 < alpha < math.inf and 0 < beta < math.inf):
         raise ValueError("hyperparameters must be positive finite reals")
 
 

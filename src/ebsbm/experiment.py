@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .community import check_k_range, detect_range
+from .community import _check_stopping, check_k_range, detect_range
 from .estimator import (
     ConnectivityEstimate,
     eb_estimate,
@@ -106,14 +106,14 @@ class ExperimentConfig:
             raise ValueError(f"model must be one of {_MODELS}")
         simulated = self.model != "file"
         for name, low in (("n", 1 if simulated else None), ("k_star", None), ("replicates", 1),
-                          ("workers", 1), ("base_seed", 0), ("vem_max_iter", 1)):
+                          ("workers", 1), ("base_seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), low))
+        object.__setattr__(self, "vem_max_iter",
+                           _check_stopping(self.vem_max_iter, self.vem_tol)[0])
         object.__setattr__(self, "k_range",
                            check_k_range(self.k_range, self.n if simulated else None))
         if simulated:
             _model_spec(self)
-        if not self.vem_tol >= 0:
-            raise ValueError("vem_tol must be >= 0")
         if not simulated and not self.graph_file:
             raise ValueError("model 'file' needs graph_file")
         if simulated and (self.graph_file or self.label_file):

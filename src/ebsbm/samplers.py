@@ -7,14 +7,13 @@ Replicate r of an experiment draws from seed ``base_seed + r``.
 
 A sampler first draws the n node labels (or latents), then one uniform per
 pair i < j in ``np.triu_indices(n, 1)`` order: row by row, columns
-ascending, a block of rows at a time. The block model draws a block's
-pairs into one flat buffer of at most 2^16 entries (or one row) and reads
-their probabilities from a K x n row table, ``theta[:, z0]``, so a row's
-probabilities are one slice of it. The graphon computes its probabilities
-as a dense tile of at most 2^16 (row, column) entries (or one row) per
-block, so the two share no loop. Memory is O(n + m) for m edges, plus
-the block model's O(K n) table and a few 0.5 MB float64 buffers or tiles,
-never O(n^2); time is still O(n^2).
+ascending, a block of rows at a time. Both models draw through one loop,
+:func:`_draw_pairs`: a block's pairs fill one flat buffer of at most 2^16
+draws (or one row) and another with their probabilities, which the model
+gives a row at a time, for the block model as one slice of a K x n row
+table, ``theta[:, z0]``, and for the graphon as w(u_a, u_{a+1..n-1}).
+Memory is O(n + m) for m edges, plus the block model's O(K n) table and
+two 0.5 MB float64 buffers, never O(n^2); time is still O(n^2).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, Partition, check_connectivity, compact_partition
+from .graph import Graph, Partition, _integer, check_connectivity, compact_partition
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +59,7 @@ class GraphonSpec:
 
     0 < rho <= 1, lam >= 1 (so w stays bounded) and rho lam^2 <= 1 (so
     the peak w(1, 1) is a probability) keep w in [0, 1] on the whole unit
-    square, so the sampler checks no tile.
+    square, so the sampler checks no probability.
     """
 
     rho: float
@@ -102,51 +101,26 @@ def affiliation_theta(K: int, lam: float, epsilon: float, rho: float) -> SbmSpec
     return SbmSpec(pi=np.full(K, 1.0 / K), theta=theta)
 
 
-# A block spans at most this many pairs (block model) or (row, column)
-# tile entries (graphon), or one row if that is longer: 0.5 MB per float64
-# buffer. Smaller blocks cost more numpy calls per pair, larger ones more
-# memory; at n = 4000 the block model draws no faster with larger blocks.
+# A block spans at most this many pairs, or one row if that is longer:
+# 0.5 MB per float64 buffer. Smaller blocks cost more numpy calls per pair,
+# larger ones more memory; at n = 4000 the block model draws no faster
+# with larger blocks.
 _BLOCK_PAIRS = 1 << 16
 
 
-def _sample_pairs(rng, n, tile):
-    """The graphon's edges i < j, each pair drawn once in
-    ``np.triu_indices(n, 1)`` order.
+def _draw_pairs(n, seed, model):
+    """The graph on n nodes and the nodes' draws, from PCG64 seeded with `seed`.
 
-    ``tile(r0, r1)`` gives the edge probabilities of rows r0..r1-1 against
-    columns r0+1..n-1. Only the tile's upper triangle (column > row) holds
-    pairs: the draws fill it in row-major order, which is triu order, and
-    nothing below it or on its diagonal can become an edge.
+    ``model(rng, n)`` draws the nodes' labels or latents and returns them
+    with ``row``, where ``row(a)`` gives the probabilities of row a's pairs
+    (a, a+1..n-1). A block of rows fills one flat buffer with its pairs'
+    draws, in triu order, and another with its rows' probabilities, so one
+    comparison draws every pair; only the hits are mapped back to (i, j),
+    by each row's first flat position.
     """
-    chunks = [np.empty((0, 2), dtype=np.int64)]
-    r0 = 0
-    while r0 < n - 1:
-        width = n - 1 - r0
-        r1 = min(n - 1, r0 + max(1, _BLOCK_PAIRS // width))
-        upper = np.arange(width) >= np.arange(r1 - r0)[:, None]
-        draws = np.empty(upper.shape)
-        draws[upper] = rng.random(np.count_nonzero(upper))
-        i, j = np.divmod(np.flatnonzero(upper & (draws < tile(r0, r1))), width)
-        chunks.append(np.column_stack((i + r0, j + r0 + 1)))
-        r0 = r1
-    return np.concatenate(chunks)
-
-
-def _draw_sbm(spec: SbmSpec, n: int, seed: int) -> tuple[Graph, np.ndarray]:
-    """The graph and its uncompacted 0-based labels z0.
-
-    Row a's pairs (a, a+1..n-1) have the probabilities
-    ``table[z0[a], a + 1:]`` of the row table ``theta[:, z0]``. A block of
-    rows fills one flat buffer with its pairs' draws, in triu order, and
-    another with those slices, so one comparison draws every pair; only
-    the hits are mapped back to (i, j), by each row's first flat position.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer("n", n, 1)
     rng = np.random.default_rng(seed)
-    z0 = rng.choice(spec.K, size=n, p=spec.pi)
-    table = list(spec.theta[:, z0])  # its K rows
-    labels = z0.tolist()
+    nodes, row = model(rng, n)
     rows = np.arange(n)
     first = rows * (n - 1) - rows * (rows - 1) // 2  # row a's first pair, in triu order
     size = min(max(_BLOCK_PAIRS, n - 1), int(first[-1]))
@@ -158,18 +132,32 @@ def _draw_sbm(spec: SbmSpec, n: int, seed: int) -> tuple[Graph, np.ndarray]:
         r1 = min(n - 1, int(np.searchsorted(first, first[r0] + size, "right")) - 1)
         offsets = first[r0:r1 + 1] - first[r0]
         bounds = offsets.tolist()
-        for a, z, lo, hi in zip(range(r0, r1), labels[r0:r1], bounds, bounds[1:]):
-            probs[lo:hi] = table[z][a + 1:]
+        for a, lo, hi in zip(range(r0, r1), bounds, bounds[1:]):
+            probs[lo:hi] = row(a)
         count = bounds[-1]
         rng.random(out=draws[:count])
         hits = np.flatnonzero(draws[:count] < probs[:count])
         i = np.searchsorted(offsets, hits, "right") - 1
         chunks.append(np.column_stack((i + r0, hits - offsets[i] + i + r0 + 1)))
         r0 = r1
-    del draws, probs, table  # freed before the edges are joined and copied
+    del draws, probs, row  # freed before the edges are joined and copied
     edges = np.concatenate(chunks)
     del chunks
-    return Graph(n=n, edges=edges), z0
+    return Graph(n=n, edges=edges), nodes
+
+
+def _draw_sbm(spec: SbmSpec, n: int, seed: int) -> tuple[Graph, np.ndarray]:
+    """The graph and its uncompacted 0-based labels z0. Row a's pairs have
+    the probabilities ``table[z0[a], a + 1:]`` of the row table
+    ``theta[:, z0]``."""
+
+    def model(rng, n):
+        z0 = rng.choice(spec.K, size=n, p=spec.pi)
+        table = list(spec.theta[:, z0])  # its K rows
+        rows = [table[z] for z in z0.tolist()]  # node a's row, one reference each
+        return z0, lambda a: rows[a][a + 1:]
+
+    return _draw_pairs(n, seed, model)
 
 
 def sample_sbm(spec: SbmSpec, n: int, seed: int) -> tuple[Graph, Partition]:
@@ -185,9 +173,9 @@ def sample_sbm(spec: SbmSpec, n: int, seed: int) -> tuple[Graph, Partition]:
 def sample_graphon(spec: GraphonSpec, n: int, seed: int) -> tuple[Graph, np.ndarray]:
     """Draw uniform latents u_i, connect pair (i, j) with probability
     w(u_i, u_j). Returns the graph and the latent vector."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    edges = _sample_pairs(rng, n, lambda r0, r1: spec.w(u[r0:r1, None], u[None, r0 + 1:]))
-    return Graph(n=n, edges=edges), u
+
+    def model(rng, n):
+        u = rng.random(n)
+        return u, lambda a: spec.w(u[a], u[a + 1:])
+
+    return _draw_pairs(n, seed, model)

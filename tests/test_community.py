@@ -1209,12 +1209,15 @@ class TestLockstep:
 
 @pytest.mark.parametrize("entry", ["ExperimentConfig", "analyze_graph", "detect_range",
                                    "variational_em"])
-@pytest.mark.parametrize("max_iter, tol, message", [(0, 1e-3, "max_iter must be >= 1, got 0"),
-                                                    (100, float("nan"), "tol must be >= 0")])
+@pytest.mark.parametrize("max_iter, tol, message", [
+    (0, 1e-3, "max_iter must be >= 1, got 0"),
+    pytest.param(100, float("nan"), "tol must be >= 0, got nan", id="100-nan-tol must be >= 0"),
+])
 def test_every_entry_takes_one_stop_rule(monkeypatch, entry, max_iter, tol, message):
     # max_iter = 0 once returned each K's start unrefined from detect_range
     # and variational_em, which ExperimentConfig and analyze_graph refused;
-    # now every entry refuses it, and a NaN tol, before any work
+    # now every entry refuses it, and a NaN tol, before any work, with one
+    # message (ExperimentConfig once said "vem_tol must be >= 0")
     g, _ = cliques_graph(4)
     init = _random_init(g.n, 2, 0)
     monkeypatch.setattr(community, "_top_eigvecs", None)  # no solve is made
@@ -1226,8 +1229,9 @@ def test_every_entry_takes_one_stop_rule(monkeypatch, entry, max_iter, tol, mess
         "detect_range": lambda: detect_range(g, (2, 3), 0, max_iter=max_iter, tol=tol),
         "variational_em": lambda: variational_em(g, 2, init, max_iter=max_iter, tol=tol),
     }
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError) as info:
         calls[entry]()
+    assert str(info.value) == message
 
 
 class TestDetectOneK:

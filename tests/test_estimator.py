@@ -701,10 +701,12 @@ class TestFixedPrior:
 
     def test_domain(self):
         # the rule of marginal_loglik: an infinite a0 once warned and then
-        # raised "theta must be symmetric", and a string raised TypeError
+        # raised "theta must be symmetric", a string raised TypeError, a
+        # list raised numpy's "truth value ... is ambiguous" and a
+        # one-element array passed
         stats = stats_from([[1]], [[2]])
         for a0, b0 in ((0.0, 1.0), (1.0, -2.0), (np.inf, 0.5), (0.5, np.nan), ("0.5", 0.5),
-                       (0.5, None)):
+                       (0.5, None), ([1, 2], 0.5), (np.array([1.5]), 0.5), (0.5, np.array(1.5))):
             with pytest.raises(ValueError, match="hyperparameters must be positive finite"):
                 fixed_prior_estimate(stats, a0, b0)
             with pytest.raises(ValueError, match="hyperparameters must be positive finite"):

@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ebsbm import samplers
 from ebsbm.graph import block_stats
@@ -43,6 +46,21 @@ class TestSpecs:
         assert spec.w(1.0, 1.0) == spec.rho * spec.lam**2
         assert spec == powerlaw_graphon(0.1, 2) and hash(spec) == hash(GraphonSpec(0.1, 2.0))
         assert spec != GraphonSpec(0.1, 3.0)
+
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "n must be an integer, got 2.5"),
+        (3.0, "n must be an integer, got 3.0"),
+        ("5", "n must be an integer, got '5'"),
+        (None, "n must be an integer, got None"),
+        (0, "n must be >= 1, got 0"),
+    ])
+    def test_node_count_rule(self, n, message):
+        # a float or string n once raised numpy's or a comparison's TypeError
+        spec, graphon = affiliation_theta(K=2, lam=0.5, epsilon=0.1, rho=1.0), GraphonSpec(0.1, 2.0)
+        for draw in (lambda: sample_sbm(spec, n, 0), lambda: sample_graphon(graphon, n, 0)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                draw()
+        assert sample_sbm(spec, np.int64(5), 0)[0].n == sample_graphon(graphon, np.int64(5), 0)[0].n == 5
 
     def test_powerlaw_params(self):
         spec = powerlaw_graphon(rho=0.1, lam=2.0)
@@ -145,37 +163,6 @@ class TestSampleGraphon:
         assert np.array_equal(g1.edges, g2.edges)
         assert np.array_equal(u1, u2)
 
-    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 20])
-    def test_guard_skips_the_diagonal(self, monkeypatch, block):
-        # a tile is rows r0..r1-1 against columns r0+1..n-1, so its entry
-        # (a, b) is a node against itself where b == a - 1, never a sampled
-        # pair; there the tile reads 1.5 and elsewhere 0.3, so the edges
-        # are the constant 0.3's, draw for draw
-        monkeypatch.setattr(samplers, "_BLOCK_PAIRS", block)
-
-        def tile(r0, r1):
-            a, b = np.indices((r1 - r0, 59 - r0))
-            return np.where(b == a - 1, 1.5, 0.3)
-
-        edges = samplers._sample_pairs(np.random.default_rng(4), 60, tile)
-        ref, _ = all_pairs_reference(60, 4, lambda rng: None, lambda _, i, j: 0.3)
-        assert ref.size and np.array_equal(edges, ref)
-
-    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 20])
-    def test_unsampled_tile_entries_never_edges(self, monkeypatch, block):
-        # a tile's entries strictly below its upper triangle are the
-        # diagonal and lower triangle of the adjacency: a tile of 1 there
-        # and 0 on the pairs draws no edge, its complement every pair
-        monkeypatch.setattr(samplers, "_BLOCK_PAIRS", block)
-
-        def ones(r0, r1):
-            return np.ones((r1 - r0, 59 - r0))
-
-        rng = np.random.default_rng(0)
-        below = samplers._sample_pairs(rng, 60, lambda *rows: np.tril(ones(*rows), k=-1))
-        pairs = samplers._sample_pairs(rng, 60, lambda *rows: np.triu(ones(*rows)))
-        assert below.size == 0 and len(pairs) == 60 * 59 // 2
-
 
 def all_pairs_reference(n, seed, draw_nodes, pair_probs):
     """Every pair at once, as np.triu_indices orders them: the form the
@@ -218,17 +205,37 @@ class TestBlockSampling:
             g, got_u = sample_graphon(graphon, n, seed)
             assert np.array_equal(g.edges, edges) and np.array_equal(got_u, u)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 80), st.integers(1, 200), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    def test_draw_pairs_is_all_pairs(self, data, n, block, K, seed):
+        # any K x n row table, exact 0 and 1 entries among its values, and
+        # any block size give the all-pairs stream, draw for draw
+        table = data.draw(arrays(np.float64, (K, n), elements=st.one_of(
+            st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))))
+
+        def model(rng, n):
+            z = rng.integers(K, size=n)
+            return z, lambda a: table[z[a], a + 1:]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(samplers, "_BLOCK_PAIRS", block)
+            g, z = samplers._draw_pairs(n, seed, model)
+        edges, ref_z = all_pairs_reference(
+            n, seed, lambda rng: rng.integers(K, size=n), lambda z, i, j: table[z[i], j])
+        assert np.array_equal(g.edges, edges) and np.array_equal(z, ref_z)
+
     @pytest.mark.parametrize("draw, bound", [
         (lambda seed: _draw_sbm(affiliation_theta(10, 0.9, 0.1, 0.05), 4000, seed), 6_000_000),
         (lambda seed: sample_graphon(powerlaw_graphon(0.05, 2.0), 4000, seed), 20_000_000),
     ], ids=["sbm", "graphon"])
     def test_memory_is_linear_in_n_and_m(self, draw, bound):
         # n=4000 has 8.0M pairs: drawn all at once, their indices, draws
-        # and probabilities peak above 300 MB. A block's buffers or tiles
-        # of 2^16 entries (0.5 MB in float64, a few at once) and the block
-        # model's 0.32 MB row table leave the edges, held twice while their
-        # blocks are joined, as the peak: 3.2 MB measured for the block
-        # model's 72k edges and 16.7 MB for the graphon's 0.4M
+        # and probabilities peak above 300 MB. A block's two buffers of 2^16
+        # pairs (0.5 MB each in float64) and the block model's 0.32 MB row
+        # table leave the edges, held twice while their blocks are joined,
+        # as the peak: 3.2 MB measured for the block model's 72k edges and
+        # 16.8 MB for the graphon's 0.4M
         tracemalloc.start()
         try:
             draw(1)
