@@ -387,6 +387,7 @@ def spectral_partition(graph: Graph, K: int, seed: int,
     eigensolve runs. One basis at the largest K thus serves a whole K
     range. Without it the top-K eigenvectors are solved for here.
     """
+    seed = _integer("seed", seed, 0)
     (K,) = check_k_range((K,), graph.n)
     if K == 1:
         part = Partition(labels=np.ones(graph.n, dtype=np.int64), K=1)
@@ -757,12 +758,12 @@ def detect_range(graph: Graph, k_range, seed: int, max_iter: int = 100, tol: flo
     runs; one K is the range (K,). Returns a list of
     (DetectionResult, theta_vb) per K, in `k_range` order.
 
-    The range is checked once, against the graph's node count, by
-    :func:`check_k_range`, and `max_iter` and `tol` as in
-    :func:`variational_em`, before any work. One eigensolve at the largest
-    K serves every spectral start (:func:`spectral_partition` with
-    `basis`); the basis is then dropped, and the EM runs the range in
-    lockstep (:func:`_fit_range`), a group of K at a time. Each K stops
+    The seed (an integer >= 0) is checked, the range once, against the
+    graph's node count, by :func:`check_k_range`, and `max_iter` and `tol`
+    as in :func:`variational_em`, all before any work. One eigensolve at
+    the largest K serves every spectral start (:func:`spectral_partition`
+    with `basis`); the basis is then dropped, and the EM runs the range
+    in lockstep (:func:`_fit_range`), a group of K at a time. Each K stops
     at the first sweep whose gain is below `tol` per node (tol * n) or
     after `max_iter` sweeps, and its result is the one it gets alone.
 
@@ -771,6 +772,7 @@ def detect_range(graph: Graph, k_range, seed: int, max_iter: int = 100, tol: flo
     it would raise detection's peak by its 12 bytes per entry (1.7 MB at
     n = 4000 with 71,752 edges).
     """
+    seed = _integer("seed", seed, 0)
     ks = check_k_range(k_range, graph.n)
     max_iter, tol = _check_stopping(max_iter, tol)
     solved = [K for K in ks if K >= 2]

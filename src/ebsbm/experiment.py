@@ -206,7 +206,7 @@ def analyze_graph(graph: Graph, k_range, seed: int, truth=None, replicate: int =
         est_mle = mle_estimate(stats)
         est_eb = eb_estimate(stats, hyper)
         est_vb = ConnectivityEstimate(theta=theta_vb, method="VBEM-baseline")
-        score = score_partition(graph, det.partition, stats=stats, hyper=hyper)
+        score = score_partition(det.partition, stats, hyper)
         rec = ExperimentRecord(
             replicate=replicate, K_input=int(K), K_returned=det.partition.K,
             mse_mle=_mse_against_truth(est_mle, det.partition, truth),
@@ -384,9 +384,11 @@ def run_testlik_protocol(graph: Graph, partition: Partition, n_splits: int = 100
     is not inside train, and the held-out block counts are the whole
     graph's (counted once) less the train blocks'. Each estimate is scored
     as built: its theta was validated once, at construction, and is not
-    checked again. Split s draws from seed base_seed + s alone. Returns
+    checked again. Split s draws from seed base_seed + s alone, base_seed
+    an integer >= 0 that is checked before any counting. Returns
     method -> list of log-likelihoods.
     """
+    base_seed = _integer("base_seed", base_seed, 0)
     n_splits = _integer("n_splits", n_splits, 1)
     out = {"MLE": [], "EB": [], "fixed-prior": []}
     K = partition.K

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import ConnectivityEstimate, mle_estimate
-from .graph import BlockStats, Graph, Partition, block_stats, check_connectivity
+from .graph import BlockStats, Graph, Partition, _integer, block_stats, check_connectivity
 
 _CLAMP = 1e-9  # probability clipping for log terms
 
@@ -85,8 +85,9 @@ def split_nodes(n: int, fraction: float = 0.7, seed: int = 0):
 
     Train size is round-half-up of fraction * n, and must leave both sides
     nonempty. Returns sorted index arrays whose disjoint union is 0..n-1;
-    deterministic given the seed.
+    deterministic given the seed. n is an integer >= 1, seed one >= 0.
     """
+    seed, n = _integer("seed", seed, 0), _integer("n", n, 1)
     if not (0 < fraction < 1):
         raise ValueError("fraction must lie strictly between 0 and 1")
     m = int(np.floor(fraction * n + 0.5))
@@ -100,26 +101,21 @@ def split_nodes(n: int, fraction: float = 0.7, seed: int = 0):
     return train, test
 
 
-def test_loglik(theta_hat, heldout: BlockStats) -> float:
+def test_loglik(estimate: ConnectivityEstimate, heldout: BlockStats) -> float:
     """Log-likelihood of the held-out edge variables from their block
     counts: the sum over blocks a <= b of x log(theta) + (m - x) log(1 -
     theta). Estimated probabilities are clipped to [1e-9, 1 - 1e-9]
     before the logs.
 
-    `theta_hat` is a ``ConnectivityEstimate``, validated once, when it
-    was built, so only its K is compared with ``heldout.K``; or a raw
-    K x K matrix, which goes through ``check_connectivity``.
+    The estimate's theta was validated once, when it was built, so only
+    its K is compared with ``heldout.K``.
     """
-    if isinstance(theta_hat, ConnectivityEstimate):
-        if theta_hat.K != heldout.K:
-            raise ValueError(f"theta_hat must be {heldout.K}x{heldout.K} matrix, "
-                             f"got shape {theta_hat.theta.shape}")
-        theta_hat = theta_hat.theta
-    else:
-        theta_hat = check_connectivity(theta_hat, heldout.K, "theta_hat")
+    if estimate.K != heldout.K:
+        raise ValueError(f"estimate must be {heldout.K}x{heldout.K} matrix, "
+                         f"got shape {estimate.theta.shape}")
     x, m = heldout.edge_counts, heldout.pair_counts
     upper = ~np.tri(heldout.K, k=-1, dtype=bool)
-    probs = np.clip(theta_hat[upper], _CLAMP, 1 - _CLAMP)
+    probs = np.clip(estimate.theta[upper], _CLAMP, 1 - _CLAMP)
     return float(np.sum(x[upper] * np.log(probs) + (m - x)[upper] * np.log1p(-probs)))
 
 

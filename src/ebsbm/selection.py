@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import HyperParams, fit_hyperparams, marginal_loglik
-from .graph import Graph, Partition, block_stats
+from .estimator import HyperParams, marginal_loglik
+from .graph import BlockStats, Partition, _integer
 from .metrics import write_table
 from .numerics import log_gamma
 
@@ -57,10 +57,7 @@ def log_dirichlet_marginal(sizes, tau: float = 0.5) -> float:
 
 def eb_penalty(K: int, n: int) -> float:
     """Complexity charge (1/2)[(K-1) log n + (K(K+1)/2) log(n(n-1)/2)]."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    K, n = _integer("K", K, 1), _integer("n", n, 2)
     pairs = n * (n - 1) / 2
     return 0.5 * ((K - 1) * np.log(n) + K * (K + 1) / 2 * np.log(pairs))
 
@@ -74,8 +71,7 @@ def cvrp_score(partition: Partition, n: int, mode: str = "squared") -> float:
     from the histogram-bandwidth literature, and is the one the pipeline
     scores.
     """
-    if n <= 1:
-        raise ValueError("n must be > 1")
+    n = _integer("n", n, 2)
     if partition.n != n:
         raise ValueError(f"partition covers {partition.n} nodes, n={n}")
     K = partition.K
@@ -89,18 +85,16 @@ def cvrp_score(partition: Partition, n: int, mode: str = "squared") -> float:
     return 2.0 * K / (n - 1) - (n + 1) * K / (n - 1) * ssum
 
 
-def score_partition(graph: Graph, partition: Partition, stats=None,
-                    hyper=None) -> SelectionScore:
-    """Full score row for one candidate; stats/hyper may be passed in to
-    avoid refitting when the caller already has them."""
-    if stats is None:
-        stats = block_stats(graph, partition)
-    if hyper is None:
-        hyper = fit_hyperparams(stats)
+def score_partition(partition: Partition, stats: BlockStats, hyper: HyperParams) -> SelectionScore:
+    """Score row of a partition from its block counts and their fitted prior;
+    ValueError unless `stats` has its K and s(s-1)/2 pairs in each cluster."""
+    sizes = partition.sizes
+    if stats.K != partition.K or np.any(np.diag(stats.pair_counts) != sizes * (sizes - 1) // 2):
+        raise ValueError(f"stats are not the block counts of this {partition.K}-cluster partition")
     fit = (
         marginal_loglik(stats, hyper.alpha0, hyper.beta0, "diagonal")
         + marginal_loglik(stats, hyper.alpha1, hyper.beta1, "offdiagonal")
-        + log_dirichlet_marginal(partition.sizes)
+        + log_dirichlet_marginal(sizes)
     )
     pen = eb_penalty(partition.K, partition.n)
     cv = cvrp_score(partition, partition.n)

@@ -3,6 +3,7 @@ import gc
 import glob
 import hashlib
 import os
+import pickle
 import tracemalloc
 import types
 import warnings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import linalg, sparse
 from scipy.special import entr, xlogy
 
-from ebsbm import community
+from ebsbm import community, experiment
 from ebsbm.community import (
     _kmeans_once,
     check_k_range,
@@ -24,9 +25,10 @@ from ebsbm.community import (
     spectral_partition,
     variational_em,
 )
-from ebsbm.experiment import ExperimentConfig, analyze_graph
-from ebsbm.graph import Graph, block_stats, compact_partition
+from ebsbm.experiment import ExperimentConfig, analyze_graph, run_testlik_protocol
+from ebsbm.graph import Graph, Partition, block_stats, compact_partition
 from ebsbm.io import bundled_data_path, ingest_network
+from ebsbm.metrics import split_nodes
 from ebsbm.samplers import affiliation_theta, powerlaw_graphon, sample_graphon, sample_sbm
 from helpers import hungarian_agreement, random_pairs, two_cliques_graph
 
@@ -1232,6 +1234,34 @@ def test_every_entry_takes_one_stop_rule(monkeypatch, entry, max_iter, tol, mess
     with pytest.raises(ValueError) as info:
         calls[entry]()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("entry", ["detect_range", "spectral_partition", "analyze_graph",
+                                   "run_testlik_protocol", "split_nodes"])
+@pytest.mark.parametrize("seed, says", [
+    (-1, ">= 0, got -1"), (2.5, "an integer, got 2.5"), ("3", "an integer, got '3'"),
+    (None, "an integer, got None")], ids=["-1", "2.5", "str", "None"])
+def test_every_entry_takes_one_seed_rule(monkeypatch, entry, seed, says):
+    # a seed of -1 once reached numpy only after the eigensolve, or after
+    # the whole graph's block counts, 2.5 and "3" raised numpy's TypeError,
+    # and None drew fresh entropy; now each entry refuses them first
+    g, labels = cliques_graph(4)
+    part = Partition.from_labels(labels)
+    calls = {
+        "detect_range": lambda s: detect_range(g, (2, 3), s),
+        "spectral_partition": lambda s: spectral_partition(g, 2, s),
+        "analyze_graph": lambda s: analyze_graph(g, (2, 3), s),
+        "run_testlik_protocol": lambda s: run_testlik_protocol(g, part, 2, base_seed=s),
+        "split_nodes": lambda s: split_nodes(g.n, 0.5, s),
+    }
+    call = calls[entry]
+    assert pickle.dumps(call(np.int64(3))) == pickle.dumps(call(3))
+    monkeypatch.setattr(community, "_top_eigvecs", None)  # no solve is made
+    monkeypatch.setattr(experiment, "block_counts", None)  # no count is made
+    with pytest.raises(ValueError) as info:
+        call(seed)
+    name = "base_seed" if entry == "run_testlik_protocol" else "seed"
+    assert str(info.value) == f"{name} must be {says}"
 
 
 class TestDetectOneK:

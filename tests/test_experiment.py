@@ -465,7 +465,7 @@ def reference_testlik(graph, partition, n_splits, fraction=0.7, base_seed=0):
         for name, est in (("MLE", mle_estimate(stats)),
                           ("EB", eb_estimate(stats, fit_hyperparams(stats))),
                           ("fixed-prior", fixed_prior_estimate(stats))):
-            out[name].append(held_out_loglik(est.theta, heldout))
+            out[name].append(held_out_loglik(est, heldout))
     return out
 
 

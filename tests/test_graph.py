@@ -291,7 +291,8 @@ class TestBlockStats:
 ], ids=["check", "estimate", "step", "sbm"])
 def test_connectivity_checked_alike(build):
     # square, symmetric and in [0, 1], each to within 1e-12 (the metrics'
-    # BAD_THETAS cases cover mse_sbm and test_loglik)
+    # BAD_THETAS cases cover mse_sbm; test_loglik takes an estimate, whose
+    # theta is refused here, when it is built)
     build(np.array([[1 + 1e-12, 0.1], [0.1 + 5e-13, -1e-12]]))
     for bad in ([[0.5, 0.1, 0.0]] * 2, [[0.5, 0.1 + 1e-11], [0.1, 0.5]],
                 [[1 + 1e-11, 0.1], [0.1, 0.5]], [[0.5, -1e-11], [-1e-11, 0.5]],

@@ -78,9 +78,13 @@ def heldout_counts(graph, labels, train):
     return BlockStats(K=labels.K, edge_counts=x_all - x, pair_counts=m_all - m)
 
 
+def estimate(theta):
+    return ConnectivityEstimate(theta=theta, method="MLE")
+
+
 def held_out(graph, labels, theta, train):
     # test_loglik on the pairs with an endpoint outside train
-    return held_out_loglik(theta, heldout_counts(graph, labels, train))
+    return held_out_loglik(estimate(theta), heldout_counts(graph, labels, train))
 
 
 # (theta, K) pairs every metric must reject
@@ -266,6 +270,15 @@ class TestSplitNodes:
             split_nodes(10, fraction=0.0, seed=0)
         with pytest.raises(ValueError):
             split_nodes(10, fraction=1.0, seed=0)
+        # and n, an integer >= 1: n = 2.5 once raised numpy's AxisError
+        for n, message in ((2.5, "n must be an integer, got 2.5"),
+                           ("10", "n must be an integer, got '10'"),
+                           (0, "n must be >= 1, got 0")):
+            with pytest.raises(ValueError) as info:
+                split_nodes(n, fraction=0.5, seed=0)
+            assert str(info.value) == message
+        for got, want in zip(split_nodes(np.int64(10), 0.5, 0), split_nodes(10, 0.5, 0)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n, fraction, side", [
         (200, 0.001, "no train"), (200, 0.999, "no test"), (1, 0.7, "no test"),
@@ -344,6 +357,7 @@ class TestTestLoglik:
 
     @pytest.mark.parametrize("case, bad", BAD_THETAS)
     def test_theta_checked(self, case, bad):
+        # refused when the estimate is built, or at the wrong K by test_loglik
         g = Graph(n=3, edges=[(0, 1)])
         labels = Partition.from_labels([1, 2, 1])
         with pytest.raises(ValueError):
@@ -367,7 +381,7 @@ class TestTestLoglik:
         got = heldout_counts(g, labels, train)
         assert np.array_equal(got.edge_counts, x) and np.array_equal(got.pair_counts, m)
         want = loglik_reference(edges, labels, theta, train, test)
-        assert held_out_loglik(theta, got) == pytest.approx(want, rel=1e-12, abs=0)
+        assert held_out_loglik(estimate(theta), got) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_empty_and_single_node_test_sets(self):
         rng = np.random.default_rng(3)
@@ -394,7 +408,7 @@ class TestTestLoglik:
                               np.ravel_multi_index(iu, (K, K)))
         probs = np.clip(theta[iu], 1e-9, 1 - 1e-9)
         want = float(np.sum(x[iu] * np.log(probs) + (m - x)[iu] * np.log1p(-probs)))
-        got = held_out_loglik(theta, BlockStats(K=K, edge_counts=x, pair_counts=m))
+        got = held_out_loglik(estimate(theta), BlockStats(K=K, edge_counts=x, pair_counts=m))
         assert got.hex() == want.hex()
 
     def test_theta_domain_checked(self):
@@ -402,17 +416,6 @@ class TestTestLoglik:
         labels = Partition.from_labels([1, 1])
         with pytest.raises(ValueError):
             held_out(g, labels, np.array([[1.2]]), [0])
-
-    @pytest.mark.parametrize("K", [1, 3, 6])
-    def test_estimate_scores_as_its_theta(self, K):
-        rng = np.random.default_rng(K)
-        m = rng.integers(1, 10**4, size=(K, K))
-        m = m + m.T
-        x = rng.integers(0, m + 1)
-        heldout = BlockStats(K=K, edge_counts=np.triu(x) + np.triu(x, 1).T, pair_counts=m)
-        theta = random_theta(rng, K)
-        est = ConnectivityEstimate(theta=theta, method="MLE")
-        assert held_out_loglik(est, heldout).hex() == held_out_loglik(theta, heldout).hex()
 
     def test_estimate_not_checked_again(self, monkeypatch):
         # its theta was checked when the estimate was built
@@ -429,14 +432,14 @@ class TestTestLoglik:
         assert held_out_loglik(est, heldout) == pytest.approx(
             3 * math.log(0.25) + 9 * math.log(0.75), rel=1e-15)
 
-    @pytest.mark.parametrize("as_estimate", [True, False])
-    def test_k_mismatch_rejected(self, as_estimate):
-        theta = np.full((2, 2), 0.5)
-        heldout = BlockStats(K=3, edge_counts=np.zeros((3, 3), dtype=int),
-                             pair_counts=np.ones((3, 3), dtype=int))
-        arg = ConnectivityEstimate(theta=theta, method="EB") if as_estimate else theta
-        with pytest.raises(ValueError, match=r"theta_hat must be 3x3 matrix, got shape \(2, 2\)"):
-            held_out_loglik(arg, heldout)
+    @pytest.mark.parametrize("heldout_larger", [True, False])
+    def test_k_mismatch_rejected(self, heldout_larger):
+        k, k_est = (3, 2) if heldout_larger else (2, 3)
+        heldout = BlockStats(K=k, edge_counts=np.zeros((k, k), dtype=int),
+                             pair_counts=np.ones((k, k), dtype=int))
+        with pytest.raises(ValueError) as info:
+            held_out_loglik(estimate(np.full((k_est, k_est), 0.5)), heldout)
+        assert str(info.value) == f"estimate must be {k}x{k} matrix, got shape ({k_est}, {k_est})"
 
 
 def test_metrics_allocate_no_node_by_node_matrix():

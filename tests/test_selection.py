@@ -1,9 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from ebsbm.estimator import fit_hyperparams
+from ebsbm.experiment import analyze_graph
 from ebsbm.graph import Graph, Partition, block_stats
+from ebsbm.samplers import affiliation_theta, sample_sbm
 from ebsbm.selection import (
     SelectionScore,
     cvrp_score,
@@ -65,10 +69,14 @@ class TestEbPenalty:
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            eb_penalty(0, 10)
-        with pytest.raises(ValueError):
-            eb_penalty(2, 1)
+        # K = 2.5 once returned a charge of 10.054
+        for K, n, message in ((0, 10, "K must be >= 1, got 0"), (2, 1, "n must be >= 2, got 1"),
+                              (2.5, 10, "K must be an integer, got 2.5"),
+                              (2, 10.0, "n must be an integer, got 10.0")):
+            with pytest.raises(ValueError) as info:
+                eb_penalty(K, n)
+            assert str(info.value) == message
+        assert eb_penalty(np.int64(2), np.int64(10)) == eb_penalty(2, 10)
 
 
 class TestCvrp:
@@ -92,21 +100,32 @@ class TestCvrp:
 
     def test_domain(self):
         p = Partition.from_labels([1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n must be >= 2, got 1$"):
             cvrp_score(p, 1, mode="squared")
         with pytest.raises(ValueError):
             cvrp_score(Partition.from_labels([1, 2]), 2, mode="nope")
+        # a float n was once accepted
+        p = Partition.from_labels([1] * 30 + [2] * 30)
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 60.0$"):
+            cvrp_score(p, 60.0)
+        assert cvrp_score(p, np.int64(60)) == cvrp_score(p, 60)
 
 
 def graph_of(n, edges):
     return Graph(n=n, edges=frozenset(edges))
 
 
+def scored(g, p):
+    """The partition's score row from its own counts and their fit."""
+    stats = block_stats(g, p)
+    return score_partition(p, stats, fit_hyperparams(stats))
+
+
 class TestJz:
     def test_k1_structure(self):
         g = graph_of(6, [(0, 1), (2, 3), (1, 4)])
         part = Partition.from_labels([1] * 6)
-        row = score_partition(g, part)
+        row = scored(g, part)
         assert not row.hyper.offdiag_fitted
         # Dirichlet term vanishes for K = 1, off-diagonal sum is empty
         from ebsbm.estimator import marginal_loglik
@@ -117,23 +136,23 @@ class TestJz:
     def test_two_cliques_prefers_k2(self):
         n, edges, labels = two_cliques_graph(size=5)
         g = graph_of(n, edges)
-        s2 = score_partition(g, Partition.from_labels(labels)).j_z
-        s1 = score_partition(g, Partition.from_labels([1] * n)).j_z
+        s2 = scored(g, Partition.from_labels(labels)).j_z
+        s1 = scored(g, Partition.from_labels([1] * n)).j_z
         assert s2 > s1
 
     def test_label_permutation_invariant(self):
         n, edges, labels = two_cliques_graph(size=4)
         g = graph_of(n, edges)
         swapped = [3 - l for l in labels]
-        a = score_partition(g, Partition.from_labels(labels)).j_z
-        b = score_partition(g, Partition.from_labels(swapped)).j_z
+        a = scored(g, Partition.from_labels(labels)).j_z
+        b = scored(g, Partition.from_labels(swapped)).j_z
         assert a == pytest.approx(b, abs=1e-9)
 
 
 def select(g, candidates, criterion):
     """The selection step of experiment.analyze_graph: score every
     candidate, then pick by the criterion."""
-    scores = [score_partition(g, p) for p in candidates]
+    scores = [scored(g, p) for p in candidates]
     return candidates[pick_best(scores, criterion)], scores
 
 
@@ -199,24 +218,38 @@ class TestSelectPartition:
             pick_best([], criterion)
 
 
-def test_score_partition_reuses_precomputed_stats():
-    n, edges, labels = two_cliques_graph(size=4)
+def test_analyze_graph_scores_each_partition_from_its_counts():
+    # every record's score is the detected partition's, to the last bit of
+    # what records.jsonl writes
+    spec = affiliation_theta(K=3, lam=0.8, epsilon=0.1, rho=1.0)
+    g, _ = sample_sbm(spec, n=60, seed=4)
+    records, _, estimates = analyze_graph(g, (1, 2, 3, 4), seed=1)
+    for rec, est in zip(records, estimates):
+        p = est["partition"]
+        stats = block_stats(g, p)
+        want = score_partition(p, stats, fit_hyperparams(stats))
+        assert json.dumps(rec.scores[0].to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+@pytest.mark.parametrize("other", [[1] * 10 + [2] * 5 + [3] * 5, [1] * 8 + [2] * 12],
+                         ids=["other K", "other sizes"])
+def test_stats_of_another_partition_rejected(other):
+    # another partition's counts once scored the two cliques' 2-cluster
+    # partition: totals -26.88 (3 clusters) and -111.99 (sizes 8 and 12)
+    n, edges, labels = two_cliques_graph(size=10)
     g = graph_of(n, edges)
     p = Partition.from_labels(labels)
-    stats = block_stats(g, p)
-    from ebsbm.estimator import fit_hyperparams
-    hyper = fit_hyperparams(stats)
-    a = score_partition(g, p)
-    b = score_partition(g, p, stats=stats, hyper=hyper)
-    assert a.total == pytest.approx(b.total, abs=1e-9)
-    assert a.K == b.K == 2
+    stats = block_stats(g, Partition.from_labels(other))
+    with pytest.raises(ValueError) as info:
+        score_partition(p, stats, fit_hyperparams(stats))
+    assert str(info.value) == "stats are not the block counts of this 2-cluster partition"
 
 
 def test_scores_to_csv(tmp_path):
     from ebsbm.selection import scores_to_csv
     n, edges, labels = two_cliques_graph(size=4)
     g = graph_of(n, edges)
-    scores = [score_partition(g, Partition.from_labels(labels))]
+    scores = [scored(g, Partition.from_labels(labels))]
     path = tmp_path / "scores.csv"
     scores_to_csv(scores, path)
     lines = path.read_text().strip().splitlines()
